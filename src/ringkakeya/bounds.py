@@ -16,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloElement, CycloMatrix, cyclo_rank, dft_matrix, zero_pattern
-from .errors import GuardExceeded
+from .cyclo import dft_product, reduce_mod, reduction_matrix, split_prime
+from .errors import GuardExceeded, VerificationError
 from .gfp import GFpMatrix, crank, kron, rank, rank_rational
 from .incidence import (
     DEFAULT_CELL_GUARD,
+    _check_guard,
     complement_indicator,
     incidence_matrix,
     incidence_matrix_pk,
@@ -108,7 +109,9 @@ def squarefree_bound(N: int, n: int) -> Fraction:
 def _require_valid(S: KakeyaSet):
     ok, problems = verify(S)
     if not ok:
-        raise ValueError(f"input is not a valid Kakeya set: {problems[:3]}")
+        raise VerificationError(
+            f"input fails Kakeya set verification: {problems[:3]}"
+        )
 
 
 def certify_prime(S: KakeyaSet) -> BoundReport:
@@ -236,7 +239,10 @@ def certify_two_primes(S: KakeyaSet) -> BoundReport:
 
 
 def certify_squarefree(
-    S: KakeyaSet, k: int | None = None, pivot_prime: int | None = None
+    S: KakeyaSet,
+    k: int | None = None,
+    pivot_prime: int | None = None,
+    guard: int = DEFAULT_CELL_GUARD,
 ) -> BoundReport:
     """General square-free certificate using derivative decoding matrices.
 
@@ -245,7 +251,8 @@ def certify_squarefree(
     component line.  The stacked rank of the family, divided by the number
     of derivative indices, lower bounds |S|; the chain through the
     evaluation matrix and the per-factor rank-size counts is re-verified
-    link by link.
+    link by link.  Raises GuardExceeded before building anything when the
+    stacked family would exceed guard cells.
     """
     spec = S.spec
     if not spec.is_square_free:
@@ -270,6 +277,12 @@ def certify_squarefree(
     d_hom = k * p1 - 1
     delta_homog = dim_homog(n, d_hom)
     Delta = dim_leq(n, m - 1)
+    # the stacked family: dim_leq(n, k-1) decoding rows per direction, one
+    # column per (pivot point, derivative index, residual point)
+    dirs = enumerate_directions(spec)
+    _check_guard(
+        len(dirs) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard
+    )
 
     E = eval_matrix(EvalMapSpec(
         p=p1, n=n, points=tuple(enumerate_points(spec1)), m=m,
@@ -286,7 +299,7 @@ def certify_squarefree(
     decoded_members = []
     decode_chain = True
     l0_rows: dict[tuple, list] = {}
-    for d in enumerate_directions(spec):
+    for d in dirs:
         comps = list(d.components)
         comp1 = comps[pividx]
         comp0 = [c for i, c in enumerate(comps) if i != pividx]
@@ -379,16 +392,42 @@ def _crt0(comps, spec0: RingSpec, j: int) -> int:
     return crt_combine([c[j] for c in comps], spec0)
 
 
+def _rank_cyclo(coeffs: np.ndarray, p: int, k: int, upper: int) -> int:
+    """Rank over Q(γ) of the matrix coeffs / p^k, whose entries are given as
+    Z[γ] coefficient vectors, where coeffs = MS·F for a 0/1 line matrix MS of
+    rational rank upper and the character table F.
+
+    The F_ℓ rank of each image under γ ↦ ω bounds the rank from below
+    (scaling by 1/p^k does not change it); upper bounds it from above.  The
+    character table is invertible mod ℓ, so the image rank is the F_ℓ rank
+    of MS, which falls short of upper only when ℓ divides one fixed non-zero
+    upper x upper minor of MS.  Its rows hold at most q ones, so Hadamard
+    bounds it by q^(upper/2), and fewer than bits(q^upper)/40 primes above
+    2^20 can divide it.
+    """
+    q = p**k
+    ell = 0
+    # gfp.rank multiplies two residues below ℓ < 2^21 at a time: < 2^42
+    for _ in range((q**upper).bit_length() // 40 + 1):
+        ell, omega = split_prime(p, k, ell)
+        if rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))) == upper:
+            return upper
+    raise AssertionError("modular rank bounds did not close (internal bug)")
+
+
 def certify_prime_power(
     S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD
 ) -> BoundReport:
     """Prime-power certificate via the character-table (Fourier) product.
 
-    Multiplies the line matrix by the character table over Q(γ), checks the
+    Multiplies the line matrix by the character table over Z[γ], checks the
     closed form of each row (zero off the direction's orthogonal classes,
     p^k times a power of γ elsewhere), transfers the rank of the scaled
     product down to F_p, and records the rank of the incidence matrix as
-    the certified bound.
+    the certified bound.  The product is computed in integers: each entry
+    is a histogram of γ-exponents times the reduction matrix, and its rank
+    over Q(γ) is pinned between an F_ℓ image (below) and the rational rank
+    of the line matrix (above).
 
     Rows of the transferred pattern are exactly the incidence-matrix rows
     at the direction representatives; rows at non-unit vectors are not
@@ -409,41 +448,25 @@ def certify_prime_power(
             f"the guard of {guard}"
         )
     MS = line_matrix(S, char=p)
-    F = dft_matrix(spec)
     dirs = enumerate_directions(spec)
-    pts = enumerate_points(spec)
+    coeffs = dft_product(MS.a, spec)
+    # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere
+    pts = np.array(enumerate_points(spec), dtype=np.int64)
+    reps = np.array([d.rep for d in dirs], dtype=np.int64)
+    bases = np.array([S.witness[d].base for d in dirs], dtype=np.int64)
+    R = reduction_matrix(p, kk)
+    want = q * R[bases @ pts.T % q] * (reps @ pts.T % q == 0)[..., None]
+    row_formula = np.array_equal(coeffs, want)
 
-    rows = []
-    row_formula = True
-    for i, d in enumerate(dirs):
-        witness = S.witness[d]
-        acc = [CycloElement.zero(p, kk) for _ in range(q**n)]
-        for pt in line_points(witness, spec):
-            t = point_index(pt, spec)
-            for j in range(q**n):
-                acc[j] = acc[j] + F.entries[t][j]
-        for j, y in enumerate(pts):
-            ip_dir = sum(a * b for a, b in zip(d.rep, y)) % q
-            ip_base = sum(a * b for a, b in zip(witness.base, y)) % q
-            if ip_dir != 0:
-                want = CycloElement.zero(p, kk)
-            else:
-                want = CycloElement.gamma_power(p, kk, ip_base) * q
-            if acc[j] != want:
-                row_formula = False
-        rows.append(acc)
-    M = CycloMatrix(p, kk, rows).scale(Fraction(1, q))
-
-    pattern = zero_pattern(M)
+    pattern = GFpMatrix(p, coeffs.any(-1))
     W = incidence_matrix_pk(p, kk, n, guard=guard)
-    pattern_match = all(
-        np.array_equal(pattern.a[i], W.a[point_index(d.rep, spec)])
-        for i, d in enumerate(dirs)
+    pattern_match = np.array_equal(
+        pattern.a, W.a[[point_index(d.rep, spec) for d in dirs]]
     )
-    rank_c = cyclo_rank(M)
+    rank_MS_Q = rank_rational(MS.a)
+    rank_c = _rank_cyclo(coeffs, p, kk, rank_MS_Q)
     rank_pattern = rank(pattern)
     rank_W = rank(W)
-    rank_MS_Q = rank_rational(MS.a)
 
     report = BoundReport(
         pipeline="prime-power",

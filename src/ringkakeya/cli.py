@@ -28,7 +28,7 @@ from .bounds import (
     fq_bound,
     squarefree_bound,
 )
-from .errors import GuardExceeded
+from .errors import GuardExceeded, RowFactorError, VerificationError
 from .gfp import rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
@@ -189,14 +189,17 @@ def cmd_kakeya(args) -> int:
 PIPELINES = {
     "prime": lambda S, args: certify_prime(S),
     "two-primes": lambda S, args: certify_two_primes(S),
-    "square-free": lambda S, args: certify_squarefree(S, k=args.k),
+    "square-free": lambda S, args: certify_squarefree(
+        S, k=args.k, guard=args.guard
+    ),
     "prime-power": lambda S, args: certify_prime_power(S, guard=args.guard),
 }
 
 
 def cmd_certify(args) -> int:
+    # the pipeline verifies the set, so the loader does not
     try:
-        S = kak.load(args.file)
+        S = kak.load(args.file, check=False)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -346,6 +349,9 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    except (VerificationError, RowFactorError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

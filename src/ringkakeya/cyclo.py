@@ -1,10 +1,21 @@
-"""Exact arithmetic over the cyclotomic field Q(γ), γ a primitive p^k-th
-root of unity, and the rank-transfer comparison down to F_p.
+"""Arithmetic over the cyclotomic field Q(γ), γ a primitive p^k-th root
+of unity, and the rank-transfer comparison down to F_p.
 
-Elements are polynomials in γ with rational coefficients, reduced modulo
-the minimal polynomial m(x) = (x^{p^k} - 1)/(x^{p^{k-1}} - 1), so the
-representation of each field element is unique.  Rank uses fraction-free
-(Bareiss) elimination; no floating point anywhere.
+`CycloElement` holds a polynomial in γ with rational coefficients, reduced
+modulo the minimal polynomial m(x) = (x^{p^k} - 1)/(x^{p^{k-1}} - 1), so
+the representation of each field element is unique; `CycloMatrix` and
+`cyclo_rank` on it are the exact reference.  Fast paths keep elements of
+Z[γ] as integer coefficient vectors in the basis 1, γ, ..., γ^{φ-1}
+(`reduction_matrix` writes γ^e in that basis).
+
+Ranks are certified modularly.  For a prime ℓ ≡ 1 (mod p^k) and ω of
+order exactly p^k in F_ℓ, γ ↦ ω is a ring map from Z[γ] (with denominators
+prime to ℓ) onto F_ℓ, so a non-zero minor of the image lifts to a non-zero
+minor over Q(γ): the F_ℓ rank of the image is a lower bound on the rank
+over Q(γ).  `cyclo_rank` returns it when it reaches min(rows, cols) and
+otherwise falls back to fraction-free (Bareiss) elimination; the
+prime-power certificate closes the same lower bound against the rational
+rank of its line matrix from above.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .gfp import GFpMatrix, is_prime, rank as gfp_rank
+from .rings import enumerate_points
+
+# modular images use primes above this floor; a product of t distinct such
+# primes exceeds 2^(20 t), which bounds how many can divide a given minor
+ELL_FLOOR = 2**20
 
 
 def phi_pk(p: int, k: int) -> int:
@@ -65,6 +83,56 @@ def _reduction_row(p: int, k: int, degree: int) -> tuple[Fraction, ...]:
             for j, t in enumerate(top):
                 out[j] += c * t
     return tuple(out)
+
+
+def reduction_matrix(p: int, k: int) -> np.ndarray:
+    """The p^k x φ integer matrix whose row e is γ^e in the basis
+    1, γ, ..., γ^{φ-1}.
+
+    Rows e < φ are unit vectors.  For e = φ + s with 0 <= s < p^{k-1},
+    m(γ) = 0 gives γ^e = -(γ^s + γ^{s + p^{k-1}} + ... + γ^{s + (p-2) p^{k-1}}),
+    so every entry is 0, 1 or -1.
+    """
+    step = p ** (k - 1)
+    return np.vstack([
+        np.eye(phi_pk(p, k), dtype=np.int64),
+        -np.tile(np.eye(step, dtype=np.int64), p - 1),
+    ])
+
+
+@lru_cache(maxsize=128)
+def split_prime(p: int, k: int, after: int = 0) -> tuple[int, int]:
+    """The least prime ℓ > max(2^20, after) with ℓ ≡ 1 (mod p^k), and ω of
+    order exactly p^k in F_ℓ.
+
+    x^{p^k} - 1 splits into distinct linear factors over such an F_ℓ, so ω
+    is a root of the minimal polynomial of γ and γ ↦ ω is a ring map.
+    Passing the previous ℓ as after walks through the primes in order.
+    """
+    q = p**k
+    floor = max(ELL_FLOOR, after)
+    ell = floor - floor % q + 1
+    if ell <= floor:
+        ell += q
+    while not is_prime(ell):
+        ell += q
+    # ω = g^((ℓ-1)/q) has order exactly q iff ω^(q/p) = g^((ℓ-1)/p) != 1
+    g = 2
+    while pow(g, (ell - 1) // p, ell) == 1:
+        g += 1
+    return ell, pow(g, (ell - 1) // q, ell)
+
+
+def reduce_mod(coeffs: np.ndarray, ell: int, omega: int) -> np.ndarray:
+    """Image in F_ℓ under γ ↦ ω of the integer coefficient vectors that run
+    along the last axis of coeffs."""
+    phi = coeffs.shape[-1]
+    # after reduction every product is below ℓ^2 and the sum of φ of them
+    # below φ·ℓ^2, which stays under 2^63 for every φ < 2^21 at ℓ < 2^21
+    if phi * (ell - 1) ** 2 >= 2**63:
+        raise OverflowError(f"degree {phi} too large for int64 sums mod {ell}")
+    powers = np.array([pow(omega, c, ell) for c in range(phi)], dtype=np.int64)
+    return (coeffs % ell) @ powers % ell
 
 
 class CycloElement:
@@ -289,12 +357,36 @@ class CycloMatrix:
 
 
 def cyclo_rank(M: CycloMatrix) -> int:
+    """Rank over Q(γ).
+
+    The F_ℓ rank of the image under γ ↦ ω is a lower bound, so when it
+    reaches min(rows, cols) it is the rank; otherwise the rank comes from
+    fraction-free (Bareiss) elimination over Q(γ).
+    """
+    m, n = M.rows, M.cols
+    if m == 0 or n == 0:
+        return 0
+    ell = 0
+    while True:
+        ell, omega = split_prime(M.p, M.k, ell)
+        if all(c.denominator % ell for row in M.entries for e in row
+               for c in e.coeffs):
+            break
+    coeffs = np.array(
+        [[[c.numerator * pow(c.denominator, -1, ell) % ell for c in e.coeffs]
+          for e in row] for row in M.entries],
+        dtype=np.int64,
+    )
+    if gfp_rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))) == min(m, n):
+        return min(m, n)
+    return _bareiss_rank(M)
+
+
+def _bareiss_rank(M: CycloMatrix) -> int:
     """Rank over Q(γ) by fraction-free (Bareiss) elimination."""
     A = [row[:] for row in M.entries]
     m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
+    n = len(A[0])
     one = CycloElement.one(M.p, M.k)
     prev = one
     inv_prev = one
@@ -358,8 +450,6 @@ def dft_matrix(spec) -> CycloMatrix:
     p, k = spec.factors[0]
     if phi_pk(p, k) > 64:
         raise ValueError("cyclotomic degree above the supported limit of 64")
-    from .rings import enumerate_points
-
     q = spec.N
     powers = _gamma_powers(p, k)
     pts = enumerate_points(spec)
@@ -368,3 +458,25 @@ def dft_matrix(spec) -> CycloMatrix:
         for x in pts
     ]
     return CycloMatrix(p, k, entries)
+
+
+def dft_product(A, spec) -> np.ndarray:
+    """A times the character table of (Z/p^k Z)^n, computed in integers.
+
+    A is a 0/1 matrix whose columns are the points in natural order.  Entry
+    (i, j) of the product is the sum of γ^{<t, y_j>} over the points t of
+    row i: a histogram of exponents, times `reduction_matrix`.  Returns the
+    Z[γ] coefficient array of shape (rows, p^{kn}, φ); no coefficient
+    exceeds the largest row weight of A in absolute value.
+    """
+    A = np.asarray(A)
+    if not np.isin(A, (0, 1)).all():
+        raise ValueError("dft_product expects a 0/1 matrix")
+    p, k = spec.factors[0]
+    q = spec.N
+    pts = np.array(enumerate_points(spec), dtype=np.int64)
+    size = len(pts)
+    row, point = np.nonzero(A)
+    keys = (row[:, None] * size + np.arange(size)) * q + pts[point] @ pts.T % q
+    H = np.bincount(keys.ravel(), minlength=len(A) * size * q)
+    return H.reshape(len(A), size, q) @ reduction_matrix(p, k)

@@ -7,3 +7,7 @@ class GuardExceeded(Exception):
 
 class RowFactorError(ValueError):
     """A row of the target matrix is not in the row space of the source."""
+
+
+class VerificationError(ValueError):
+    """An input object fails its own verification (e.g. not a Kakeya set)."""

@@ -9,8 +9,6 @@ differentially tested against the generic path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import RowFactorError
@@ -287,10 +285,16 @@ def tensor_family_rank_check(V: GFpMatrix, families) -> bool:
 
 
 def rank_rational(data) -> int:
-    """Exact rank over the rationals (fraction-based elimination)."""
-    A = [[Fraction(int(x)) for x in row] for row in np.asarray(data)]
+    """Exact rank over the rationals by fraction-free (Bareiss) elimination
+    on Python ints.
+
+    After each pivot the entries below it are minors of the input, and the
+    division by the previous pivot is exact (Bareiss 1968).
+    """
+    A = [[int(x) for x in row] for row in np.asarray(data)]
     m = len(A)
     n = len(A[0]) if m else 0
+    prev = 1
     r = 0
     for c in range(n):
         piv = None
@@ -301,10 +305,13 @@ def rank_rational(data) -> int:
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
+        pivot, top = A[r][c], A[r][c + 1 :]
         for i in range(r + 1, m):
-            f = A[i][c] / A[r][c]
-            if f:
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            head = A[i][c]
+            A[i][c + 1 :] = [
+                (pivot * x - head * y) // prev for x, y in zip(A[i][c + 1 :], top)
+            ]
+        prev = pivot
         r += 1
         if r == m:
             break

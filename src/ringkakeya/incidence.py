@@ -195,10 +195,10 @@ def mv_search(
         if len(U) >= target_size or nodes >= budget:
             return len(U) >= target_size
         for idx in range(start, len(pairs)):
-            u, v = pairs[idx]
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 return False
+            nodes += 1
+            u, v = pairs[idx]
             if ok_pair(u, v, U, V):
                 if dfs(U + [u], V + [v], idx + 1):
                     return True

@@ -149,6 +149,52 @@ def test_certify_tampered_set_fails(tmp_path, capsys):
     assert "verification" in err
 
 
+def test_certify_verifies_the_set_once(tmp_path, capsys, monkeypatch):
+    import ringkakeya.bounds as bounds
+    import ringkakeya.kakeya as kak
+
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", "4", "--n", "2", "--out", str(path))
+    calls = []
+    real = kak.verify
+
+    def counting(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(kak, "verify", counting)
+    monkeypatch.setattr(bounds, "verify", counting)
+    code, _, _ = run(capsys, "certify", str(path), "--pipeline", "prime-power")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_certify_row_factor_error_exits_1(tmp_path, capsys, monkeypatch):
+    import ringkakeya.cli as cli
+    from ringkakeya import RowFactorError
+
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", "5", "--n", "2", "--out", str(path))
+
+    def failing(S, args):
+        raise RowFactorError("row 0 of the target is not in the row space")
+
+    monkeypatch.setitem(cli.PIPELINES, "prime", failing)
+    code, _, err = run(capsys, "certify", str(path), "--pipeline", "prime")
+    assert code == 1
+    assert "row space" in err
+
+
+def test_certify_square_free_guard_refusal(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", "15", "--n", "2",
+        "--method", "tangent-product", "--out", str(path))
+    code, out, err = run(capsys, "certify", str(path), "--pipeline",
+                         "square-free", "--guard", "1000")
+    assert code == 3
+    assert out == "" and "guard" in err
+
+
 def test_mv_search_and_verify(tmp_path, capsys):
     path = tmp_path / "mv.json"
     code, _, _ = run(

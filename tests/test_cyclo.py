@@ -221,3 +221,137 @@ def test_dft_full_rank(q, n):
 def test_dft_full_rank_size_81():
     spec = RingSpec.make(3, 4)
     assert cyclo_rank(dft_matrix(spec)) == 81
+
+
+def test_reduction_matrix_matches_gamma_powers():
+    from ringkakeya.cyclo import reduction_matrix
+
+    for p, k in [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (5, 2), (2, 5)]:
+        R = reduction_matrix(p, k)
+        assert R.shape == (p**k, (p - 1) * p ** (k - 1))
+        for e in range(p**k):
+            ref = CycloElement.gamma_power(p, k, e).coeffs
+            assert R[e].tolist() == [int(c) for c in ref]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3), (5, 2), (7, 1)])
+def test_split_prime(p, k):
+    from ringkakeya.cyclo import ELL_FLOOR, split_prime
+    from ringkakeya.gfp import is_prime
+
+    q = p**k
+    ell, omega = split_prime(p, k)
+    assert is_prime(ell) and ell % q == 1 and ell > ELL_FLOOR
+    # the least such prime
+    assert not any(is_prime(x) for x in range(ELL_FLOOR + 1, ell) if x % q == 1)
+    # omega has order exactly q
+    assert pow(omega, q, ell) == 1 and pow(omega, q // p, ell) != 1
+    nxt, omega2 = split_prime(p, k, ell)
+    assert nxt > ell and is_prime(nxt) and nxt % q == 1
+    assert not any(is_prime(x) for x in range(ell + 1, nxt) if x % q == 1)
+    assert pow(omega2, q, nxt) == 1 and pow(omega2, q // p, nxt) != 1
+
+
+def test_reduce_mod_is_evaluation_at_omega():
+    from ringkakeya.cyclo import reduce_mod, split_prime
+
+    rng = random.Random(3)
+    for p, k in [(2, 2), (3, 1), (3, 2), (2, 3)]:
+        ell, omega = split_prime(p, k)
+        phi = (p - 1) * p ** (k - 1)
+        coeffs = np.array([[rng.randrange(-50, 50) for _ in range(phi)]
+                           for _ in range(20)], dtype=np.int64)
+        got = reduce_mod(coeffs, ell, omega)
+        for row, value in zip(coeffs.tolist(), got.tolist()):
+            assert value == sum(c * pow(omega, i, ell) for i, c in enumerate(row)) % ell
+        # gamma^q = 1 maps to omega^q = 1: the image respects the reduction
+        x = CycloElement.gamma_power(p, k, 1)
+        y = CycloElement(p, k, [rng.randrange(-3, 4) for _ in range(phi)])
+        img = lambda e: int(reduce_mod(np.array([int(c) for c in e.coeffs]), ell, omega))
+        assert img(x * y) == img(x) * img(y) % ell
+
+
+def _all_lines(spec):
+    from ringkakeya import Line, enumerate_directions, enumerate_points
+
+    return [Line.through(base, d, spec)
+            for d in enumerate_directions(spec) for base in enumerate_points(spec)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (8, 1), (9, 1), (2, 3)])
+def test_integer_dft_rows_match_cyclo_sums(q, n):
+    # the integer product behind the prime-power certificate, on every line
+    # (every direction and every base), against sums of CycloElement entries
+    # of the character table, and the integer closed form of each row
+    from ringkakeya import enumerate_points, line_points, point_index
+    from ringkakeya.cyclo import dft_product, reduction_matrix
+
+    spec = RingSpec.make(q, n)
+    p, k = spec.factors[0]
+    F = dft_matrix(spec)
+    lines = _all_lines(spec)
+    A = np.zeros((len(lines), q**n), dtype=np.int64)
+    for i, line in enumerate(lines):
+        for pt in line_points(line, spec):
+            A[i, point_index(pt, spec)] = 1
+    coeffs = dft_product(A, spec)
+    for i, line in enumerate(lines):
+        for j in range(q**n):
+            acc = CycloElement.zero(p, k)
+            for t in np.nonzero(A[i])[0]:
+                acc = acc + F.entries[t][j]
+            assert coeffs[i, j].tolist() == [int(c) for c in acc.coeffs]
+
+    pts = np.array(enumerate_points(spec))
+    reps = np.array([line.direction.rep for line in lines])
+    bases = np.array([line.base for line in lines])
+    want = q * reduction_matrix(p, k)[bases @ pts.T % q]
+    want *= (reps @ pts.T % q == 0)[..., None]
+    assert np.array_equal(coeffs, want)
+    with pytest.raises(ValueError):
+        dft_product(2 * A, spec)
+
+
+def _random_witness_set(spec, rng):
+    from ringkakeya import KakeyaSet, Line, enumerate_directions, line_points
+
+    witness, points = {}, set()
+    for d in enumerate_directions(spec):
+        base = tuple(rng.randrange(spec.N) for _ in range(spec.n))
+        witness[d] = Line.through(base, d, spec)
+        points.update(line_points(witness[d], spec))
+    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
+
+
+@pytest.mark.parametrize("q,n,seed", [(4, 2, 0), (4, 2, 1), (4, 2, 2), (9, 1, 0),
+                                      (9, 1, 1), (2, 3, 0), (2, 3, 1), (2, 3, 2)])
+def test_rank_cyclo_against_exact_rank(q, n, seed):
+    from ringkakeya import certify_prime_power, line_matrix
+    from ringkakeya.bounds import _rank_cyclo
+    from ringkakeya.cyclo import _bareiss_rank, dft_product
+
+    spec = RingSpec.make(q, n)
+    p, k = spec.factors[0]
+    S = _random_witness_set(spec, random.Random(seed))
+    report = certify_prime_power(S)
+    MS = line_matrix(S, char=p)
+    M = CycloMatrix.from_rational(p, k, MS.a) @ dft_matrix(spec)
+    M = M.scale(Fraction(1, q))
+    exact = _bareiss_rank(M)
+    assert report.quantities["rank_cyclo"] == exact == cyclo_rank(M)
+    # a wrong upper bound can never be met: the search gives up loudly
+    with pytest.raises(AssertionError):
+        _rank_cyclo(dft_product(MS.a, spec), p, k, exact + 1)
+
+
+def test_cyclo_rank_denominator_divisible_by_ell():
+    from ringkakeya.cyclo import split_prime
+
+    p, k = 2, 2
+    ell, _ = split_prime(p, k)
+    tiny = CycloElement.from_rational(p, k, Fraction(1, ell))
+    one = CycloElement.one(p, k)
+    g = CycloElement.gamma_power(p, k, 1)
+    # 1/ell has no image in F_ell, so the next prime certifies the rank
+    assert cyclo_rank(CycloMatrix(p, k, [[tiny, g], [one, g * (ell + 1) * tiny]])) == 2
+    assert cyclo_rank(CycloMatrix(p, k, [[tiny, g * tiny], [one, g]])) == 1

@@ -178,3 +178,46 @@ def test_rank_rational():
     # rows dependent over F_2 but independent over Q
     assert rank_rational([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 3
     assert rank(GFpMatrix(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
+
+
+def fraction_rank(data):
+    """Reference: rank over Q by elimination in Fraction arithmetic."""
+    from fractions import Fraction
+
+    A = [[Fraction(int(x)) for x in row] for row in data]
+    m, n = len(A), len(A[0]) if A else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, m):
+            f = A[i][c] / A[r][c]
+            if f:
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def test_rank_rational_against_fraction_elimination():
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        lo, hi = rng.choice([(0, 1), (-2, 2), (-9, 9)])
+        # low-rank products and zero columns exercise skipped pivots
+        if rng.random() < 0.4:
+            inner = rng.randrange(1, 4)
+            B = np.array([[rng.randint(lo, hi) for _ in range(inner)]
+                          for _ in range(rows)])
+            C = np.array([[rng.randint(lo, hi) for _ in range(cols)]
+                          for _ in range(inner)])
+            data = B @ C
+        else:
+            data = np.array([[rng.randint(lo, hi) for _ in range(cols)]
+                             for _ in range(rows)])
+        if rng.random() < 0.3:
+            data[:, rng.randrange(cols)] = 0
+        assert rank_rational(data) == fraction_rank(data.tolist())

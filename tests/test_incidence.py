@@ -198,6 +198,17 @@ def test_mv_search_small():
     assert mv_verify(fam_best)
 
 
+def test_mv_search_exhausted_budget():
+    # an unreachable target spends the whole budget and reports exactly it;
+    # the family is the one the search has always found within that budget
+    fam, nodes = mv_search(2, 2, 2, target_size=99, budget=1000)
+    assert nodes == 1000
+    assert fam.U == ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1))
+    assert fam.V == ((1, 0), (0, 1), (1, 3), (2, 1), (1, 1), (1, 2))
+    for budget in (1, 2, 7, 50):
+        assert mv_search(2, 2, 2, target_size=99, budget=budget)[1] == budget
+
+
 def test_mv_search_deterministic():
     a, na = mv_search(2, 2, 2, target_size=2)
     b, nb = mv_search(2, 2, 2, target_size=2)
