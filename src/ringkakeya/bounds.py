@@ -44,15 +44,20 @@ _SAFE_INT = 2**53
 
 
 def _json_value(v):
+    """v ready for json.dumps: integers of 53 bits or more and Fractions
+    become strings, dicts, lists and tuples are converted element-wise, and
+    anything else passes through unchanged."""
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
         return v if abs(v) < _SAFE_INT else str(v)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return v
-    return str(v)
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
 
 
 @dataclass
@@ -73,19 +78,17 @@ class BoundReport:
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return {
+        return _json_value({
             "pipeline": self.pipeline,
             "N": self.N,
             "n": self.n,
-            "set_size": _json_value(self.set_size),
-            "certified": _json_value(self.certified),
-            "closed_form": None
-            if self.closed_form is None
-            else _json_value(self.closed_form),
-            "quantities": {k: _json_value(v) for k, v in self.quantities.items()},
-            "checks": dict(self.checks),
+            "set_size": self.set_size,
+            "certified": self.certified,
+            "closed_form": self.closed_form,
+            "quantities": self.quantities,
+            "checks": self.checks,
             "passed": self.passed,
-        }
+        })
 
 
 def fq_bound(q: int, n: int) -> Fraction:
@@ -114,24 +117,28 @@ def _require_valid(S: KakeyaSet):
         )
 
 
-def certify_prime(S: KakeyaSet) -> BoundReport:
+def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
     """Prime-field certificate: rank of line matrix times incidence matrix.
 
     Verifies that each row of the product is the complement-hyperplane
     indicator of its direction, then certifies |S| >= rank of the product,
-    which the rank formula pins to at least C(p+n-2, n-1).
+    which the rank formula pins to at least C(p+n-2, n-1).  Raises
+    GuardExceeded before building anything when the line matrix or the
+    incidence matrix would exceed guard cells.
     """
     spec = S.spec
     if not spec.is_prime:
         raise ValueError("prime pipeline requires a prime modulus")
     _require_valid(S)
     p, n = spec.N, spec.n
+    dirs = enumerate_directions(spec)
+    _check_guard(len(dirs), spec.num_points, guard)
+    W = incidence_matrix(p, n, guard=guard)
     MS = line_matrix(S, char=p)
-    W = incidence_matrix(p, n)
     A = MS @ W
     row_identity = all(
         np.array_equal(A.a[i], complement_indicator(d.rep, spec))
-        for i, d in enumerate(enumerate_directions(spec))
+        for i, d in enumerate(dirs)
     )
     rank_A = rank(A)
     rank_MS = rank(MS)
@@ -161,13 +168,17 @@ def certify_prime(S: KakeyaSet) -> BoundReport:
     return report
 
 
-def certify_two_primes(S: KakeyaSet) -> BoundReport:
+def certify_two_primes(
+    S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD
+) -> BoundReport:
     """Two-prime certificate over F_p, N = p*q with p < q.
 
     Multiplies the line matrix by (incidence ⊗ identity), checks each row
     equals the tensor of the complement-hyperplane indicator mod p with the
     q-side line indicator, and certifies via the rank of the product plus
-    the tensor-span dimension bound.
+    the tensor-span dimension bound.  Raises GuardExceeded before building
+    anything when the line matrix or the incidence matrix would exceed
+    guard cells.
     """
     spec = S.spec
     if not (spec.is_square_free and spec.r == 2):
@@ -176,12 +187,16 @@ def certify_two_primes(S: KakeyaSet) -> BoundReport:
     p, q = spec.primes
     n = spec.n
     spec_p, spec_q = spec.factor_specs()
-    MS = line_matrix(S, char=p)
-    Wp = incidence_matrix(p, n)
-    K = kron(Wp, GFpMatrix.identity(p, q**n))
-    prod = MS @ K
-
     dirs = enumerate_directions(spec)
+    _check_guard(len(dirs), spec.num_points, guard)
+    Wp = incidence_matrix(p, n, guard=guard)
+    MS = line_matrix(S, char=p)
+    # columns are CRT-major (p-side point, q-side point), so the product
+    # with Wp ⊗ I acts on the p-side index alone
+    prod = GFpMatrix(p, np.einsum(
+        "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n), Wp.a
+    ).reshape(len(dirs), -1))
+
     row_identity = True
     q_lines: dict[tuple, list] = {}
     for i, d in enumerate(dirs):
@@ -258,7 +273,7 @@ def certify_squarefree(
     if not spec.is_square_free:
         raise ValueError("square-free pipeline requires square-free N")
     if spec.r == 1:
-        return certify_prime(S)
+        return certify_prime(S, guard=guard)
     _require_valid(S)
     n = spec.n
     p1 = pivot_prime if pivot_prime is not None else spec.primes[0]

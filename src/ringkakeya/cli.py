@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import kakeya as kak
 from .bounds import (
+    _json_value,
     certify_prime,
     certify_prime_power,
     certify_squarefree,
@@ -42,23 +43,6 @@ from .incidence import (
 from .rings import RingSpec
 from .selftest import run_suites
 
-_SAFE_INT = 2**53
-
-
-def _json_safe(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return obj if abs(obj) < _SAFE_INT else str(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 def _emit(data, fmt: str, out: str | None, csv_columns=None) -> None:
     if fmt == "csv":
         if csv_columns is None:
@@ -70,7 +54,7 @@ def _emit(data, fmt: str, out: str | None, csv_columns=None) -> None:
             writer.writerow({k: row.get(k, "") for k in csv_columns})
         text = buf.getvalue()
     else:
-        text = json.dumps(_json_safe(data), indent=1, sort_keys=True) + "\n"
+        text = json.dumps(_json_value(data), indent=1, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -187,8 +171,8 @@ def cmd_kakeya(args) -> int:
 
 
 PIPELINES = {
-    "prime": lambda S, args: certify_prime(S),
-    "two-primes": lambda S, args: certify_two_primes(S),
+    "prime": lambda S, args: certify_prime(S, guard=args.guard),
+    "two-primes": lambda S, args: certify_two_primes(S, guard=args.guard),
     "square-free": lambda S, args: certify_squarefree(
         S, k=args.k, guard=args.guard
     ),
@@ -341,9 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuardExceeded as exc:

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over prime fields F_p.
 
 Matrices are stored as int64 numpy arrays with entries canonical in [0, p).
-Elimination uses a fixed pivot rule (first non-zero entry scanning columns
+One elimination kernel, `_echelon`, gives every rank, row factorization and
+kernel; it uses a fixed pivot rule (first non-zero entry scanning columns
 left to right, rows top to bottom) so echelon forms and ranks are
-reproducible bit for bit.  A bit-packed path accelerates p = 2; it is
-differentially tested against the generic path.
+reproducible bit for bit.  The one fork is a bit-packed rank for p = 2,
+differentially tested against the kernel.  Products whose int64 sums could
+wrap raise OverflowError.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ class GFpMatrix:
     def __matmul__(self, other: "GFpMatrix") -> "GFpMatrix":
         if self.p != other.p:
             raise ValueError("characteristic mismatch")
+        if self.cols * (self.p - 1) ** 2 >= 2**63:
+            raise OverflowError(
+                f"a product with inner dimension {self.cols} over F_{self.p} "
+                "can wrap int64"
+            )
         return GFpMatrix(self.p, self.a @ other.a % self.p)
 
     def transpose(self) -> "GFpMatrix":
@@ -108,77 +115,57 @@ def _rank_gf2(M: np.ndarray) -> int:
 
 
 def _echelon(a: np.ndarray, p: int, track: bool = False):
-    """Reduced row echelon form mod p.
+    """Row echelon form mod p with unit pivots.
 
     Returns (E, pivots) or (E, pivots, R) with R @ a = E when track is set.
-    pivots is a list of (row, col) pairs in elimination order.
+    pivots is a list of (row, col) pairs in elimination order.  Each pivot
+    clears its column in the rows below it only; rows above are untouched.
     """
+    # each step multiplies two residues and subtracts the product from a
+    # residue, so every intermediate lies within (p - 1)^2 of zero
+    if (p - 1) ** 2 >= 2**63:
+        raise OverflowError(f"elimination over F_{p} can wrap int64")
     E = a % p
-    E = E.copy()
     m, n = E.shape
     R = np.eye(m, dtype=np.int64) if track else None
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if E[i, c]:
-                piv = i
-                break
-        if piv is None:
+        if r == m:
+            break
+        nz = np.flatnonzero(E[r:, c])
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             E[[r, piv]] = E[[piv, r]]
             if track:
                 R[[r, piv]] = R[[piv, r]]
         inv = pow(int(E[r, c]), -1, p)
-        E[r] = E[r] * inv % p
+        E[r, c:] = E[r, c:] * inv % p
         if track:
             R[r] = R[r] * inv % p
-        for i in range(m):
-            if i != r and E[i, c]:
-                f = int(E[i, c])
-                E[i] = (E[i] - f * E[r]) % p
-                if track:
-                    R[i] = (R[i] - f * R[r]) % p
+        below = r + 1 + np.flatnonzero(E[r + 1 :, c])
+        if below.size:
+            # fancy indexing copies the multipliers before E changes
+            f = E[below, c]
+            E[below, c:] = (E[below, c:] - np.outer(f, E[r, c:])) % p
+            if track:
+                R[below] = (R[below] - np.outer(f, R[r])) % p
         pivots.append((r, c))
         r += 1
-        if r == m:
-            break
     if track:
         return E, pivots, R
     return E, pivots
 
 
 def rank(M: GFpMatrix) -> int:
-    """Rank over F_p via exact elimination."""
+    """Rank over F_p: the number of pivots of the echelon form."""
     if M.rows == 0 or M.cols == 0:
         return 0
     if M.p == 2:
         return _rank_gf2(M.a)
-    A = M.a.copy()
-    p = M.p
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        below = A[r + 1 :, c]
-        if below.size:
-            A[r + 1 :] = (A[r + 1 :] - np.outer(below, A[r])) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_echelon(M.a, M.p)[1])
 
 
 def rank_generic(M: GFpMatrix) -> int:
@@ -253,6 +240,9 @@ def nullspace(M: GFpMatrix) -> GFpMatrix:
     """Basis of the right kernel of M, one basis vector per row."""
     p = M.p
     E, pivots = _echelon(M.a, p)
+    # back-substitution turns the echelon form into the reduced one
+    for r, c in reversed(pivots):
+        E[:r] = (E[:r] - np.outer(E[:r, c], E[r])) % p
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(M.cols) if c not in pivot_cols]
     basis = np.zeros((len(free_cols), M.cols), dtype=np.int64)

@@ -229,6 +229,14 @@ def test_json_value_big_ints():
     assert _json_value(True) is True
 
 
+def test_json_value_recurses():
+    from ringkakeya.bounds import _json_value
+
+    data = {"a": [2**60, (Fraction(1, 2), None)], "b": 1.5, "c": "x"}
+    assert _json_value(data) == {
+        "a": [str(2**60), ["1/2", None]], "b": 1.5, "c": "x"}
+
+
 def test_reports_serialize():
     r = certify_squarefree(full_set(RingSpec.make(6, 2)), k=2)
     d = r.to_json_dict()

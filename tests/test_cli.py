@@ -195,6 +195,21 @@ def test_certify_square_free_guard_refusal(tmp_path, capsys):
     assert out == "" and "guard" in err
 
 
+@pytest.mark.parametrize("N,n,method,pipeline", [
+    (15, 2, "tangent-product", "two-primes"),
+    (7, 3, "tangent", "prime"),
+    (7, 3, "tangent", "square-free"),
+])
+def test_certify_guard_refusal(tmp_path, capsys, N, n, method, pipeline):
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", str(N), "--n", str(n),
+        "--method", method, "--out", str(path))
+    code, out, err = run(capsys, "certify", str(path), "--pipeline", pipeline,
+                         "--guard", "1000")
+    assert code == 3
+    assert out == "" and "guard" in err
+
+
 def test_mv_search_and_verify(tmp_path, capsys):
     path = tmp_path / "mv.json"
     code, _, _ = run(

@@ -16,7 +16,7 @@ from ringkakeya import (
     solve_row_factor,
     tensor_family_rank_check,
 )
-from ringkakeya.gfp import rank_generic
+from ringkakeya.gfp import is_prime, rank_generic
 
 
 def rand_matrix(rng, p, rows, cols):
@@ -221,3 +221,111 @@ def test_rank_rational_against_fraction_elimination():
         if rng.random() < 0.3:
             data[:, rng.randrange(cols)] = 0
         assert rank_rational(data) == fraction_rank(data.tolist())
+
+
+def test_overflow_refused():
+    p = 2**31 - 1
+    # three products of (p-1)^2 sum past 2^63; in int64 they wrap to 2147483646
+    with pytest.raises(OverflowError):
+        GFpMatrix(p, [[p - 1] * 3]) @ GFpMatrix(p, [[p - 1]] * 3)
+    assert (GFpMatrix(p, [[p - 1] * 2]) @ GFpMatrix(p, [[p - 1]] * 2)).a[0, 0] == 2
+    big = next(q for q in range(3_037_000_501, 3_037_001_000) if is_prime(q))
+    with pytest.raises(OverflowError):
+        rank(GFpMatrix(big, [[1, 2], [3, 4]]))
+    assert rank(GFpMatrix(p, [[1, 2], [3, 4]])) == 2
+
+
+# Loop oracles for the echelon kernel: a reduced echelon form with a row
+# scan per pivot, and a below-only rank elimination.
+
+def reduced_echelon_oracle(a, p):
+    E = a % p
+    m, n = E.shape
+    R = np.eye(m, dtype=np.int64)
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if E[i, c]), None)
+        if piv is None:
+            continue
+        E[[r, piv]] = E[[piv, r]]
+        R[[r, piv]] = R[[piv, r]]
+        inv = pow(int(E[r, c]), -1, p)
+        E[r] = E[r] * inv % p
+        R[r] = R[r] * inv % p
+        for i in range(m):
+            if i != r and E[i, c]:
+                f = int(E[i, c])
+                E[i] = (E[i] - f * E[r]) % p
+                R[i] = (R[i] - f * R[r]) % p
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    return E, pivots, R
+
+
+def below_only_rank_oracle(a, p):
+    A = a % p
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i, c]), None)
+        if piv is None:
+            continue
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        A[r + 1:] = (A[r + 1:] - np.outer(A[r + 1:, c], A[r])) % p
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def nullspace_oracle(a, p):
+    E, pivots, _ = reduced_echelon_oracle(a, p)
+    pivot_cols = [c for _, c in pivots]
+    free_cols = [c for c in range(a.shape[1]) if c not in pivot_cols]
+    basis = np.zeros((len(free_cols), a.shape[1]), dtype=np.int64)
+    for k, fc in enumerate(free_cols):
+        basis[k, fc] = 1
+        for r, c in pivots:
+            basis[k, c] = (-int(E[r, fc])) % p
+    return basis
+
+
+def row_factor_oracle(a, b, p):
+    E, pivots, R = reduced_echelon_oracle(a, p)
+    C = np.zeros((b.shape[0], a.shape[0]), dtype=np.int64)
+    for i in range(b.shape[0]):
+        residual = b[i].copy()
+        coeff = np.zeros(a.shape[0], dtype=np.int64)
+        for r, c in pivots:
+            f = int(residual[c])
+            if f:
+                coeff[r] = f
+                residual = (residual - f * E[r]) % p
+        assert not residual.any()
+        C[i] = coeff @ R % p
+    return C
+
+
+def test_echelon_kernel_against_loop_oracles():
+    rng = random.Random(13)
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 1048609])
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        if rng.random() < 0.4:
+            # low rank, so that pivots are skipped and kernels are large
+            inner = rng.randrange(1, 4)
+            M = rand_matrix(rng, p, rows, inner) @ rand_matrix(rng, p, inner, cols)
+        else:
+            M = rand_matrix(rng, p, rows, cols)
+            if rng.random() < 0.5:
+                M.a[:, rng.randrange(cols)] = 0
+        assert rank(M) == rank_generic(M) == below_only_rank_oracle(M.a, p)
+        assert np.array_equal(nullspace(M).a, nullspace_oracle(M.a, p))
+        X = rand_matrix(rng, p, rng.randrange(1, 5), rows)
+        B = X @ M
+        assert np.array_equal(solve_row_factor(M, B).a,
+                              row_factor_oracle(M.a, B.a, p))
