@@ -1,46 +1,48 @@
 """Prime powers: the character-table product and cyclotomic rank transfer.
 
 Over Z/p^k there is no CRT splitting; instead the line matrix is multiplied
-by the group's character table over Q(γ), γ a primitive p^k-th root of
+by the group's character table over Z[γ], γ a primitive p^k-th root of
 unity.  Each resulting row is supported exactly on the incidence pattern of
 its direction, with entries that are powers of γ, and the rank over Q(γ)
 dominates the F_p rank of the 0/1 support pattern.  The incidence-matrix
 rank is therefore a lower bound for every Kakeya set size.
+
+Elements of Z[γ] are integer coefficient vectors in the basis
+1, γ, ..., γ^{φ-1}; row e of `reduction_matrix` is γ^e.
 """
 
 import json
 
+import numpy as np
+
 from ringkakeya import (
-    CycloElement,
-    CycloMatrix,
     RingSpec,
     certify_prime_power,
-    cyclo_rank,
-    dft_matrix,
+    dft_product,
     full_set,
     min_kakeya_search,
-    minimal_polynomial,
     rank,
+    rank_cyclo,
     rank_transfer_check,
+    reduction_matrix,
     zero_pattern,
 )
 
-print("minimal polynomials of primitive p^k-th roots of unity (ascending coeffs)")
+print("γ^e in the basis 1, γ, ..., γ^{φ-1}, for e = 0, ..., p^k - 1")
 for p, k in [(2, 2), (3, 1), (2, 3), (3, 2)]:
-    print(f"  p^k = {p**k}: {minimal_polynomial(p, k)}")
+    print(f"  p^k = {p**k}: {reduction_matrix(p, k).tolist()}")
 
 print("\nrank transfer on a hand-sized example over Q(i):")
-one = CycloElement.one(2, 2)
-g = CycloElement.gamma_power(2, 2, 1)
-M = CycloMatrix(2, 2, [[one, g], [g, -one]])
-print(f"  [[1, i], [i, -1]]: rank over Q(i) = {cyclo_rank(M)}, "
-      f"pattern rank over F_2 = {rank(zero_pattern(M))}, "
-      f"transfer holds: {rank_transfer_check(M)}")
+R = reduction_matrix(2, 2)  # 1, i, -1, -i
+M = np.array([[R[0], R[1]], [R[1], R[2]]])
+print(f"  [[1, i], [i, -1]]: rank over Q(i) = {rank_cyclo(M, 2, 2)}, "
+      f"pattern rank over F_2 = {rank(zero_pattern(M, 2))}, "
+      f"transfer holds: {rank_transfer_check(M, 2, 2)}")
 
 spec = RingSpec.make(4, 2)
-F = dft_matrix(spec)
-print(f"\ncharacter table of (Z/4)^2 is {F.rows} x {F.cols} and has full "
-      f"rank over Q(i): {cyclo_rank(F) == 16}")
+F = dft_product(np.eye(spec.num_points, dtype=np.int64), spec)
+print(f"\ncharacter table of (Z/4)^2 is {F.shape[0]} x {F.shape[1]} and has "
+      f"full rank over Q(i): {rank_cyclo(F, 2, 2) == 16}")
 
 print("\nprime-power pipeline on the full set in (Z/4)^2:")
 r = certify_prime_power(full_set(spec))

@@ -12,12 +12,10 @@ from .bounds import (
     squarefree_bound,
 )
 from .cyclo import (
-    CycloElement,
-    CycloMatrix,
-    cyclo_rank,
-    dft_matrix,
-    minimal_polynomial,
+    dft_product,
+    rank_cyclo,
     rank_transfer_check,
+    reduction_matrix,
     zero_pattern,
 )
 from .errors import GuardExceeded, RowFactorError

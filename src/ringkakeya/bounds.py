@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import dft_product, reduce_mod, reduction_matrix, split_prime
+from .cyclo import dft_product, rank_cyclo, reduction_matrix, zero_pattern
 from .errors import GuardExceeded, VerificationError
-from .gfp import GFpMatrix, crank, kron, rank, rank_rational
+from .gfp import GFpMatrix, crank, rank, rank_rational
 from .incidence import (
     DEFAULT_CELL_GUARD,
     _check_guard,
@@ -310,8 +310,9 @@ def certify_squarefree(
         ))
 
     decoders: dict[Line, GFpMatrix] = {}
-    members = []
-    decoded_members = []
+    # (C, D, ind0) per direction: the family members are kron(C, ind0)
+    # and kron(D, ind0), built one family at a time by _tensor_rows_rank
+    factors = []
     decode_chain = True
     l0_rows: dict[tuple, list] = {}
     for d in dirs:
@@ -332,17 +333,16 @@ def certify_squarefree(
         ind0 = GFpMatrix(p1, np.array(
             [indicator_vector(line_points(L0, spec0), spec0)], dtype=np.int64
         ))
-        members.append(kron(C, ind0))
         D = point_evals[comp1]
         if C @ E != D:
             decode_chain = False
-        decoded_members.append(kron(D, ind0))
+        factors.append((C, D, ind0))
         l0_rows.setdefault(comp1, []).append(ind0.a[0])
 
-    crank_family = crank(members)
+    crank_family = _tensor_rows_rank(p1, [(C, v) for C, _, v in factors])
     certified = math.ceil(crank_family / Delta)
     crank_D = crank(list(point_evals.values()))
-    crank_DL0 = crank(decoded_members)
+    crank_DL0 = _tensor_rows_rank(p1, [(D, v) for _, D, v in factors])
     cranks_L0 = []
     rank_size_factor = True
     union_bound_ok = True
@@ -401,33 +401,24 @@ def certify_squarefree(
     return report
 
 
+def _tensor_rows_rank(p: int, pairs) -> int:
+    """crank of the family kron(A, v) over (A, v) in pairs, v a 1-row
+    matrix, with every member written straight into one int64 array: the
+    entries of A lie in [0, p) and v is 0/1, so each product is canonical."""
+    width = pairs[0][0].cols * pairs[0][1].cols
+    family = np.empty((sum(A.rows for A, _ in pairs), width), dtype=np.int64)
+    r = 0
+    for A, v in pairs:
+        block = family[r : r + A.rows].reshape(A.rows, A.cols, v.cols)
+        np.multiply(A.a[:, :, None], v.a[0], out=block)
+        r += A.rows
+    return rank(GFpMatrix(p, family))
+
+
 def _crt0(comps, spec0: RingSpec, j: int) -> int:
     from .rings import crt_combine
 
     return crt_combine([c[j] for c in comps], spec0)
-
-
-def _rank_cyclo(coeffs: np.ndarray, p: int, k: int, upper: int) -> int:
-    """Rank over Q(γ) of the matrix coeffs / p^k, whose entries are given as
-    Z[γ] coefficient vectors, where coeffs = MS·F for a 0/1 line matrix MS of
-    rational rank upper and the character table F.
-
-    The F_ℓ rank of each image under γ ↦ ω bounds the rank from below
-    (scaling by 1/p^k does not change it); upper bounds it from above.  The
-    character table is invertible mod ℓ, so the image rank is the F_ℓ rank
-    of MS, which falls short of upper only when ℓ divides one fixed non-zero
-    upper x upper minor of MS.  Its rows hold at most q ones, so Hadamard
-    bounds it by q^(upper/2), and fewer than bits(q^upper)/40 primes above
-    2^20 can divide it.
-    """
-    q = p**k
-    ell = 0
-    # gfp.rank multiplies two residues below ℓ < 2^21 at a time: < 2^42
-    for _ in range((q**upper).bit_length() // 40 + 1):
-        ell, omega = split_prime(p, k, ell)
-        if rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))) == upper:
-            return upper
-    raise AssertionError("modular rank bounds did not close (internal bug)")
 
 
 def certify_prime_power(
@@ -473,13 +464,13 @@ def certify_prime_power(
     want = q * R[bases @ pts.T % q] * (reps @ pts.T % q == 0)[..., None]
     row_formula = np.array_equal(coeffs, want)
 
-    pattern = GFpMatrix(p, coeffs.any(-1))
+    pattern = zero_pattern(coeffs, p)
     W = incidence_matrix_pk(p, kk, n, guard=guard)
     pattern_match = np.array_equal(
         pattern.a, W.a[[point_index(d.rep, spec) for d in dirs]]
     )
     rank_MS_Q = rank_rational(MS.a)
-    rank_c = _rank_cyclo(coeffs, p, kk, rank_MS_Q)
+    rank_c = rank_cyclo(coeffs, p, kk, upper=rank_MS_Q)
     rank_pattern = rank(pattern)
     rank_W = rank(W)
 

@@ -14,8 +14,6 @@ from itertools import product
 import numpy as np
 
 from . import (
-    CycloElement,
-    CycloMatrix,
     Direction,
     EvalMapSpec,
     GFpMatrix,
@@ -24,8 +22,7 @@ from . import (
     RingSpec,
     crank,
     crt_product,
-    cyclo_rank,
-    dft_matrix,
+    dft_product,
     dim_homog,
     dim_leq,
     enumerate_directions,
@@ -43,8 +40,10 @@ from . import (
     nullspace,
     point_index,
     rank,
+    rank_cyclo,
     rank_rational,
     rank_transfer_check,
+    reduction_matrix,
     tangent_construction,
     verify,
 )
@@ -160,50 +159,50 @@ def suite_cyclotomic(seed: int = 0):
     for _ in range(200):
         p, k = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2)])
         q = p**k
+        R = reduction_matrix(p, k)
+        zero = np.zeros_like(R[0])
         size = rng.randrange(2, 7)
-        entries = [
-            [
-                CycloElement.zero(p, k)
-                if rng.random() < 0.3
-                else CycloElement.gamma_power(p, k, rng.randrange(q))
-                for _ in range(size)
-            ]
+        coeffs = np.array([
+            [zero if rng.random() < 0.3 else R[rng.randrange(q)]
+             for _ in range(size)]
             for _ in range(size)
-        ]
-        if not rank_transfer_check(CycloMatrix(p, k, entries)):
+        ])
+        if not rank_transfer_check(coeffs, p, k):
             ok = False
     checks.append(("rank_transfer_random", ok))
 
     for q, n in [(2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (2, 3), (3, 2)]:
         spec = RingSpec.make(q, n)
         p, k = spec.factors[0]
-        F = dft_matrix(spec)
-        ok = True
+        R = reduction_matrix(p, k)
+        zero = np.zeros_like(R[0])
         pts = enumerate_points(spec)
-        for d in enumerate_directions(spec):
-            for base in pts:
-                line = Line.through(base, d, spec)
-                acc = [CycloElement.zero(p, k) for _ in pts]
-                for pt in line_points(line, spec):
-                    t = point_index(pt, spec)
-                    for j in range(len(pts)):
-                        acc[j] = acc[j] + F.entries[t][j]
-                for j, y in enumerate(pts):
-                    ip_d = sum(a * b for a, b in zip(d.rep, y)) % q
-                    ip_b = sum(a * b for a, b in zip(line.base, y)) % q
-                    want = (
-                        CycloElement.zero(p, k)
-                        if ip_d
-                        else CycloElement.gamma_power(p, k, ip_b) * q
-                    )
-                    if acc[j] != want:
-                        ok = False
+        lines = [Line.through(base, d, spec)
+                 for d in enumerate_directions(spec) for base in pts]
+        A = np.zeros((len(lines), len(pts)), dtype=np.int64)
+        for i, line in enumerate(lines):
+            for pt in line_points(line, spec):
+                A[i, point_index(pt, spec)] = 1
+        coeffs = dft_product(A, spec)
+        ok = True
+        for i, line in enumerate(lines):
+            for j, y in enumerate(pts):
+                # the sum over the line of γ^{<t, y>}, and its closed form
+                acc = sum(R[sum(a * b for a, b in zip(t, y)) % q]
+                          for t in line_points(line, spec))
+                ip_d = sum(a * b for a, b in zip(line.direction.rep, y)) % q
+                ip_b = sum(a * b for a, b in zip(line.base, y)) % q
+                want = zero if ip_d else q * R[ip_b]
+                if not (np.array_equal(acc, want)
+                        and np.array_equal(coeffs[i, j], want)):
+                    ok = False
         checks.append((f"dft_line_row_formula_q{q}_n{n}", ok))
 
     for q, n in [(2, 2), (3, 1), (4, 1), (2, 3), (3, 2), (8, 1), (9, 1)]:
         spec = RingSpec.make(q, n)
-        F = dft_matrix(spec)
-        checks.append((f"dft_full_rank_q{q}_n{n}", cyclo_rank(F) == q**n))
+        p, k = spec.factors[0]
+        F = dft_product(np.eye(q**n, dtype=np.int64), spec)
+        checks.append((f"dft_full_rank_q{q}_n{n}", rank_cyclo(F, p, k) == q**n))
     return checks
 
 

@@ -249,6 +249,19 @@ def test_selftest_filter(capsys):
     assert lines and all("cyclotomic." in l for l in lines)
 
 
+def test_selftest_suites_all_pass():
+    from collections import Counter
+
+    from ringkakeya.selftest import run_suites
+
+    rows = run_suites()
+    assert [check for _, check, passed in rows if not passed] == []
+    assert Counter(suite for suite, _, _ in rows) == {
+        "ring": 13, "gfp": 5, "cyclotomic": 15, "polyspace": 3,
+        "incidence": 4, "kakeya": 7, "bounds": 7,
+    }
+
+
 def test_selftest_seed_determinism(capsys):
     _, out1, _ = run(capsys, "selftest", "--filter", "gfp", "--seed", "7")
     _, out2, _ = run(capsys, "selftest", "--filter", "gfp", "--seed", "7")

@@ -1,68 +1,79 @@
-"""Cyclotomic field arithmetic and rank transfer."""
+"""Z[γ] coefficient arrays, cyclotomic rank and rank transfer."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ringkakeya import (
-    CycloElement,
-    CycloMatrix,
     GFpMatrix,
     RingSpec,
-    cyclo_rank,
-    dft_matrix,
-    minimal_polynomial,
+    dft_product,
     rank,
+    rank_cyclo,
     rank_transfer_check,
+    reduction_matrix,
     zero_pattern,
 )
 
 
+def _gamma_matrix(exps, p, k):
+    """Coefficient array of the matrix with entries γ^e, or 0 where e < 0."""
+    R = reduction_matrix(p, k)
+    zero = np.zeros_like(R[0])
+    return np.array([[zero if e < 0 else R[e] for e in row] for row in exps])
+
+
+def _complex_rank(exps, q):
+    C = np.array([[0 if e < 0 else np.exp(2j * np.pi * e / q) for e in row]
+                  for row in exps])
+    return int(np.linalg.matrix_rank(C, tol=1e-9))
+
+
+def _table(spec):
+    """The character table of spec as a Z[γ] coefficient array."""
+    return dft_product(np.eye(spec.num_points, dtype=np.int64), spec)
+
+
 def test_minimal_polynomial_examples():
+    # γ^φ = R[φ] in the basis 1, ..., γ^{φ-1}, so m(x) = x^φ - R[φ]·(1, ..., x^{φ-1})
+    def minimal_polynomial(p, k):
+        R = reduction_matrix(p, k)
+        return tuple(-R[R.shape[1]]) + (1,)
+
     assert minimal_polynomial(2, 2) == (1, 0, 1)          # x^2 + 1
     assert minimal_polynomial(3, 1) == (1, 1, 1)          # x^2 + x + 1
     assert minimal_polynomial(2, 3) == (1, 0, 0, 0, 1)    # x^4 + 1
     assert minimal_polynomial(5, 1) == (1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        minimal_polynomial(4, 1)
+        reduction_matrix(4, 1)
 
 
 def test_gamma_order():
     for p, k in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)]:
         q = p**k
-        g = CycloElement.gamma_power(p, k, 1)
-        acc = CycloElement.one(p, k)
+        R = reduction_matrix(p, k)
+        phi = R.shape[1]
+        # multiplication by γ: row e is γ·γ^e = γ^{e+1}
+        T = R[1 : phi + 1]
+        eye = np.eye(phi, dtype=np.int64)
+        acc = eye
         for i in range(1, q):
-            acc = acc * g
-            assert acc == CycloElement.gamma_power(p, k, i)
-            if i < q:
-                # primitive: gamma^i != 1 for 0 < i < q
-                assert acc != CycloElement.one(p, k)
-        assert acc * g == CycloElement.one(p, k)
-
-
-def test_inverse_random():
-    rng = random.Random(0)
-    for _ in range(60):
-        p, k = rng.choice([(2, 2), (3, 1), (3, 2), (5, 1)])
-        coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
-                  for _ in range((p - 1) * p ** (k - 1))]
-        x = CycloElement(p, k, coeffs)
-        if x.is_zero():
-            continue
-        assert x * x.inverse() == CycloElement.one(p, k)
+            acc = acc @ T
+            assert np.array_equal(acc[0], R[i])
+            # primitive: γ^i != 1 for 0 < i < q
+            assert not np.array_equal(acc, eye)
+        assert np.array_equal(acc @ T, eye)
+        assert not np.array_equal(np.linalg.matrix_power(T, q // p), eye)
 
 
 def test_cyclo_rank_examples():
     p, k = 2, 2
-    one = CycloElement.one(p, k)
-    g = CycloElement.gamma_power(p, k, 1)
-    eye = CycloMatrix.from_rational(p, k, np.eye(3, dtype=int))
-    assert cyclo_rank(eye) == 3
-    assert cyclo_rank(CycloMatrix(p, k, [[one, g], [g, -one]])) == 1
-    assert cyclo_rank(CycloMatrix(p, k, [[one, one], [one, g]])) == 2
+    eye = _gamma_matrix([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], p, k)
+    assert rank_cyclo(eye, p, k) == 3
+    # -1 = γ^2 over Q(i)
+    assert rank_cyclo(_gamma_matrix([[0, 1], [1, 2]], p, k), p, k) == 1
+    assert rank_cyclo(_gamma_matrix([[0, 0], [0, 1]], p, k), p, k) == 2
 
 
 def test_cyclo_rank_against_float_svd():
@@ -73,68 +84,53 @@ def test_cyclo_rank_against_float_svd():
         q = p**k
         size = rng.randrange(1, 5)
         exps = [[rng.randrange(-1, q) for _ in range(size)] for _ in range(size)]
-        entries = [
-            [
-                CycloElement.zero(p, k) if e < 0
-                else CycloElement.gamma_power(p, k, e)
-                for e in row
-            ]
-            for row in exps
-        ]
-        M = CycloMatrix(p, k, entries)
-        C = np.array(
-            [
-                [0 if e < 0 else np.exp(2j * np.pi * e / q) for e in row]
-                for row in exps
-            ]
-        )
-        num_rank = int(np.linalg.matrix_rank(C, tol=1e-9))
-        assert cyclo_rank(M) == num_rank
+        assert rank_cyclo(_gamma_matrix(exps, p, k), p, k) == _complex_rank(exps, q)
+    # row b is γ^s times row a: the F_ℓ image is not full, so the exact
+    # rank of the regular representation decides
+    for _ in range(40):
+        p, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+        q = p**k
+        size = rng.randrange(2, 6)
+        exps = [[rng.randrange(-1, q) for _ in range(size)] for _ in range(size)]
+        a, b = rng.sample(range(size), 2)
+        s = rng.randrange(q)
+        exps[b] = [-1 if e < 0 else (e + s) % q for e in exps[a]]
+        got = rank_cyclo(_gamma_matrix(exps, p, k), p, k)
+        assert got == _complex_rank(exps, q) < size
 
 
 def test_zero_pattern():
     p, k = 2, 2
-    g = CycloElement.gamma_power(p, k, 1)
-    z = CycloElement.zero(p, k)
-    one = CycloElement.one(p, k)
-    M = CycloMatrix(p, k, [[g, z], [one, g * g * g]])
-    assert zero_pattern(M) == GFpMatrix(2, [[1, 0], [1, 1]])
-    assert zero_pattern(CycloMatrix(p, k, [[z, z]])) == GFpMatrix(2, [[0, 0]])
+    M = _gamma_matrix([[1, -1], [0, 3]], p, k)
+    assert zero_pattern(M, p) == GFpMatrix(2, [[1, 0], [1, 1]])
+    assert zero_pattern(_gamma_matrix([[-1, -1]], p, k), p) == GFpMatrix(2, [[0, 0]])
 
 
 def test_rank_transfer_hand_example():
     p, k = 2, 2
-    one = CycloElement.one(p, k)
-    g = CycloElement.gamma_power(p, k, 1)
-    M = CycloMatrix(p, k, [[one, g], [g, -one]])
-    assert cyclo_rank(M) == 1
-    assert rank(zero_pattern(M)) == 1
-    assert rank_transfer_check(M)
+    M = _gamma_matrix([[0, 1], [1, 2]], p, k)
+    assert rank_cyclo(M, p, k) == 1
+    assert rank(zero_pattern(M, p)) == 1
+    assert rank_transfer_check(M, p, k)
 
 
 def test_rank_transfer_gamma_scaled_identity():
     p, k = 3, 1
-    z = CycloElement.zero(p, k)
-    diag = [
-        [CycloElement.gamma_power(p, k, i + 1) if i == j else z
-         for j in range(3)]
-        for i in range(3)
-    ]
-    M = CycloMatrix(p, k, diag)
-    assert cyclo_rank(M) == 3 == rank(zero_pattern(M))
-    assert rank_transfer_check(M)
+    M = _gamma_matrix([[(i + 1) % 3 if i == j else -1 for j in range(3)]
+                       for i in range(3)], p, k)
+    assert rank_cyclo(M, p, k) == 3 == rank(zero_pattern(M, p))
+    assert rank_transfer_check(M, p, k)
 
 
 def test_dft_pattern_has_no_zeros():
-    F = dft_matrix(RingSpec.make(4, 1))
-    assert zero_pattern(F).a.all()
+    assert zero_pattern(_table(RingSpec.make(4, 1)), 2).a.all()
 
 
 def test_rank_transfer_rejects_bad_entries():
     p, k = 2, 2
-    two = CycloElement.from_rational(p, k, 2)
+    two = 2 * _gamma_matrix([[0]], p, k)
     with pytest.raises(ValueError):
-        rank_transfer_check(CycloMatrix(p, k, [[two]]))
+        rank_transfer_check(two, p, k)
 
 
 def test_rank_transfer_random_200():
@@ -143,40 +139,33 @@ def test_rank_transfer_random_200():
         p, k = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2)])
         q = p**k
         size = rng.randrange(1, 7)
-        entries = [
-            [
-                CycloElement.zero(p, k) if rng.random() < 0.3
-                else CycloElement.gamma_power(p, k, rng.randrange(q))
-                for _ in range(size)
-            ]
-            for _ in range(size)
-        ]
-        assert rank_transfer_check(CycloMatrix(p, k, entries))
+        exps = [[-1 if rng.random() < 0.3 else rng.randrange(q)
+                 for _ in range(size)] for _ in range(size)]
+        assert rank_transfer_check(_gamma_matrix(exps, p, k), p, k)
 
 
 def test_dft_small_examples():
-    spec = RingSpec.make(2, 1)
-    F = dft_matrix(spec)
-    one = CycloElement.one(2, 1)
-    assert F.entries[0] == [one, one]
-    assert F.entries[1] == [one, -one]
+    F = _table(RingSpec.make(2, 1))
+    assert F.tolist() == [[[1], [1]], [[1], [-1]]]
 
-    spec3 = RingSpec.make(3, 1)
-    F3 = dft_matrix(spec3)
-    g = CycloElement.gamma_power(3, 1, 1)
+    F3 = _table(RingSpec.make(3, 1))
+    R = reduction_matrix(3, 1)
     for i in range(3):
         for j in range(3):
-            assert F3.entries[i][j] == CycloElement.gamma_power(3, 1, i * j)
-    assert g * g * g == CycloElement.one(3, 1)
+            assert np.array_equal(F3[i, j], R[i * j % 3])
+    # 1 + γ + γ^2 = 0
+    assert not (R[0] + R[1] + R[2]).any()
 
 
 def test_dft_whole_line_row_product():
     # over Z/2 the only line is the whole ring: indicator times F is (2, 0)
     spec = RingSpec.make(2, 1)
-    F = dft_matrix(spec)
-    row = [F.entries[0][j] + F.entries[1][j] for j in range(2)]
-    assert row[0] == CycloElement.from_rational(2, 1, 2)
-    assert row[1].is_zero()
+    assert dft_product(np.array([[1, 1]]), spec).tolist() == [[[2], [0]]]
+
+
+def test_dft_product_requires_prime_power():
+    with pytest.raises(ValueError, match="prime-power modulus"):
+        dft_product(np.eye(6, dtype=np.int64), RingSpec.make(6, 1))
 
 
 @pytest.mark.parametrize("q,n", [(4, 2), (3, 2), (8, 1)])
@@ -193,45 +182,53 @@ def test_dft_line_row_formula_exhaustive(q, n):
 
     spec = RingSpec.make(q, n)
     p, k = spec.factors[0]
-    F = dft_matrix(spec)
+    R = reduction_matrix(p, k)
+    F = _table(spec)
     pts = enumerate_points(spec)
     for d in enumerate_directions(spec):
         for base in pts:
             line = Line.through(base, d, spec)
-            acc = [CycloElement.zero(p, k) for _ in pts]
-            for pt in line_points(line, spec):
-                t = point_index(pt, spec)
-                for j in range(len(pts)):
-                    acc[j] = acc[j] + F.entries[t][j]
+            acc = sum(F[point_index(pt, spec)] for pt in line_points(line, spec))
             for j, y in enumerate(pts):
                 ip_dir = sum(a * b for a, b in zip(d.rep, y)) % q
                 ip_base = sum(a * b for a, b in zip(line.base, y)) % q
                 if ip_dir:
-                    assert acc[j].is_zero()
+                    assert not acc[j].any()
                 else:
-                    assert acc[j] == CycloElement.gamma_power(p, k, ip_base) * q
+                    assert np.array_equal(acc[j], q * R[ip_base])
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (4, 1), (2, 3), (9, 1), (3, 2), (8, 1), (27, 1)])
 def test_dft_full_rank(q, n):
     spec = RingSpec.make(q, n)
-    assert cyclo_rank(dft_matrix(spec)) == q**n
+    p, k = spec.factors[0]
+    assert rank_cyclo(_table(spec), p, k) == q**n
 
 
 def test_dft_full_rank_size_81():
     spec = RingSpec.make(3, 4)
-    assert cyclo_rank(dft_matrix(spec)) == 81
+    assert rank_cyclo(_table(spec), 3, 1) == 81
 
 
 def test_reduction_matrix_matches_gamma_powers():
-    from ringkakeya.cyclo import reduction_matrix
-
     for p, k in [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (5, 2), (2, 5)]:
+        q = p**k
+        phi = (p - 1) * p ** (k - 1)
+        # m(x) = 1 + x^{p^{k-1}} + ... + x^{(p-1) p^{k-1}}, monic of degree φ
+        m = [0] * (phi + 1)
+        for j in range(p):
+            m[j * p ** (k - 1)] = 1
         R = reduction_matrix(p, k)
-        assert R.shape == (p**k, (p - 1) * p ** (k - 1))
-        for e in range(p**k):
-            ref = CycloElement.gamma_power(p, k, e).coeffs
-            assert R[e].tolist() == [int(c) for c in ref]
+        assert R.shape == (q, phi)
+        for e in range(q):
+            # x^e mod m(x) by long division
+            rem = [0] * e + [1]
+            while len(rem) > phi:
+                top = rem.pop()
+                for i in range(phi):
+                    rem[len(rem) - phi + i] -= top * m[i]
+            rem += [0] * (phi - len(rem))
+            assert R[e].tolist() == rem
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3), (5, 2), (7, 1)])
@@ -264,11 +261,11 @@ def test_reduce_mod_is_evaluation_at_omega():
         got = reduce_mod(coeffs, ell, omega)
         for row, value in zip(coeffs.tolist(), got.tolist()):
             assert value == sum(c * pow(omega, i, ell) for i, c in enumerate(row)) % ell
-        # gamma^q = 1 maps to omega^q = 1: the image respects the reduction
-        x = CycloElement.gamma_power(p, k, 1)
-        y = CycloElement(p, k, [rng.randrange(-3, 4) for _ in range(phi)])
-        img = lambda e: int(reduce_mod(np.array([int(c) for c in e.coeffs]), ell, omega))
-        assert img(x * y) == img(x) * img(y) % ell
+        # γ^q = 1 maps to ω^q = 1: the image respects the reduction, so
+        # γ·y (y·T, T the multiplication-by-γ matrix) maps to ω times y's image
+        y = np.array([rng.randrange(-3, 4) for _ in range(phi)], dtype=np.int64)
+        gy = y @ reduction_matrix(p, k)[1 : phi + 1]
+        assert int(reduce_mod(gy, ell, omega)) == omega * int(reduce_mod(y, ell, omega)) % ell
 
 
 def _all_lines(spec):
@@ -281,31 +278,30 @@ def _all_lines(spec):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (8, 1), (9, 1), (2, 3)])
 def test_integer_dft_rows_match_cyclo_sums(q, n):
     # the integer product behind the prime-power certificate, on every line
-    # (every direction and every base), against sums of CycloElement entries
-    # of the character table, and the integer closed form of each row
+    # (every direction and every base), against plain sums of γ^{<t, y>}
+    # over the points t of the line, and the integer closed form of each row
     from ringkakeya import enumerate_points, line_points, point_index
-    from ringkakeya.cyclo import dft_product, reduction_matrix
 
     spec = RingSpec.make(q, n)
     p, k = spec.factors[0]
-    F = dft_matrix(spec)
+    R = reduction_matrix(p, k)
     lines = _all_lines(spec)
+    pts = enumerate_points(spec)
     A = np.zeros((len(lines), q**n), dtype=np.int64)
     for i, line in enumerate(lines):
         for pt in line_points(line, spec):
             A[i, point_index(pt, spec)] = 1
     coeffs = dft_product(A, spec)
     for i, line in enumerate(lines):
-        for j in range(q**n):
-            acc = CycloElement.zero(p, k)
-            for t in np.nonzero(A[i])[0]:
-                acc = acc + F.entries[t][j]
-            assert coeffs[i, j].tolist() == [int(c) for c in acc.coeffs]
+        for j, y in enumerate(pts):
+            acc = sum(R[sum(a * b for a, b in zip(t, y)) % q]
+                      for t in line_points(line, spec))
+            assert coeffs[i, j].tolist() == acc.tolist()
 
-    pts = np.array(enumerate_points(spec))
+    pts = np.array(pts)
     reps = np.array([line.direction.rep for line in lines])
     bases = np.array([line.base for line in lines])
-    want = q * reduction_matrix(p, k)[bases @ pts.T % q]
+    want = q * R[bases @ pts.T % q]
     want *= (reps @ pts.T % q == 0)[..., None]
     assert np.array_equal(coeffs, want)
     with pytest.raises(ValueError):
@@ -326,32 +322,21 @@ def _random_witness_set(spec, rng):
 @pytest.mark.parametrize("q,n,seed", [(4, 2, 0), (4, 2, 1), (4, 2, 2), (9, 1, 0),
                                       (9, 1, 1), (2, 3, 0), (2, 3, 1), (2, 3, 2)])
 def test_rank_cyclo_against_exact_rank(q, n, seed):
-    from ringkakeya import certify_prime_power, line_matrix
-    from ringkakeya.bounds import _rank_cyclo
-    from ringkakeya.cyclo import _bareiss_rank, dft_product
+    from ringkakeya import certify_prime_power, line_matrix, rank_rational
+    from ringkakeya.cyclo import _regular
 
     spec = RingSpec.make(q, n)
     p, k = spec.factors[0]
     S = _random_witness_set(spec, random.Random(seed))
     report = certify_prime_power(S)
     MS = line_matrix(S, char=p)
-    M = CycloMatrix.from_rational(p, k, MS.a) @ dft_matrix(spec)
-    M = M.scale(Fraction(1, q))
-    exact = _bareiss_rank(M)
-    assert report.quantities["rank_cyclo"] == exact == cyclo_rank(M)
+    coeffs = dft_product(MS.a, spec)
+    # the exact path: rational rank of the regular representation over φ
+    exact = rank_rational(_regular(coeffs, p, k)) // coeffs.shape[-1]
+    # independent oracle: the complex embedding γ = exp(2πi/q)
+    gamma = np.exp(2j * np.pi * np.arange(coeffs.shape[-1]) / q)
+    assert np.linalg.matrix_rank(coeffs @ gamma, tol=1e-9) == exact
+    assert report.quantities["rank_cyclo"] == exact == rank_cyclo(coeffs, p, k)
     # a wrong upper bound can never be met: the search gives up loudly
     with pytest.raises(AssertionError):
-        _rank_cyclo(dft_product(MS.a, spec), p, k, exact + 1)
-
-
-def test_cyclo_rank_denominator_divisible_by_ell():
-    from ringkakeya.cyclo import split_prime
-
-    p, k = 2, 2
-    ell, _ = split_prime(p, k)
-    tiny = CycloElement.from_rational(p, k, Fraction(1, ell))
-    one = CycloElement.one(p, k)
-    g = CycloElement.gamma_power(p, k, 1)
-    # 1/ell has no image in F_ell, so the next prime certifies the rank
-    assert cyclo_rank(CycloMatrix(p, k, [[tiny, g], [one, g * (ell + 1) * tiny]])) == 2
-    assert cyclo_rank(CycloMatrix(p, k, [[tiny, g * tiny], [one, g]])) == 1
+        rank_cyclo(coeffs, p, k, upper=exact + 1)
