@@ -28,13 +28,11 @@ from .gfp import (
     rank_rational,
     solve_row_factor,
     stack,
-    tensor_family_rank_check,
 )
 from .incidence import (
     MVFamily,
     incidence_matrix,
     incidence_matrix_pk,
-    line_action_check,
     mv_rank_bound,
     mv_search,
     mv_verify,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import dft_product, rank_cyclo, reduction_matrix, zero_pattern
-from .errors import GuardExceeded, VerificationError
+from .errors import VerificationError
 from .gfp import GFpMatrix, crank, rank, rank_rational
 from .incidence import (
     DEFAULT_CELL_GUARD,
@@ -215,16 +215,7 @@ def certify_two_primes(
         [complement_indicator(c, spec_p) for c in sorted(q_lines)], dtype=np.int64
     ))
     dim_V = rank(V)
-    rank_size_per_c = True
-    ranks_B = []
-    for c, rows in q_lines.items():
-        Bc = GFpMatrix(p, np.array(rows, dtype=np.int64))
-        rank_Bc = rank(Bc)
-        ranks_B.append(rank_Bc)
-        union = int(np.count_nonzero(np.any(np.array(rows), axis=0)))
-        if rank_Bc < math.ceil(union / q):
-            rank_size_per_c = False
-    min_rank_B = min(ranks_B)
+    min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, q_lines, q)
 
     report = BoundReport(
         pipeline="two-primes",
@@ -343,24 +334,13 @@ def certify_squarefree(
     certified = math.ceil(crank_family / Delta)
     crank_D = crank(list(point_evals.values()))
     crank_DL0 = _tensor_rows_rank(p1, [(D, v) for _, D, v in factors])
-    cranks_L0 = []
-    rank_size_factor = True
-    union_bound_ok = True
+    min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(p1, l0_rows, N0)
     bound0 = (
         squarefree_bound(N0, n)
         if RingSpec.make(N0, n).is_square_free
         else fq_bound(N0, n)
     )
-    for c, rows in l0_rows.items():
-        B = GFpMatrix(p1, np.array(rows, dtype=np.int64))
-        rk = rank(B)
-        cranks_L0.append(rk)
-        union = int(np.count_nonzero(np.any(np.array(rows), axis=0)))
-        if rk < math.ceil(union / N0):
-            rank_size_factor = False
-        if Fraction(union) < bound0:
-            union_bound_ok = False
-    min_crank_L0 = min(cranks_L0)
+    union_bound_ok = Fraction(min_union) >= bound0
 
     final_rhs = Fraction(N0 ** (n - 1)) * delta_homog
     for pi in spec.primes:
@@ -399,6 +379,18 @@ def certify_squarefree(
         },
     )
     return report
+
+
+def _group_rank_sizes(p: int, groups: dict, modulus: int):
+    """Over the groups of 0/1 witness rows: the least F_p rank, the least
+    union size, and whether every group's rank is at least
+    ⌈its union / modulus⌉."""
+    ranks, unions = [], []
+    for rows in groups.values():
+        ranks.append(rank(GFpMatrix(p, np.array(rows, dtype=np.int64))))
+        unions.append(int(np.count_nonzero(np.any(np.array(rows), axis=0))))
+    ok = all(r >= math.ceil(u / modulus) for r, u in zip(ranks, unions))
+    return min(ranks), min(unions), ok
 
 
 def _tensor_rows_rank(p: int, pairs) -> int:
@@ -448,13 +440,11 @@ def certify_prime_power(
     p, kk = spec.factors[0]
     q = spec.N
     n = spec.n
-    if spec.num_points**2 > guard:
-        raise GuardExceeded(
-            f"{q}^{n} points need {spec.num_points**2} matrix cells, over "
-            f"the guard of {guard}"
-        )
-    MS = line_matrix(S, char=p)
     dirs = enumerate_directions(spec)
+    # dft_product's exponent histogram (q points per line) and W
+    _check_guard(len(dirs) * q, spec.num_points, guard)
+    _check_guard(spec.num_points, spec.num_points, guard)
+    MS = line_matrix(S, char=p)
     coeffs = dft_product(MS.a, spec)
     # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere
     pts = np.array(enumerate_points(spec), dtype=np.int64)

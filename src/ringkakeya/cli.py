@@ -41,7 +41,7 @@ from .incidence import (
     rank_formula,
 )
 from .rings import RingSpec
-from .selftest import run_suites
+
 
 def _emit(data, fmt: str, out: str | None, csv_columns=None) -> None:
     if fmt == "csv":
@@ -110,7 +110,7 @@ def cmd_kakeya(args) -> int:
             S = kak.full_set(spec)
         elif args.method == "tangent":
             S = kak.tangent_construction(args.N, args.n)
-        elif args.method == "tangent-product":
+        else:  # tangent-product
             if not spec.is_square_free:
                 print("tangent-product requires square-free N", file=sys.stderr)
                 return 2
@@ -118,9 +118,6 @@ def cmd_kakeya(args) -> int:
                 kak.tangent_construction(p, args.n) for p in spec.primes
             ]
             S = parts[0] if spec.r == 1 else kak.crt_product(parts, spec)
-        else:
-            print(f"unknown method {args.method}", file=sys.stderr)
-            return 2
         ok, problems = kak.verify(S)
         if not ok:
             print("\n".join(problems), file=sys.stderr)
@@ -153,21 +150,18 @@ def cmd_kakeya(args) -> int:
             kak.save(S, args.out)
         return 0
 
-    if args.action == "power":
-        S = kak.load(args.file)
-        P = kak.power_product(S, args.k)
-        ok, problems = kak.verify(P)
-        if not ok:
-            print("\n".join(problems), file=sys.stderr)
-            return 1
-        if args.out:
-            kak.save(P, args.out)
-        else:
-            _emit(kak.to_json_dict(P), "json", None)
-        return 0
-
-    print(f"unknown kakeya action {args.action}", file=sys.stderr)
-    return 2
+    # power
+    S = kak.load(args.file)
+    P = kak.power_product(S, args.k)
+    ok, problems = kak.verify(P)
+    if not ok:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+    if args.out:
+        kak.save(P, args.out)
+    else:
+        _emit(kak.to_json_dict(P), "json", None)
+    return 0
 
 
 PIPELINES = {
@@ -208,24 +202,21 @@ def cmd_mv(args) -> int:
         _emit(data, "json", args.out)
         return 0 if fam.size >= args.target else 1
 
-    if args.action == "verify":
-        with open(args.file) as fh:
-            data = json.load(fh)
-        fam = MVFamily(
-            p=int(data["p"]), k=int(data["k"]), n=int(data["n"]),
-            U=tuple(tuple(int(c) for c in u) for u in data["U"]),
-            V=tuple(tuple(int(c) for c in v) for v in data["V"]),
-        )
-        if mv_verify(fam):
-            print(f"valid matching-vector family of size {fam.size} "
-                  f"over (Z/{fam.modulus})^{fam.n}")
-            return 0
-        for i, j, ip in mv_violations(fam)[:20]:
-            print(f"violation at (i={i}, j={j}): inner product {ip}")
-        return 1
-
-    print(f"unknown mv action {args.action}", file=sys.stderr)
-    return 2
+    # verify
+    with open(args.file) as fh:
+        data = json.load(fh)
+    fam = MVFamily(
+        p=int(data["p"]), k=int(data["k"]), n=int(data["n"]),
+        U=tuple(tuple(int(c) for c in u) for u in data["U"]),
+        V=tuple(tuple(int(c) for c in v) for v in data["V"]),
+    )
+    if mv_verify(fam):
+        print(f"valid matching-vector family of size {fam.size} "
+              f"over (Z/{fam.modulus})^{fam.n}")
+        return 0
+    for i, j, ip in mv_violations(fam)[:20]:
+        print(f"violation at (i={i}, j={j}): inner product {ip}")
+    return 1
 
 
 def cmd_bound(args) -> int:
@@ -244,6 +235,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here so that no other command loads the property suites
+    from .selftest import run_suites
+
     rows = run_suites(filter_expr=args.filter, seed=args.seed)
     failures = 0
     for suite, check, passed in rows:

@@ -253,27 +253,6 @@ def nullspace(M: GFpMatrix) -> GFpMatrix:
     return GFpMatrix(p, basis)
 
 
-def tensor_family_rank_check(V: GFpMatrix, families) -> bool:
-    """Check dim span{v_i ⊗ y : y a row of families[i]} >= n*k.
-
-    V's rows must be linearly independent; k is the smallest family rank.
-    """
-    families = list(families)
-    if V.rows != len(families):
-        raise ValueError("one family is required per row of V")
-    if rank(V) != V.rows:
-        raise ValueError("rows of V are not linearly independent")
-    k = min(rank(B) for B in families)
-    rows = []
-    for i, B in enumerate(families):
-        if B.p != V.p:
-            raise ValueError("characteristic mismatch")
-        for j in range(B.rows):
-            rows.append(np.kron(V.a[i], B.a[j]) % V.p)
-    dim = rank(GFpMatrix(V.p, np.array(rows, dtype=np.int64)))
-    return dim >= V.rows * k
-
-
 def rank_rational(data) -> int:
     """Exact rank over the rationals by fraction-free (Bareiss) elimination
     on Python ints.

@@ -1,6 +1,6 @@
-"""Point-hyperplane incidence matrices over Z/p^kZ, the line-action
-identity, the rank formula for the prime case, and matching-vector
-families as rank lower bounds.
+"""Point-hyperplane incidence matrices over Z/p^kZ, the complement-hyperplane
+rows of the line-action identity, the rank formula for the prime case, and
+matching-vector families as rank lower bounds.
 
 The incidence matrix keeps its repeated rows and columns (one per ring
 element, not per projective class), so row-set comparisons against
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .gfp import GFpMatrix, rank
-from .rings import Line, RingSpec, enumerate_points, line_points
+from .rings import RingSpec, enumerate_points
 
 DEFAULT_CELL_GUARD = 16_000_000
 
@@ -61,23 +61,6 @@ def hyperplane_indicator(b, spec: RingSpec) -> np.ndarray:
 def complement_indicator(b, spec: RingSpec) -> np.ndarray:
     """0/1 row of [<x, b> != 0 mod N] over points in natural order."""
     return 1 - hyperplane_indicator(b, spec)
-
-
-def line_action_check(line: Line, spec: RingSpec) -> bool:
-    """Check that the line indicator times the incidence matrix equals the
-    complement-hyperplane indicator of the line's direction, over F_p."""
-    if not spec.is_prime:
-        raise ValueError("the line-action identity is over a prime field")
-    p, n = spec.N, spec.n
-    W = incidence_matrix(p, n)
-    ind = np.zeros(p**n, dtype=np.int64)
-    from .rings import point_index
-
-    for pt in line_points(line, spec):
-        ind[point_index(pt, spec)] = 1
-    got = ind @ W.a % p
-    want = complement_indicator(line.direction.rep, spec)
-    return bool(np.array_equal(got, want))
 
 
 def rank_formula(p: int, n: int) -> int:
@@ -133,17 +116,6 @@ def mv_verify(fam: MVFamily) -> bool:
     if len(fam.U) != len(fam.V):
         return False
     return not mv_violations(fam)
-
-
-def mv_identity_submatrix_check(fam: MVFamily) -> bool:
-    """The (U, V) submatrix of the incidence matrix is the identity."""
-    q = fam.modulus
-    size = len(fam.U)
-    sub = [
-        [1 if sum(a * b for a, b in zip(u, v)) % q == 0 else 0 for v in fam.V]
-        for u in fam.U
-    ]
-    return sub == [[1 if i == j else 0 for j in range(size)] for i in range(size)]
 
 
 def mv_rank_bound(fam: MVFamily) -> int:

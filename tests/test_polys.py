@@ -21,10 +21,10 @@ from ringkakeya import (
     eval_matrix,
     hasse_derivative,
     multiplicity,
-    nullspace,
     sz_mult_check,
 )
-from ringkakeya.polys import binom_mod, deriv_indices, monomials_homog, monomials_leq
+from ringkakeya.polys import binom_mod, monomials_leq
+from ringkakeya.selftest import dimension_counts, hasse_shift_identity, line_kernel_containment
 
 
 def test_dimension_formulas():
@@ -32,16 +32,10 @@ def test_dimension_formulas():
     assert dim_leq(2, 2) == 6
     for d in range(6):
         assert dim_homog(1, d) == 1
-    for n in (1, 2, 3):
-        for d in range(5):
-            assert len(monomials_homog(n, d)) == dim_homog(n, d)
-            assert len(monomials_leq(n, d)) == dim_leq(n, d)
 
 
 def test_deriv_index_count():
-    for n in (1, 2, 3):
-        for m in (1, 2, 3, 4):
-            assert len(deriv_indices(n, m)) == dim_leq(n, m - 1)
+    assert dimension_counts()
 
 
 def test_binom_mod_lucas_matches_integer_binomials():
@@ -59,26 +53,8 @@ def test_hasse_examples():
     assert hasse_derivative(g, (3,)) == GFpPoly(3, 1, {(0,): 1})
 
 
-def rand_poly(rng, p, n, deg):
-    return GFpPoly(p, n, {e: rng.randrange(p) for e in monomials_leq(n, deg)})
-
-
 def test_hasse_shift_identity_500():
-    rng = random.Random(0)
-    for _ in range(500):
-        p = rng.choice([2, 3, 5])
-        n = rng.randrange(1, 4)
-        f = rand_poly(rng, p, n, rng.randrange(0, 5))
-        x = tuple(rng.randrange(p) for _ in range(n))
-        z = tuple(rng.randrange(p) for _ in range(n))
-        lhs = f.evaluate(tuple((a + b) % p for a, b in zip(x, z)))
-        rhs = 0
-        for j in monomials_leq(n, max(f.degree, 0)):
-            term = hasse_derivative(f, j).evaluate(x)
-            for zc, e in zip(z, j):
-                term = term * pow(zc, e, p) % p
-            rhs = (rhs + term) % p
-        assert lhs == rhs
+    assert hasse_shift_identity(random.Random(0))
 
 
 def test_multiplicity_examples():
@@ -221,16 +197,4 @@ def test_decoding_matrix_small_m_fails_loudly():
 
 
 def test_line_kernel_containment():
-    spec = RingSpec.make(2, 2)
-    for d in enumerate_directions(spec):
-        for base in enumerate_points(spec):
-            line = Line.through(base, d, spec)
-            from ringkakeya import line_points
-
-            A = eval_matrix(EvalMapSpec(p=2, n=2,
-                                        points=tuple(line_points(line, spec)),
-                                        m=3, degree=3, homogeneous=True))
-            B = eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2,
-                                        degree=3, homogeneous=True))
-            for v in nullspace(A).a:
-                assert not (B.a @ v % 2).any()
+    assert line_kernel_containment()

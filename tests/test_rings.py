@@ -1,7 +1,5 @@
 """Ring geometry: CRT, point indexing, directions, lines."""
 
-from itertools import product
-
 import pytest
 
 from ringkakeya import (
@@ -11,13 +9,11 @@ from ringkakeya import (
     crt_combine,
     crt_split,
     enumerate_directions,
-    enumerate_points,
-    index_point,
     indicator_vector,
     line_points,
     line_split,
-    point_index,
 )
+from ringkakeya.selftest import direction_classes, line_crt_product, point_index_bijection
 
 
 def test_spec_kinds():
@@ -52,25 +48,15 @@ def test_crt_combine_exhaustive():
 
 @pytest.mark.parametrize("N,n", [(7, 2), (15, 1), (6, 2), (4, 2), (10, 2), (3, 4)])
 def test_point_index_bijection(N, n):
-    spec = RingSpec.make(N, n)
-    assert spec.num_points <= 10**4
-    for i, pt in enumerate(enumerate_points(spec)):
-        assert point_index(pt, spec) == i
-        assert index_point(i, spec) == pt
+    assert point_index_bijection(N, n)
 
 
 def test_directions_f3_squared():
     spec = RingSpec.make(3, 2)
     got = [d.rep for d in enumerate_directions(spec)]
     assert got == [(0, 1), (1, 0), (1, 1), (1, 2)]
-    # oracle: projective classes of F_3^2 \ {0} under scaling
-    classes = set()
-    for v in product(range(3), repeat=2):
-        if v == (0, 0):
-            continue
-        classes.add(frozenset(tuple(t * c % 3 for c in v) for t in (1, 2)))
-    assert len(classes) == len(got)
-    assert {frozenset(tuple(t * c % 3 for c in d) for t in (1, 2)) for d in got} == classes
+    # the classes are the scaling orbits of F_3^2 \ {0}
+    assert direction_classes(3, 2)
 
 
 def test_direction_counts():
@@ -88,16 +74,7 @@ def test_direction_counts():
 
 @pytest.mark.parametrize("N,n", [(6, 1), (6, 2), (15, 1), (15, 2)])
 def test_squarefree_directions_cover_each_class_once(N, n):
-    spec = RingSpec.make(N, n)
-    dirs = enumerate_directions(spec)
-    assert len(set(dirs)) == len(dirs)
-    canonical = set()
-    for vec in product(range(N), repeat=n):
-        try:
-            canonical.add(Direction.from_vector(vec, spec))
-        except ValueError:
-            continue
-    assert canonical == set(dirs)
+    assert direction_classes(N, n)
 
 
 def test_prime_power_direction_invariants():
@@ -195,19 +172,4 @@ def test_line_indicator_is_tensor_of_components():
 
 
 def test_crt_product_of_line_points():
-    # line over Z/6 equals the CRT combination of its component lines
-    for N in (6, 15):
-        spec = RingSpec.make(N, 2)
-        fspecs = spec.factor_specs()
-        for d in enumerate_directions(spec):
-            line = Line.through((1 % N, 2 % N), d, spec)
-            parts = line_split(line, spec)
-            pts = set(line_points(line, spec))
-            combos = set()
-            for combo in product(
-                *[line_points(pl, fs) for pl, fs in zip(parts, fspecs)]
-            ):
-                combos.add(tuple(
-                    crt_combine([c[j] for c in combo], spec) for j in range(2)
-                ))
-            assert pts == combos
+    assert line_crt_product(6) and line_crt_product(15)
