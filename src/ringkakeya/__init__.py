@@ -27,7 +27,6 @@ from .gfp import (
     rank,
     rank_rational,
     solve_row_factor,
-    stack,
 )
 from .incidence import (
     MVFamily,

@@ -211,9 +211,7 @@ def certify_two_primes(
 
     certified = rank(prod)
     rank_MS = rank(MS)
-    V = GFpMatrix(p, np.array(
-        [complement_indicator(c, spec_p) for c in sorted(q_lines)], dtype=np.int64
-    ))
+    V = GFpMatrix(p, [complement_indicator(c, spec_p) for c in sorted(q_lines)])
     dim_V = rank(V)
     min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, q_lines, q)
 
@@ -321,9 +319,7 @@ def certify_squarefree(
         if L1 not in decoders:
             decoders[L1] = decoding_matrix(L1, spec1, k, m).matrix
         C = decoders[L1]
-        ind0 = GFpMatrix(p1, np.array(
-            [indicator_vector(line_points(L0, spec0), spec0)], dtype=np.int64
-        ))
+        ind0 = GFpMatrix(p1, [indicator_vector(line_points(L0, spec0), spec0)])
         D = point_evals[comp1]
         if C @ E != D:
             decode_chain = False
@@ -387,7 +383,7 @@ def _group_rank_sizes(p: int, groups: dict, modulus: int):
     ⌈its union / modulus⌉."""
     ranks, unions = [], []
     for rows in groups.values():
-        ranks.append(rank(GFpMatrix(p, np.array(rows, dtype=np.int64))))
+        ranks.append(rank(GFpMatrix(p, rows)))
         unions.append(int(np.count_nonzero(np.any(np.array(rows), axis=0))))
     ok = all(r >= math.ceil(u / modulus) for r, u in zip(ranks, unions))
     return min(ranks), min(unions), ok

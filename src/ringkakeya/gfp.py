@@ -1,12 +1,15 @@
 """Exact dense linear algebra over prime fields F_p.
 
-Matrices are stored as int64 numpy arrays with entries canonical in [0, p).
-One elimination kernel, `_echelon`, gives every rank, row factorization and
-kernel; it uses a fixed pivot rule (first non-zero entry scanning columns
-left to right, rows top to bottom) so echelon forms and ranks are
-reproducible bit for bit.  The one fork is a bit-packed rank for p = 2,
-differentially tested against the kernel.  Products whose int64 sums could
-wrap raise OverflowError.
+Matrices are stored as int64 numpy arrays with entries canonical in [0, p);
+residues are reduced once, when a GFpMatrix is built, and every kernel
+trusts `.a`.  One elimination kernel, `_echelon`, gives every rank, row
+factorization and kernel for every p, with no fork; it uses a fixed pivot
+rule (first non-zero entry scanning columns left to right, rows top to
+bottom) so echelon forms and ranks are reproducible bit for bit.  It works
+on one copy of its input in the narrowest signed integer type that holds
+(p - 1)^2: int8 for p <= 11, int16 for p <= 181, int32 for p <= 46337,
+int64 above.  Products or eliminations whose int64 arithmetic could wrap
+raise OverflowError.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ def is_prime(m: int) -> bool:
 
 
 class GFpMatrix:
-    """Dense matrix over F_p with entries in [0, p)."""
+    """Dense matrix over F_p with entries in [0, p).
+
+    An int64 array whose entries already lie in [0, p) is kept as it is, so
+    the matrix shares that buffer with the caller; any other input is
+    converted to int64 and reduced mod p.
+    """
 
     __slots__ = ("p", "a")
 
@@ -39,7 +47,9 @@ class GFpMatrix:
         a = np.asarray(data, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        self.a = a % p
+        if a.size and (a.min() < 0 or a.max() >= p):
+            a = a % p
+        self.a = a
 
     @classmethod
     def identity(cls, p: int, size: int) -> "GFpMatrix":
@@ -78,56 +88,34 @@ class GFpMatrix:
     def transpose(self) -> "GFpMatrix":
         return GFpMatrix(self.p, self.a.T)
 
-    def rank(self) -> int:
-        return rank(self)
-
     def __repr__(self) -> str:
         return f"GFpMatrix(p={self.p}, shape={self.a.shape})"
 
 
-def _rank_gf2(M: np.ndarray) -> int:
-    """GF(2) rank via python-int bit rows (column c = bit c)."""
-    rows = [
-        int.from_bytes(
-            np.packbits((r % 2).astype(np.uint8), bitorder="little").tobytes(),
-            "little",
-        )
-        for r in M
-    ]
-    rank_ = 0
-    for c in range(M.shape[1]):
-        bit = 1 << c
-        piv = None
-        for i in range(rank_, len(rows)):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank_], rows[piv] = rows[piv], rows[rank_]
-        for i in range(rank_ + 1, len(rows)):
-            if rows[i] & bit:
-                rows[i] ^= rows[rank_]
-        rank_ += 1
-        if rank_ == len(rows):
-            break
-    return rank_
+def _work_type(p: int):
+    """The narrowest signed integer type that holds (p - 1)^2.
+
+    Each elimination step multiplies two residues and subtracts the product
+    from a residue, so every intermediate lies within (p - 1)^2 of zero.
+    """
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if (p - 1) ** 2 <= np.iinfo(t).max:
+            return t
+    raise OverflowError(f"elimination over F_{p} can wrap int64")
 
 
 def _echelon(a: np.ndarray, p: int, track: bool = False):
-    """Row echelon form mod p with unit pivots.
+    """Row echelon form mod p with unit pivots, of a with entries in [0, p).
 
-    Returns (E, pivots) or (E, pivots, R) with R @ a = E when track is set.
-    pivots is a list of (row, col) pairs in elimination order.  Each pivot
-    clears its column in the rows below it only; rows above are untouched.
+    Returns (E, pivots) or (E, pivots, R) with R @ a = E when track is set;
+    E and R are in the working type `_work_type(p)`.  pivots is a list of
+    (row, col) pairs in elimination order.  Each pivot clears its column in
+    the rows below it only; rows above are untouched.
     """
-    # each step multiplies two residues and subtracts the product from a
-    # residue, so every intermediate lies within (p - 1)^2 of zero
-    if (p - 1) ** 2 >= 2**63:
-        raise OverflowError(f"elimination over F_{p} can wrap int64")
-    E = a % p
+    t = _work_type(p)
+    E = a.astype(t, order="C")
     m, n = E.shape
-    R = np.eye(m, dtype=np.int64) if track else None
+    R = np.eye(m, dtype=t) if track else None
     pivots = []
     r = 0
     for c in range(n):
@@ -161,17 +149,7 @@ def _echelon(a: np.ndarray, p: int, track: bool = False):
 
 def rank(M: GFpMatrix) -> int:
     """Rank over F_p: the number of pivots of the echelon form."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.p == 2:
-        return _rank_gf2(M.a)
     return len(_echelon(M.a, M.p)[1])
-
-
-def rank_generic(M: GFpMatrix) -> int:
-    """Generic elimination path regardless of p (for differential tests)."""
-    _, pivots = _echelon(M.a, M.p)
-    return len(pivots)
 
 
 def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
@@ -181,8 +159,9 @@ def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
     return GFpMatrix(A.p, np.kron(A.a, B.a) % A.p)
 
 
-def stack(members) -> GFpMatrix:
-    """Vertical concatenation of equal-width matrices sharing p."""
+def crank(members) -> int:
+    """Rank of the vertical concatenation of a family of equal-width
+    matrices sharing p: the dimension of the span of all member rows."""
     members = list(members)
     if not members:
         raise ValueError("empty family")
@@ -193,15 +172,7 @@ def stack(members) -> GFpMatrix:
             raise ValueError("characteristic mismatch in family")
         if m.cols != cols:
             raise ValueError("column count mismatch in family")
-    return GFpMatrix(p, np.vstack([m.a for m in members]))
-
-
-def crank(members) -> int:
-    """Rank of the vertical concatenation of a family of matrices.
-
-    Equals the dimension of the span of all member rows.
-    """
-    return rank(stack(members))
+    return rank(GFpMatrix(p, np.vstack([m.a for m in members])))
 
 
 def solve_row_factor(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
@@ -216,21 +187,22 @@ def solve_row_factor(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
         raise ValueError("column count mismatch")
     p = A.p
     E, pivots, R = _echelon(A.a, p, track=True)
-    C = np.zeros((B.rows, A.rows), dtype=np.int64)
-    for i in range(B.rows):
-        residual = B.a[i].copy()
-        coeff = np.zeros(A.rows, dtype=np.int64)
-        for r, c in pivots:
-            f = int(residual[c])
-            if f:
-                coeff[r] = f
-                residual = (residual - f * E[r]) % p
-        if residual.any():
-            raise RowFactorError(
-                f"row {i} of the target is not in the row space of the source"
-            )
-        C[i] = coeff @ R % p
-    Cm = GFpMatrix(p, C)
+    # reduce every row of B against the pivots at once; row i of coeff
+    # holds the multiple of each pivot row taken off row i of the residual
+    residual = B.a.astype(E.dtype)
+    coeff = np.zeros((B.rows, A.rows), dtype=np.int64)
+    for r, c in pivots:
+        hit = np.flatnonzero(residual[:, c])
+        if hit.size:
+            f = residual[hit, c]
+            coeff[hit, r] = f
+            residual[hit, c:] = (residual[hit, c:] - np.outer(f, E[r, c:])) % p
+    bad = np.flatnonzero(residual.any(axis=1))
+    if bad.size:
+        raise RowFactorError(
+            f"row {bad[0]} of the target is not in the row space of the source"
+        )
+    Cm = GFpMatrix(p, coeff @ R % p)
     if Cm @ A != B:
         raise AssertionError("row factorization failed verification")
     return Cm

@@ -48,7 +48,7 @@ def incidence_matrix_pk(
     _check_guard(size, size, guard)
     pts = np.array(list(product(range(q), repeat=n)), dtype=np.int64)
     gram = pts @ pts.T % q
-    return GFpMatrix(p, (gram == 0).astype(np.int64))
+    return GFpMatrix(p, gram == 0)
 
 
 def hyperplane_indicator(b, spec: RingSpec) -> np.ndarray:

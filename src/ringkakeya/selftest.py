@@ -1,7 +1,7 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 74 checks (ring 17, gfp 5, cyclotomic 20, polyspace 3,
+pytest run the same 76 checks (ring 17, gfp 5, cyclotomic 20, polyspace 5,
 incidence 9, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances
@@ -24,15 +24,15 @@ from .bounds import (
     fq_bound, squarefree_bound,
 )
 from .cyclo import dft_product, rank_cyclo, rank_transfer_check, reduction_matrix
-from .gfp import GFpMatrix, crank, kron, nullspace, rank, rank_generic, rank_rational
+from .gfp import GFpMatrix, crank, kron, nullspace, rank, rank_rational
 from .incidence import complement_indicator, incidence_matrix, incidence_matrix_pk
 from .kakeya import (
     crt_product, full_set, greedy_independent_lines, line_matrix, power_product,
     tangent_construction, verify,
 )
 from .polys import (
-    EvalMapSpec, GFpPoly, deriv_indices, dim_homog, dim_leq, eval_matrix,
-    hasse_derivative, monomials_homog, monomials_leq,
+    EvalMapSpec, GFpPoly, decoding_matrix, deriv_indices, dim_homog, dim_leq,
+    eval_matrix, hasse_derivative, monomials_homog, monomials_leq, sz_mult_check,
 )
 from .rings import (
     Direction, Line, RingSpec, crt_combine, enumerate_directions, enumerate_points,
@@ -150,9 +150,10 @@ def crank_tensor_bound(rng: random.Random) -> bool:
 
 
 def rank_paths_agree(rng: random.Random) -> bool:
+    """rank M = rank M^T = cols - dim ker M on 50 random matrices."""
     for _ in range(50):
         M = _random_gfp(rng, rng.choice([2, 3, 5]), *rng.choice([(4, 5), (5, 4)]))
-        if not rank(M) == rank_generic(M) == rank(M.transpose()):
+        if not rank(M) == rank(M.transpose()) == M.cols - nullspace(M).rows:
             return False
     return True
 
@@ -279,11 +280,43 @@ def line_kernel_containment() -> bool:
     return True
 
 
+def sz_multiplicity_sweep() -> bool:
+    """The multiplicity Schwartz–Zippel count holds for all 728 non-zero
+    polynomials of degree <= 2 in F_3[x, y], and is tight at xy (6 = 2·3)."""
+    basis = monomials_leq(2, 2)
+    polys = [GFpPoly(3, 2, dict(zip(basis, coeffs)))
+             for coeffs in product(range(3), repeat=len(basis)) if any(coeffs)]
+    counts = [sz_mult_check(f, range(3)) for f in polys]
+    at_xy = counts[polys.index(GFpPoly(3, 2, {(1, 1): 1}))]
+    return (len(polys) == 728 and all(ok for _, _, ok in counts)
+            and at_xy == (6, 6, True))
+
+
+def decode_then_evaluate() -> bool:
+    """Over F_2^2, on each of the 6 lines, the decoding matrix times the
+    order-3 evaluations of the homogeneous cubics at all points is their
+    order-2 evaluation at the line's direction; the stacked per-direction
+    evaluations have rank dim_homog(2, 3) = 4."""
+    spec = RingSpec.make(2, 2)
+    pts = tuple(enumerate_points(spec))
+    E = eval_matrix(EvalMapSpec(p=2, n=2, points=pts, m=3, degree=3, homogeneous=True))
+    D = {d: eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
+                                    homogeneous=True))
+         for d in enumerate_directions(spec)}
+    lines = {Line.through(base, d, spec) for d in D for base in pts}
+    return (len(lines) == 6
+            and all(decoding_matrix(line, spec, 2).matrix @ E == D[line.direction]
+                    for line in lines)
+            and crank(list(D.values())) == dim_homog(2, 3) == 4)
+
+
 def suite_polyspace(seed: int = 0):
     return [
         ("hasse_shift_identity", hasse_shift_identity(random.Random(seed))),
         ("dimension_counts", dimension_counts()),
         ("line_kernel_containment_p2_k2", line_kernel_containment()),
+        ("sz_multiplicity_sweep_f3_deg2", sz_multiplicity_sweep()),
+        ("decode_then_evaluate_p2_n2", decode_then_evaluate()),
     ]
 
 

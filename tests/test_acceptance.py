@@ -10,25 +10,16 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from ringkakeya import (
-    EvalMapSpec,
     GFpMatrix,
-    GFpPoly,
-    Line,
     RingSpec,
     certify_prime_power,
     certify_two_primes,
-    crank,
     crt_product,
-    decoding_matrix,
-    dim_homog,
     enumerate_directions,
-    enumerate_points,
-    eval_matrix,
     full_set,
     incidence_matrix,
     incidence_matrix_pk,
@@ -40,20 +31,20 @@ from ringkakeya import (
     min_kakeya_search,
     rank,
     squarefree_bound,
-    sz_mult_check,
     tangent_construction,
     verify,
 )
 from ringkakeya.incidence import complement_indicator
-from ringkakeya.polys import monomials_leq
 from ringkakeya.selftest import (
     crank_multiplication_bound,
     crank_tensor_bound,
+    decode_then_evaluate,
     hasse_shift_identity,
     kron_mixed_product,
     line_action,
     power_product_size,
     rank_transfer_random,
+    sz_multiplicity_sweep,
     tangent_within_envelope,
 )
 
@@ -201,57 +192,16 @@ def test_criterion_08_rank_transfer_200():
 
 def test_criterion_09_decoding_matrix():
     t0 = time.monotonic()
-    spec = RingSpec.make(2, 2)
-    E = eval_matrix(EvalMapSpec(p=2, n=2, points=tuple(enumerate_points(spec)),
-                                m=3, degree=3, homogeneous=True))
-    cubics = [np.array(v, dtype=np.int64)
-              for v in product(range(2), repeat=dim_homog(2, 3))]
-    assert len(cubics) == 16
-    lines_checked = 0
-    seen = set()
-    for d in enumerate_directions(spec):
-        D = eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
-                                    homogeneous=True))
-        for base in enumerate_points(spec):
-            line = Line.through(base, d, spec)
-            if line in seen:
-                continue
-            seen.add(line)
-            C = decoding_matrix(line, spec, 2).matrix
-            for f in cubics:
-                lhs = C.a @ (E.a @ f % 2) % 2
-                rhs = D.a @ f % 2
-                assert np.array_equal(lhs, rhs)
-            lines_checked += 1
-    stacked = crank([
-        eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
-                                homogeneous=True))
-        for d in enumerate_directions(spec)
-    ])
-    assert stacked == dim_homog(2, 3) == 4
+    assert decode_then_evaluate()
     _report(9, 30, time.monotonic() - t0,
-            f"decode-then-evaluate identity exact on {lines_checked} lines x "
-            f"16 cubics; stacked evaluation rank 4")
+            "decode-then-evaluate identity exact on 6 lines x 16 cubics; "
+            "stacked evaluation rank 4")
 
 
 def test_criterion_10_hasse_multiplicity_suite():
     t0 = time.monotonic()
     assert hasse_shift_identity(random.Random(10))
-
-    basis = monomials_leq(2, 2)
-    count = 0
-    xy_result = None
-    for coeffs in product(range(3), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        f = GFpPoly(3, 2, dict(zip(basis, coeffs)))
-        total, bound, ok = sz_mult_check(f, range(3))
-        assert ok, (coeffs, total, bound)
-        if f == GFpPoly(3, 2, {(1, 1): 1}):
-            xy_result = (total, bound)
-        count += 1
-    assert count == 728
-    assert xy_result == (6, 6)
+    assert sz_multiplicity_sweep()
     _report(10, 60, time.monotonic() - t0,
             "shift identity on 500 random instances; degree-2 sweep over 728 "
             "polynomials, bound tight at xy (6 = 2*3)")

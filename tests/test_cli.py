@@ -255,7 +255,7 @@ def selftest_rows():
     return run_suites()
 
 
-SELFTEST_COUNTS = {"ring": 17, "gfp": 5, "cyclotomic": 20, "polyspace": 3,
+SELFTEST_COUNTS = {"ring": 17, "gfp": 5, "cyclotomic": 20, "polyspace": 5,
                    "incidence": 9, "kakeya": 13, "bounds": 7}
 
 

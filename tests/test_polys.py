@@ -2,7 +2,6 @@
 
 import math
 import random
-from itertools import product
 
 import pytest
 
@@ -12,7 +11,6 @@ from ringkakeya import (
     Line,
     RingSpec,
     RowFactorError,
-    crank,
     decoding_matrix,
     dim_homog,
     dim_leq,
@@ -23,8 +21,14 @@ from ringkakeya import (
     multiplicity,
     sz_mult_check,
 )
-from ringkakeya.polys import binom_mod, monomials_leq
-from ringkakeya.selftest import dimension_counts, hasse_shift_identity, line_kernel_containment
+from ringkakeya.polys import binom_mod
+from ringkakeya.selftest import (
+    decode_then_evaluate,
+    dimension_counts,
+    hasse_shift_identity,
+    line_kernel_containment,
+    sz_multiplicity_sweep,
+)
 
 
 def test_dimension_formulas():
@@ -78,21 +82,7 @@ def test_sz_examples():
 
 
 def test_sz_exhaustive_deg2_f3():
-    # all 728 non-zero polynomials of degree <= 2 over F_3[x, y]
-    basis = monomials_leq(2, 2)
-    count = 0
-    tight_at_xy = None
-    for coeffs in product(range(3), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        f = GFpPoly(3, 2, dict(zip(basis, coeffs)))
-        total, bound, ok = sz_mult_check(f, range(3))
-        assert ok
-        count += 1
-        if f == GFpPoly(3, 2, {(1, 1): 1}):
-            tight_at_xy = (total, bound)
-    assert count == 728
-    assert tight_at_xy == (6, 6)
+    assert sz_multiplicity_sweep()
 
 
 def test_eval_matrix_trivial_cases():
@@ -106,18 +96,6 @@ def test_eval_matrix_trivial_cases():
     assert m.a.shape == (4, 2)
     # row for point (a, b) evaluates the basis monomials (y, x; lex order)
     assert m.a.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
-
-
-def test_stacked_point_evaluations_injective():
-    # rank of the stacked per-direction evaluation maps equals dim of the
-    # homogeneous cubics over F_2 in two variables
-    spec = RingSpec.make(2, 2)
-    mats = [
-        eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
-                                homogeneous=True))
-        for d in enumerate_directions(spec)
-    ]
-    assert crank(mats) == dim_homog(2, 3) == 4
 
 
 def test_decoding_matrix_extents_and_zero_columns():
@@ -138,21 +116,8 @@ def test_decoding_matrix_extents_and_zero_columns():
 
 
 def test_decoding_identity_all_lines_all_cubics():
-    spec = RingSpec.make(2, 2)
-    E = eval_matrix(EvalMapSpec(p=2, n=2, points=tuple(enumerate_points(spec)),
-                                m=3, degree=3, homogeneous=True))
-    seen_lines = set()
-    for d in enumerate_directions(spec):
-        for base in enumerate_points(spec):
-            line = Line.through(base, d, spec)
-            if line in seen_lines:
-                continue
-            seen_lines.add(line)
-            dm = decoding_matrix(line, spec, 2)
-            D = eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2,
-                                        degree=3, homogeneous=True))
-            assert dm.matrix @ E == D
-    assert len(seen_lines) == 6
+    # with the stacked point evaluations: rank dim_homog(2, 3) = 4
+    assert decode_then_evaluate()
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 3)])
