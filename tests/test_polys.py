@@ -11,6 +11,7 @@ from ringkakeya import (
     Line,
     RingSpec,
     RowFactorError,
+    crank,
     decoding_matrix,
     dim_homog,
     dim_leq,
@@ -96,6 +97,18 @@ def test_eval_matrix_trivial_cases():
     assert m.a.shape == (4, 2)
     # row for point (a, b) evaluates the basis monomials (y, x; lex order)
     assert m.a.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+
+
+def test_stacked_point_evaluations_injective():
+    # rank of the stacked per-direction evaluation maps equals dim of the
+    # homogeneous cubics over F_2 in two variables
+    spec = RingSpec.make(2, 2)
+    mats = [
+        eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
+                                homogeneous=True))
+        for d in enumerate_directions(spec)
+    ]
+    assert crank(mats) == dim_homog(2, 3) == 4
 
 
 def test_decoding_matrix_extents_and_zero_columns():
