@@ -2,7 +2,8 @@
 
 Commands: wrank, kakeya {construct,verify,minsearch,power}, certify,
 mv {search,verify}, bound, selftest.  Exit codes: 0 success, 1 assertion or
-verification failure, 2 usage error, 3 size-guard refusal.
+verification failure (a malformed input file included), 2 usage error (an
+unreadable path included), 3 size-guard refusal.
 
 Output is deterministic given the arguments and seed; the only exception is
 the wall-clock runtime_s column of wrank tables.  JSON integers that do not
@@ -29,12 +30,17 @@ from .bounds import (
     fq_bound,
     squarefree_bound,
 )
-from .errors import GuardExceeded, RowFactorError, VerificationError
+from .errors import (
+    GuardExceeded,
+    RowFactorError,
+    VerificationError,
+    read_json,
+)
 from .gfp import rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
-    MVFamily,
     incidence_matrix_pk,
+    mv_from_json_dict,
     mv_search,
     mv_verify,
     mv_violations,
@@ -103,50 +109,50 @@ def cmd_wrank(args) -> int:
     return 3 if refused else 0
 
 
-def cmd_kakeya(args) -> int:
-    if args.action == "construct":
-        spec = RingSpec.make(args.N, args.n)
-        if args.method == "full":
-            S = kak.full_set(spec)
-        elif args.method == "tangent":
-            S = kak.tangent_construction(args.N, args.n)
-        else:  # tangent-product
-            if not spec.is_square_free:
-                print("tangent-product requires square-free N", file=sys.stderr)
-                return 2
-            parts = [
-                kak.tangent_construction(p, args.n) for p in spec.primes
-            ]
-            S = parts[0] if spec.r == 1 else kak.crt_product(parts, spec)
-        ok, problems = kak.verify(S)
-        if not ok:
-            print("\n".join(problems), file=sys.stderr)
-            return 1
-        if args.out:
-            kak.save(S, args.out)
-        else:
-            _emit(kak.to_json_dict(S), "json", None)
-        return 0
-
-    if args.action == "verify":
-        S = kak.load(args.file, check=False)
-        ok, problems = kak.verify(S)
-        if ok:
-            print(f"valid Kakeya set: N={S.spec.N} n={S.spec.n} size={S.size}")
-            return 0
-        for line in problems:
-            print(line)
+def cmd_kakeya_construct(args) -> int:
+    spec = RingSpec.make(args.N, args.n)
+    if args.method == "full":
+        S = kak.full_set(spec)
+    elif args.method == "tangent":
+        S = kak.tangent_construction(args.N, args.n)
+    else:  # tangent-product
+        if not spec.is_square_free:
+            print("tangent-product requires square-free N", file=sys.stderr)
+            return 2
+        parts = [kak.tangent_construction(p, args.n) for p in spec.primes]
+        S = parts[0] if spec.r == 1 else kak.crt_product(parts, spec)
+    ok, problems = kak.verify(S)
+    if not ok:
+        print("\n".join(problems), file=sys.stderr)
         return 1
+    if args.out:
+        kak.save(S, args.out)
+    else:
+        _emit(kak.to_json_dict(S), "json", None)
+    return 0
 
-    if args.action == "minsearch":
-        spec = RingSpec.make(args.N, args.n)
-        optimum, S = kak.min_kakeya_search(spec, cap=args.guard)
-        print(f"minimum Kakeya size over ({args.N})^{args.n}: {optimum}")
-        if args.out:
-            kak.save(S, args.out)
+
+def cmd_kakeya_verify(args) -> int:
+    S = kak.load(args.file, check=False)
+    ok, problems = kak.verify(S)
+    if ok:
+        print(f"valid Kakeya set: N={S.spec.N} n={S.spec.n} size={S.size}")
         return 0
+    for line in problems:
+        print(line)
+    return 1
 
-    # power
+
+def cmd_kakeya_minsearch(args) -> int:
+    spec = RingSpec.make(args.N, args.n)
+    optimum, S = kak.min_kakeya_search(spec, cap=args.guard)
+    print(f"minimum Kakeya size over ({args.N})^{args.n}: {optimum}")
+    if args.out:
+        kak.save(S, args.out)
+    return 0
+
+
+def cmd_kakeya_power(args) -> int:
     S = kak.load(args.file)
     P = kak.power_product(S, args.k)
     ok, problems = kak.verify(P)
@@ -172,36 +178,26 @@ PIPELINES = {
 
 def cmd_certify(args) -> int:
     # the pipeline verifies the set, so the loader does not
-    try:
-        S = kak.load(args.file, check=False)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    S = kak.load(args.file, check=False)
     report = PIPELINES[args.pipeline](S, args)
     _emit(report.to_json_dict(), "json", args.out)
     return 0 if report.passed else 1
 
 
-def cmd_mv(args) -> int:
-    if args.action == "search":
-        fam, nodes = mv_search(args.p, args.k, args.n, args.target,
-                               budget=args.budget)
-        data = {
-            "p": fam.p, "k": fam.k, "n": fam.n, "size": fam.size,
-            "target": args.target, "nodes": nodes,
-            "U": [list(u) for u in fam.U], "V": [list(v) for v in fam.V],
-        }
-        _emit(data, "json", args.out)
-        return 0 if fam.size >= args.target else 1
+def cmd_mv_search(args) -> int:
+    fam, nodes = mv_search(args.p, args.k, args.n, args.target,
+                           budget=args.budget)
+    data = {
+        "p": fam.p, "k": fam.k, "n": fam.n, "size": fam.size,
+        "target": args.target, "nodes": nodes,
+        "U": [list(u) for u in fam.U], "V": [list(v) for v in fam.V],
+    }
+    _emit(data, "json", args.out)
+    return 0 if fam.size >= args.target else 1
 
-    # verify
-    with open(args.file) as fh:
-        data = json.load(fh)
-    fam = MVFamily(
-        p=int(data["p"]), k=int(data["k"]), n=int(data["n"]),
-        U=tuple(tuple(int(c) for c in u) for u in data["U"]),
-        V=tuple(tuple(int(c) for c in v) for v in data["V"]),
-    )
+
+def cmd_mv_verify(args) -> int:
+    fam = mv_from_json_dict(read_json(args.file))
     if mv_verify(fam):
         print(f"valid matching-vector family of size {fam.size} "
               f"over (Z/{fam.modulus})^{fam.n}")
@@ -263,19 +259,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum matrix cells")
     w.set_defaults(fn=cmd_wrank)
 
+    # --N and --n name the ring (Z/N)^n for every command that builds one
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--N", type=int, required=True)
+    ring.add_argument("--n", type=int, required=True)
+
     kp = sub.add_parser("kakeya", help="construct / verify / minsearch / power")
-    kp.add_argument("action",
-                    choices=["construct", "verify", "minsearch", "power"])
-    kp.add_argument("file", nargs="?", help="set file for verify/power")
-    kp.add_argument("--N", type=int)
-    kp.add_argument("--n", type=int)
-    kp.add_argument("--method", default="full",
-                    choices=["full", "tangent", "tangent-product"])
-    kp.add_argument("--k", type=int, default=2,
-                    help="power exponent for the power action")
-    kp.add_argument("--out", default=None)
-    kp.add_argument("--guard", type=int, default=kak.MINSEARCH_COMBO_GUARD)
-    kp.set_defaults(fn=cmd_kakeya)
+    ka = kp.add_subparsers(dest="action", required=True)
+    a = ka.add_parser("construct", parents=[ring], help="build a Kakeya set")
+    a.add_argument("--method", default="full",
+                   choices=["full", "tangent", "tangent-product"])
+    a.add_argument("--out", default=None)
+    a.set_defaults(fn=cmd_kakeya_construct)
+    a = ka.add_parser("verify", help="check a Kakeya set file")
+    a.add_argument("file")
+    a.set_defaults(fn=cmd_kakeya_verify)
+    a = ka.add_parser("minsearch", parents=[ring],
+                      help="exact minimum Kakeya set by exhaustive search")
+    a.add_argument("--guard", type=int, default=kak.MINSEARCH_COMBO_GUARD,
+                   help="maximum witness combinations")
+    a.add_argument("--out", default=None)
+    a.set_defaults(fn=cmd_kakeya_minsearch)
+    a = ka.add_parser("power", help="Cartesian power of a Kakeya set file")
+    a.add_argument("file")
+    a.add_argument("--k", type=int, default=2, help="power exponent")
+    a.add_argument("--out", default=None)
+    a.set_defaults(fn=cmd_kakeya_power)
 
     c = sub.add_parser("certify", help="run a lower-bound certificate pipeline")
     c.add_argument("file")
@@ -287,19 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_certify)
 
     mv = sub.add_parser("mv", help="matching-vector family search / verify")
-    mv.add_argument("action", choices=["search", "verify"])
-    mv.add_argument("file", nargs="?")
-    mv.add_argument("--p", type=int)
-    mv.add_argument("--k", type=int, default=1)
-    mv.add_argument("--n", type=int)
-    mv.add_argument("--target", type=int, default=2)
-    mv.add_argument("--budget", type=int, default=200_000)
-    mv.add_argument("--out", default=None)
-    mv.set_defaults(fn=cmd_mv)
+    ma = mv.add_subparsers(dest="action", required=True)
+    a = ma.add_parser("search", help="backtracking search for a family")
+    a.add_argument("--p", type=int, required=True)
+    a.add_argument("--k", type=int, default=1)
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--target", type=int, default=2)
+    a.add_argument("--budget", type=int, default=200_000)
+    a.add_argument("--out", default=None)
+    a.set_defaults(fn=cmd_mv_search)
+    a = ma.add_parser("verify", help="check a family file")
+    a.add_argument("file")
+    a.set_defaults(fn=cmd_mv_verify)
 
-    b = sub.add_parser("bound", help="closed-form lower bound for (N, n)")
-    b.add_argument("--N", type=int, required=True)
-    b.add_argument("--n", type=int, required=True)
+    b = sub.add_parser("bound", parents=[ring],
+                       help="closed-form lower bound for (N, n)")
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bound)
 
@@ -326,7 +337,7 @@ def main(argv=None) -> int:
     except (VerificationError, RowFactorError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the readers that turn malformed JSON input
+into VerificationError."""
+
+import json
+from contextlib import contextmanager
 
 
 class GuardExceeded(Exception):
@@ -11,3 +15,41 @@ class RowFactorError(ValueError):
 
 class VerificationError(ValueError):
     """An input object fails its own verification (e.g. not a Kakeya set)."""
+
+
+def read_json(path):
+    """The JSON value stored at path.
+
+    Raises VerificationError when the file is not JSON; an unreadable path
+    raises OSError as open() does.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise VerificationError(f"{path} is not JSON: {exc}") from None
+
+
+def json_ints(values, length: int, what: str) -> tuple[int, ...]:
+    """values, a JSON list of length integers, as a tuple.
+
+    Raises ValueError naming what otherwise; floats, strings and booleans
+    are refused rather than converted.
+    """
+    if not (isinstance(values, list) and len(values) == length
+            and all(type(c) is int for c in values)):
+        raise ValueError(
+            f"{what} {values!r} is not a list of {length} integers"
+        )
+    return tuple(values)
+
+
+@contextmanager
+def malformed_input(what: str):
+    """Turn a missing key, a wrong type or a bad value met while reading
+    a JSON object into VerificationError("malformed <what>: ...")."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise VerificationError(f"malformed {what}: {problem}") from None

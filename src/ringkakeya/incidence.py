@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, json_ints, malformed_input
 from .gfp import GFpMatrix, rank
 from .rings import RingSpec, enumerate_points
 
@@ -43,6 +43,8 @@ def incidence_matrix_pk(
     p: int, k: int, n: int, guard: int = DEFAULT_CELL_GUARD
 ) -> GFpMatrix:
     """0/1 matrix over F_p with entry (x, y) = 1 iff <x, y> = 0 mod p^k."""
+    if k < 1 or n < 1:
+        raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
     q = p**k
     size = q**n
     _check_guard(size, size, guard)
@@ -99,6 +101,25 @@ class MVFamily:
         return len(self.U)
 
 
+def mv_from_json_dict(data: dict) -> MVFamily:
+    """Load a matching-vector family in the form ``mv search`` writes.
+
+    Raises VerificationError when a key is missing, a value is not an
+    integer, a vector has the wrong length, p < 2, k < 1, n < 1, or U and
+    V differ in length.
+    """
+    with malformed_input("matching-vector family"):
+        p, k, n = json_ints([data["p"], data["k"], data["n"]], 3, "p, k, n")
+        if p < 2 or k < 1 or n < 1:
+            raise ValueError(f"p, k, n = {p}, {k}, {n}: need p >= 2, "
+                             "k >= 1 and n >= 1")
+        U = tuple(json_ints(u, n, "vector u") for u in data["U"])
+        V = tuple(json_ints(v, n, "vector v") for v in data["V"])
+        if len(U) != len(V):
+            raise ValueError(f"{len(U)} vectors u against {len(V)} vectors v")
+    return MVFamily(p=p, k=k, n=n, U=U, V=V)
+
+
 def mv_violations(fam: MVFamily) -> list[tuple[int, int, int]]:
     """All (i, j, <u_i, v_j> mod q) breaking the matching-vector property."""
     q = fam.modulus
@@ -131,7 +152,9 @@ def mv_search(
     """Deterministic backtracking search for a matching-vector family.
 
     Scans candidate (u, v) pairs in lexicographic order, depth-first, and
-    stops at target_size or when the node budget runs out.  Returns the best
+    stops at target_size or when the node budget runs out.  Inner products
+    are looked up, not recomputed: orth[i][j] says whether vectors i and j
+    are orthogonal mod q, tabulated once before the scan.  Returns the best
     family found and the number of nodes visited.  Never errors on an
     unreachable target; the best-found family is returned instead.
     """
@@ -143,42 +166,34 @@ def mv_search(
         # a zero vector forces a zero inner product off the diagonal, so it
         # cannot appear in any family of size >= 2
         vectors = [v for v in vectors if any(v)]
-    pairs = [(u, v) for u in vectors for v in vectors]
+    m = len(vectors)
+    X = np.array(vectors, dtype=np.int64).reshape(m, n)
+    orth = (X @ X.T % q == 0).tolist()
     nodes = 0
     best: list[tuple] = []
 
-    def ok_pair(u, v, U, V):
-        if sum(a * b for a, b in zip(u, v)) % q:
-            return False
-        for w in V:
-            if sum(a * b for a, b in zip(u, w)) % q == 0:
-                return False
-        for w in U:
-            if sum(a * b for a, b in zip(w, v)) % q == 0:
-                return False
-        return True
-
-    def dfs(U, V, start):
-        # reordering a family preserves the property, so pairs are scanned
-        # in non-decreasing lexicographic position only
+    def dfs(us, vs, start):
+        # us, vs index the family's vectors; reordering a family preserves
+        # the property, so pairs are scanned in non-decreasing position only
         nonlocal nodes, best
-        if len(U) > len(best):
-            best = list(zip(U, V))
-        if len(U) >= target_size or nodes >= budget:
-            return len(U) >= target_size
-        for idx in range(start, len(pairs)):
+        if len(us) > len(best):
+            best = list(zip(us, vs))
+        if len(us) >= target_size or nodes >= budget:
+            return len(us) >= target_size
+        for idx in range(start, m * m):
             if nodes >= budget:
                 return False
             nodes += 1
-            u, v = pairs[idx]
-            if ok_pair(u, v, U, V):
-                if dfs(U + [u], V + [v], idx + 1):
+            i, j = divmod(idx, m)
+            if (orth[i][j] and not any(orth[i][b] for b in vs)
+                    and not any(orth[a][j] for a in us)):
+                if dfs(us + [i], vs + [j], idx + 1):
                     return True
         return False
 
     dfs([], [], 0)
-    U = tuple(best_u for best_u, _ in best)
-    V = tuple(best_v for _, best_v in best)
+    U = tuple(vectors[i] for i, _ in best)
+    V = tuple(vectors[j] for _, j in best)
     fam = MVFamily(p=p, k=k, n=n, U=U, V=V)
     if not mv_verify(fam):
         raise AssertionError("search produced an invalid family")

@@ -14,7 +14,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import (
+    GuardExceeded,
+    VerificationError,
+    json_ints,
+    malformed_input,
+    read_json,
+)
 from .gfp import GFpMatrix
 from .rings import (
     Direction,
@@ -25,6 +31,7 @@ from .rings import (
     enumerate_directions,
     enumerate_points,
     line_points,
+    point_index,
 )
 
 MINSEARCH_COMBO_GUARD = 20_000_000
@@ -264,8 +271,12 @@ def min_kakeya_search(
 
     Considers one witness line per direction and minimizes the union size;
     the optimum is exact and the returned witness assignment is the first
-    optimum in lexicographic scan order.  Instances whose total combination
-    count exceeds cap are refused.
+    optimum in lexicographic scan order.  Each candidate line is a bitmask
+    over point indices, so a union is ``|`` and its size ``bit_count()``;
+    a branch is cut once its union is as large as the best found.  The
+    first direction tries only its first line (the translation cut, see
+    the comment below).  Instances whose total combination count exceeds
+    cap are refused.
     """
     dirs = enumerate_directions(spec)
     candidates = [_lines_in_direction(d, spec) for d in dirs]
@@ -277,33 +288,30 @@ def min_kakeya_search(
                 f"minimum search over {spec.N}^{spec.n} needs more than "
                 f"{cap} witness combinations"
             )
-    cand_points = [
-        [frozenset(line_points(line, spec)) for line in cands]
+    masks = [
+        [sum(1 << point_index(pt, spec) for pt in line_points(line, spec))
+         for line in cands]
         for cands in candidates
     ]
     best_size = spec.num_points + 1
     best_choice = None
 
-    def lower_bound(union, idx):
-        extra = 0
-        for j in range(idx, len(dirs)):
-            if all(not lp <= union for lp in cand_points[j]):
-                extra += 1
-        return len(union) + extra
-
     def dfs(idx, union, choice):
         nonlocal best_size, best_choice
+        size = union.bit_count()
+        if size >= best_size:
+            return
         if idx == len(dirs):
-            if len(union) < best_size:
-                best_size = len(union)
-                best_choice = list(choice)
+            best_size, best_choice = size, choice
             return
-        if lower_bound(union, idx) >= best_size:
-            return
-        for ci, lp in enumerate(cand_points[idx]):
-            dfs(idx + 1, union | lp, choice + [ci])
+        for ci, mask in enumerate(masks[idx]):
+            dfs(idx + 1, union | mask, choice + [ci])
 
-    dfs(0, frozenset(), [])
+    # A translate of a Kakeya set has the same size and maps each direction's
+    # lines onto lines of that direction, and every line of the first
+    # direction is a translate of its first line.  So some optimum uses
+    # candidates[0][0], and the first optimum in scan order is among those.
+    dfs(1, masks[0][0], [0])
     witness = {
         d: candidates[i][ci] for i, (d, ci) in enumerate(zip(dirs, best_choice))
     }
@@ -333,19 +341,30 @@ def to_json_dict(S: KakeyaSet) -> dict:
 
 
 def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
-    """Load a serialized Kakeya set, re-verifying it unless check is False."""
-    spec = RingSpec.make(int(data["N"]), int(data["n"]))
-    points = frozenset(tuple(int(c) for c in pt) for pt in data["points"])
-    witness = {}
-    for entry in data["witness"]:
-        d = Direction.from_vector([int(c) for c in entry["dir"]], spec)
-        base = tuple(int(c) for c in entry["base"])
-        witness[d] = Line.through(base, d, spec)
+    """Load a serialized Kakeya set, re-verifying it unless check is False.
+
+    Raises VerificationError when a key is missing, a value is not an
+    integer, a coordinate list has the wrong length, the ring is not
+    supported, a direction is invalid or (with check) the set fails
+    verification.
+    """
+    with malformed_input("Kakeya set"):
+        N, n = json_ints([data["N"], data["n"]], 2, "N and n")
+        spec = RingSpec.make(N, n)
+        points = frozenset(json_ints(pt, n, "point") for pt in data["points"])
+        witness = {}
+        for entry in data["witness"]:
+            vec = json_ints(entry["dir"], n, "direction")
+            base = json_ints(entry["base"], n, "base")
+            d = Direction.from_vector(vec, spec)
+            witness[d] = Line.through(base, d, spec)
     S = KakeyaSet(spec=spec, points=points, witness=witness)
     if check:
         ok, problems = verify(S)
         if not ok:
-            raise ValueError(f"loaded set fails verification: {problems[:3]}")
+            raise VerificationError(
+                f"loaded set fails verification: {problems[:3]}"
+            )
     return S
 
 
@@ -356,5 +375,4 @@ def save(S: KakeyaSet, path) -> None:
 
 
 def load(path, check: bool = True) -> KakeyaSet:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh), check=check)
+    return from_json_dict(read_json(path), check=check)

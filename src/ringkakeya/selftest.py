@@ -510,7 +510,13 @@ SUITES = {
 
 
 def run_suites(filter_expr: str | None = None, seed: int = 0):
-    """Run all suites whose name contains filter_expr; returns result rows."""
+    """Run all suites whose name contains filter_expr; returns result rows.
+
+    Raises ValueError, listing the suite names, when no suite matches.
+    """
+    if filter_expr and not any(filter_expr in name for name in SUITES):
+        raise ValueError(f"no suite name contains {filter_expr!r}; the "
+                         f"suites are {', '.join(SUITES)}")
     rows = []
     for name, fn in SUITES.items():
         if filter_expr and filter_expr not in name:

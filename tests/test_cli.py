@@ -287,3 +287,82 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "kakeya", "construct", "--N", "12", "--n", "2")
     assert code == 2
     assert "unsupported modulus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kakeya", "construct"],
+    ["kakeya", "verify"],
+    ["kakeya", "minsearch", "--N", "3"],
+    ["kakeya", "power"],
+    ["mv", "search"],
+    ["mv", "verify"],
+], ids=" ".join)
+def test_missing_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+
+
+FILE_COMMANDS = {
+    "certify": ["certify", "{}", "--pipeline", "prime"],
+    "kakeya-verify": ["kakeya", "verify", "{}"],
+    "kakeya-power": ["kakeya", "power", "{}"],
+    "mv-verify": ["mv", "verify", "{}"],
+}
+MALFORMED_SETS = {
+    "empty": ("{}", "missing key 'N'"),
+    "not-json": ("{", "not JSON"),
+    "float": ('{"N": 3, "n": 2, "points": [[0, 0.5]], "witness": []}',
+              "not a list of 2 integers"),
+    "zero-direction": ('{"N": 3, "n": 2, "points": [], "witness": '
+                       '[{"dir": [0, 0], "base": [0, 0]}]}',
+                       "not a valid direction"),
+}
+MALFORMED_FAMILIES = {
+    "empty": ("{}", "missing key 'p'"),
+    "not-json": ("{", "not JSON"),
+    "unequal": ('{"p": 3, "k": 1, "n": 1, "U": [[1], [2]], "V": [[1]]}',
+                "2 vectors u against 1"),
+    "zero-modulus": ('{"p": 0, "k": 1, "n": 1, "U": [[1]], "V": [[1]]}',
+                     "need p >= 2"),
+}
+
+
+def with_path(argv, path):
+    return [str(path) if a == "{}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    pytest.param(argv, text, message, id=f"{cmd}-{case}")
+    for cmd, argv in FILE_COMMANDS.items()
+    for case, (text, message) in (
+        MALFORMED_FAMILIES if cmd == "mv-verify" else MALFORMED_SETS
+    ).items()
+])
+def test_malformed_file_exits_1(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *with_path(argv, path))
+    assert code == 1
+    assert out == "" and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS.values(), ids=FILE_COMMANDS)
+def test_unreadable_path_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *with_path(argv, tmp_path / "missing.json"))
+    assert code == 2
+    assert out == "" and "No such file" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k,n", [("0", "2"), ("1", "0")])
+def test_wrank_rejects_k_or_n_below_1(capsys, k, n):
+    code, out, err = run(capsys, "wrank", "--p", "3", "--k", k, "--n", n)
+    assert code == 2
+    assert out == "" and "must be >= 1" in err
+
+
+def test_selftest_unknown_filter_lists_suites(capsys):
+    code, out, err = run(capsys, "selftest", "--filter", "nosuch")
+    assert code == 2
+    assert out == "" and all(name in err for name in SUITES)

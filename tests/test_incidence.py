@@ -153,3 +153,63 @@ def test_mv_search_deterministic():
     a, na = mv_search(2, 2, 2, target_size=2)
     b, nb = mv_search(2, 2, 2, target_size=2)
     assert a == b and na == nb
+
+
+def tuple_mv_search(p, k, n, target_size, budget):
+    """The tuple search that recomputes every inner product at every node:
+    the reference for the orthogonality-table search."""
+    q = p**k
+    vectors = list(product(range(q), repeat=n))
+    if target_size >= 2:
+        vectors = [v for v in vectors if any(v)]
+    pairs = [(u, v) for u in vectors for v in vectors]
+    nodes = 0
+    best = []
+
+    def ok_pair(u, v, U, V):
+        if sum(a * b for a, b in zip(u, v)) % q:
+            return False
+        for w in V:
+            if sum(a * b for a, b in zip(u, w)) % q == 0:
+                return False
+        for w in U:
+            if sum(a * b for a, b in zip(w, v)) % q == 0:
+                return False
+        return True
+
+    def dfs(U, V, start):
+        nonlocal nodes, best
+        if len(U) > len(best):
+            best = list(zip(U, V))
+        if len(U) >= target_size or nodes >= budget:
+            return len(U) >= target_size
+        for idx in range(start, len(pairs)):
+            if nodes >= budget:
+                return False
+            nodes += 1
+            u, v = pairs[idx]
+            if ok_pair(u, v, U, V):
+                if dfs(U + [u], V + [v], idx + 1):
+                    return True
+        return False
+
+    dfs([], [], 0)
+    return tuple(u for u, _ in best), tuple(v for _, v in best), nodes
+
+
+@pytest.mark.parametrize("p,k,n,target,budget", [
+    (2, 1, 2, 2, 1000),
+    (2, 1, 3, 1, 100),
+    (2, 1, 3, 4, 1000),
+    (3, 1, 2, 3, 1000),
+    (3, 1, 3, 5, 3000),
+    (5, 1, 2, 3, 2000),
+    (2, 2, 2, 3, 5000),
+    (2, 2, 3, 6, 1500),
+    (3, 2, 2, 6, 1500),
+    (3, 1, 4, 6, 20000),
+    (2, 2, 2, 99, 1),
+])
+def test_mv_search_matches_tuple_search(p, k, n, target, budget):
+    fam, nodes = mv_search(p, k, n, target, budget=budget)
+    assert (fam.U, fam.V, nodes) == tuple_mv_search(p, k, n, target, budget)

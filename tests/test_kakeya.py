@@ -140,26 +140,41 @@ def test_greedy_independent_lines():
 
 
 def brute_min_kakeya(spec):
+    """(size, choice) of the first optimum in lexicographic order of the
+    candidate-line indices, by trying every combination."""
     dirs = enumerate_directions(spec)
     cands = [
         [frozenset(line_points(l, spec)) for l in _lines_in_direction(d, spec)]
         for d in dirs
     ]
     best = None
-    for combo in product(*cands):
-        u = frozenset().union(*combo)
-        if best is None or len(u) < best:
-            best = len(u)
+    for choice in product(*[range(len(c)) for c in cands]):
+        u = frozenset().union(*[c[ci] for c, ci in zip(cands, choice)])
+        if best is None or len(u) < best[0]:
+            best = (len(u), choice)
     return best
 
 
 def test_min_search_f3_squared():
     spec = RingSpec.make(3, 2)
     opt, S = min_kakeya_search(spec)
-    assert opt == brute_min_kakeya(spec)
+    assert opt == brute_min_kakeya(spec)[0]
     assert opt >= 4  # ceil(81/25)
     assert opt >= 3  # C(3, 1)
     assert verify(S)[0] and S.size == opt
+
+
+@pytest.mark.parametrize("N,n", [(2, 2), (3, 2), (5, 2), (4, 2), (2, 3),
+                                 (6, 1), (9, 1)])
+def test_min_search_witness_is_first_brute_force_optimum(N, n):
+    spec = RingSpec.make(N, n)
+    opt, S = min_kakeya_search(spec)
+    size, choice = brute_min_kakeya(spec)
+    dirs = enumerate_directions(spec)
+    assert opt == size == S.size
+    assert [S.witness[d] for d in dirs] == [
+        _lines_in_direction(d, spec)[ci] for d, ci in zip(dirs, choice)
+    ]
 
 
 def test_min_search_z4():
@@ -168,7 +183,7 @@ def test_min_search_z4():
 
     spec = RingSpec.make(4, 2)
     opt2, S2 = min_kakeya_search(spec)
-    assert opt2 == brute_min_kakeya(spec)
+    assert opt2 == brute_min_kakeya(spec)[0]
     assert verify(S2)[0]
 
 
