@@ -14,6 +14,7 @@ from .bounds import (
 from .cyclo import (
     dft_product,
     rank_cyclo,
+    rank_rational,
     rank_transfer_check,
     reduction_matrix,
     zero_pattern,
@@ -25,7 +26,6 @@ from .gfp import (
     kron,
     nullspace,
     rank,
-    rank_rational,
     solve_row_factor,
 )
 from .incidence import (

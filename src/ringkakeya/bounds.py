@@ -16,9 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import dft_product, rank_cyclo, reduction_matrix, zero_pattern
+from .cyclo import (
+    dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
+)
 from .errors import VerificationError
-from .gfp import GFpMatrix, crank, rank, rank_rational
+from .gfp import GFpMatrix, crank, rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
     _check_guard,
@@ -419,9 +421,9 @@ def certify_prime_power(
     p^k times a power of γ elsewhere), transfers the rank of the scaled
     product down to F_p, and records the rank of the incidence matrix as
     the certified bound.  The product is computed in integers: each entry
-    is a histogram of γ-exponents times the reduction matrix, and its rank
-    over Q(γ) is pinned between an F_ℓ image (below) and the rational rank
-    of the line matrix (above).
+    is a histogram of γ-exponents times the reduction matrix.  Its rank
+    over Q(γ) comes from `rank_cyclo`, which stops early at the rational
+    rank of the line matrix, an upper bound.
 
     Rows of the transferred pattern are exactly the incidence-matrix rows
     at the direction representatives; rows at non-unit vectors are not

@@ -7,13 +7,16 @@ array of shape (rows, cols, φ).  Row e of `reduction_matrix` is γ^e in
 that basis, and `dft_product` multiplies a 0/1 matrix by the character
 table of (Z/p^k Z)^n in integers.
 
-Ranks are certified modularly.  For a prime ℓ ≡ 1 (mod p^k) and ω of
+Ranks are computed modularly.  For a prime ℓ ≡ 1 (mod p^k) and ω of
 order exactly p^k in F_ℓ, γ ↦ ω is a ring map from Z[γ] onto F_ℓ, so a
 non-zero minor of the image lifts to a non-zero minor over Q(γ): the F_ℓ
-rank of the image is a lower bound on the rank over Q(γ).  `rank_cyclo`
-returns it once it meets a proven upper bound, and otherwise computes the
-exact rank as the rational rank of the regular representation over Q,
-divided by φ.  No floating point anywhere.
+rank of the image, taken by `gfp._echelon`, is a lower bound on the rank
+over Q(γ).  It falls short only when ℓ divides the norm of a fixed
+non-zero r x r minor, r the rank, and a Hadamard bound on that norm limits
+how many primes above 2^20 can; `rank_cyclo` takes the largest image rank
+over one prime more than that, which is the rank.  Q is Q(γ) at p^k = 2,
+where γ = -1, so `rank_rational` is `rank_cyclo` on one-coefficient
+entries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import GFpMatrix, is_prime, rank as gfp_rank, rank_rational
+from .gfp import GFpMatrix, is_prime, rank as gfp_rank
 from .rings import enumerate_points
 
 # modular images use primes above this floor; a product of t distinct such
@@ -90,49 +93,54 @@ def reduce_mod(coeffs: np.ndarray, ell: int, omega: int) -> np.ndarray:
     return (coeffs % ell) @ powers % ell
 
 
-def _regular(coeffs: np.ndarray, p: int, k: int) -> np.ndarray:
-    """The regular representation over Q of the Z[γ] matrix coeffs: row
-    (i, a) holds the coordinates of γ^a·M[i, :], so its rational rank is
-    φ times the rank of M over Q(γ)."""
-    R = reduction_matrix(p, k)
-    phi = R.shape[1]
-    # γ^a·γ^e = γ^{(a+e) mod q}: T[a, e] is row (a + e) mod q of R
-    T = R[(np.arange(phi)[:, None] + np.arange(phi)) % len(R)]
-    m, n, _ = coeffs.shape
-    return np.einsum("ije,aeb->iajb", coeffs, T).reshape(m * phi, n * phi)
+def _prime_count(coeffs: np.ndarray) -> int:
+    """How many primes above 2^20 `rank_cyclo` tries: enough that one of
+    them keeps a fixed non-zero r x r minor D non-zero, r the rank.
+
+    Every embedding σ of Q(γ) sends an entry c to |σ(c)| <= ‖c‖₁, since
+    |σ(γ^e)| = 1.  By Hadamard |σ(D)| <= Π_i sqrt(s_i) over the rows of D,
+    with s_i = Σ_j ‖c_ij‖₁², so the norm of D, a non-zero integer, is below
+    2^(φ·Σ_i bits(s_i)/2) <= 2^(20·count).  An image loses D only if ℓ
+    divides that norm, and count distinct primes above 2^20 multiply to
+    more.
+    """
+    _, n, phi = coeffs.shape
+    top = max(-int(coeffs.min()), int(coeffs.max()))
+    # the int64 sums are exact below 2^63; past that they are Python ints
+    a = coeffs if n * (phi * top) ** 2 < 2**63 else coeffs.astype(object)
+    l1 = np.abs(a).sum(-1)
+    bits = sum(int(s).bit_length() for s in (l1 * l1).sum(1))
+    return phi * bits // 40 + 1
 
 
 def rank_cyclo(coeffs: np.ndarray, p: int, k: int, upper: int | None = None) -> int:
     """Rank over Q(γ) of the matrix whose entries are the Z[γ] coefficient
     vectors along the last axis of coeffs (shape (rows, cols, φ)).
 
-    The F_ℓ rank of each image under γ ↦ ω is a lower bound, and it is the
-    rank once it reaches upper, a proven upper bound that defaults to
-    min(rows, cols).  Without upper, one image is tried and the exact rank
-    otherwise comes from the regular representation.  A caller that passes
-    upper vouches for it as the prime-power certificate does: there
-    coeffs = MS·F for a 0/1 line matrix MS of rational rank upper and the
-    character table F, which is invertible mod ℓ, so the image rank falls
-    short only when ℓ divides one fixed non-zero upper x upper minor of MS.
-    Its rows hold at most q ones, so Hadamard bounds it by q^(upper/2), and
-    fewer than bits(q^upper)/40 primes above 2^20 can divide it; when that
-    many images fall short, AssertionError is raised.
+    It is the largest F_ℓ rank of the images under γ ↦ ω over
+    `_prime_count` primes, returned as soon as it reaches upper, which
+    defaults to min(rows, cols).  A caller's upper that is never reached
+    is not the rank, and AssertionError is raised.
     """
     m, n, _ = coeffs.shape
     if m == 0 or n == 0:
         return 0
-    q = p**k
-    tries = 1 if upper is None else (q**upper).bit_length() // 40 + 1
     target = min(m, n) if upper is None else upper
-    ell = 0
-    # gfp.rank multiplies two residues below ℓ < 2^21 at a time: < 2^42
-    for _ in range(tries):
+    best = ell = 0
+    # gfp.rank eliminates mod ℓ in int64, and refuses an ℓ whose products wrap
+    for _ in range(_prime_count(coeffs)):
         ell, omega = split_prime(p, k, ell)
-        if gfp_rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))) == target:
-            return target
+        best = max(best, gfp_rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))))
+        if best == target:
+            return best
     if upper is not None:
-        raise AssertionError("modular rank bounds did not close (internal bug)")
-    return rank_rational(_regular(coeffs, p, k)) // phi_pk(p, k)
+        raise AssertionError(f"rank {best} over Q(γ) never reached upper = {upper}")
+    return best
+
+
+def rank_rational(data) -> int:
+    """Exact rank over Q of an integer matrix: Q(γ) at p^k = 2, γ = -1."""
+    return rank_cyclo(np.atleast_2d(data)[..., None], 2, 1)
 
 
 def zero_pattern(coeffs: np.ndarray, p: int) -> GFpMatrix:

@@ -3,22 +3,26 @@
 Matrices are stored as int64 numpy arrays with entries canonical in [0, p);
 residues are reduced once, when a GFpMatrix is built, and every kernel
 trusts `.a`.  One elimination kernel, `_echelon`, gives every rank, row
-factorization and kernel for every p, with no fork; it uses a fixed pivot
-rule (first non-zero entry scanning columns left to right, rows top to
-bottom) so echelon forms and ranks are reproducible bit for bit.  It works
-on one copy of its input in the narrowest signed integer type that holds
-(p - 1)^2: int8 for p <= 11, int16 for p <= 181, int32 for p <= 46337,
-int64 above.  Products or eliminations whose int64 arithmetic could wrap
-raise OverflowError.
+factorization and kernel for every p, with no fork; through the F_ℓ images
+of `cyclo.rank_cyclo` it gives the exact ranks over Q and Q(γ) too.  It
+uses a fixed pivot rule (first non-zero entry scanning columns left to
+right, rows top to bottom) so echelon forms and ranks are reproducible bit
+for bit.  It works on one copy of its input in the narrowest signed integer
+type that holds (p - 1)^2: int8 for p <= 11, int16 for p <= 181, int32 for
+p <= 46337, int64 above.  Products or eliminations whose int64 arithmetic
+could wrap raise OverflowError.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import RowFactorError
 
 
+@functools.cache
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -121,7 +125,7 @@ def _echelon(a: np.ndarray, p: int, track: bool = False):
     for c in range(n):
         if r == m:
             break
-        nz = np.flatnonzero(E[r:, c])
+        nz = E[r:, c].nonzero()[0]
         if not nz.size:
             continue
         piv = r + int(nz[0])
@@ -133,13 +137,13 @@ def _echelon(a: np.ndarray, p: int, track: bool = False):
         E[r, c:] = E[r, c:] * inv % p
         if track:
             R[r] = R[r] * inv % p
-        below = r + 1 + np.flatnonzero(E[r + 1 :, c])
+        below = r + 1 + E[r + 1 :, c].nonzero()[0]
         if below.size:
             # fancy indexing copies the multipliers before E changes
             f = E[below, c]
-            E[below, c:] = (E[below, c:] - np.outer(f, E[r, c:])) % p
+            E[below, c:] = (E[below, c:] - f[:, None] * E[r, c:]) % p
             if track:
-                R[below] = (R[below] - np.outer(f, R[r])) % p
+                R[below] = (R[below] - f[:, None] * R[r]) % p
         pivots.append((r, c))
         r += 1
     if track:
@@ -223,37 +227,3 @@ def nullspace(M: GFpMatrix) -> GFpMatrix:
         for r, c in pivots:
             basis[k, c] = (-int(E[r, fc])) % p
     return GFpMatrix(p, basis)
-
-
-def rank_rational(data) -> int:
-    """Exact rank over the rationals by fraction-free (Bareiss) elimination
-    on Python ints.
-
-    After each pivot the entries below it are minors of the input, and the
-    division by the previous pivot is exact (Bareiss 1968).
-    """
-    A = [[int(x) for x in row] for row in np.asarray(data)]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pivot, top = A[r][c], A[r][c + 1 :]
-        for i in range(r + 1, m):
-            head = A[i][c]
-            A[i][c + 1 :] = [
-                (pivot * x - head * y) // prev for x, y in zip(A[i][c + 1 :], top)
-            ]
-        prev = pivot
-        r += 1
-        if r == m:
-            break
-    return r

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceeded, json_ints, malformed_input
-from .gfp import GFpMatrix, rank
+from .gfp import GFpMatrix, is_prime, rank
 from .rings import RingSpec, enumerate_points
 
 DEFAULT_CELL_GUARD = 16_000_000
@@ -156,8 +156,13 @@ def mv_search(
     are looked up, not recomputed: orth[i][j] says whether vectors i and j
     are orthogonal mod q, tabulated once before the scan.  Returns the best
     family found and the number of nodes visited.  Never errors on an
-    unreachable target; the best-found family is returned instead.
+    unreachable target; the best-found family is returned instead.  Raises
+    ValueError for a p that is not prime, k < 1 or n < 1.
     """
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if k < 1 or n < 1:
+        raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     q = p**k

@@ -344,14 +344,17 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
     """Load a serialized Kakeya set, re-verifying it unless check is False.
 
     Raises VerificationError when a key is missing, a value is not an
-    integer, a coordinate list has the wrong length, the ring is not
-    supported, a direction is invalid or (with check) the set fails
-    verification.
+    integer, a coordinate list has the wrong length, a point coordinate
+    lies outside [0, N), the ring is not supported, a direction is invalid
+    or (with check) the set fails verification.
     """
     with malformed_input("Kakeya set"):
         N, n = json_ints([data["N"], data["n"]], 2, "N and n")
         spec = RingSpec.make(N, n)
         points = frozenset(json_ints(pt, n, "point") for pt in data["points"])
+        outside = [pt for pt in points if not all(0 <= c < N for c in pt)]
+        if outside:
+            raise ValueError(f"point {list(min(outside))} lies outside [0, {N})^{n}")
         witness = {}
         for entry in data["witness"]:
             vec = json_ints(entry["dir"], n, "direction")

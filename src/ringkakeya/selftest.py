@@ -23,8 +23,10 @@ from .bounds import (
     certify_prime, certify_prime_power, certify_squarefree, certify_two_primes,
     fq_bound, squarefree_bound,
 )
-from .cyclo import dft_product, rank_cyclo, rank_transfer_check, reduction_matrix
-from .gfp import GFpMatrix, crank, kron, nullspace, rank, rank_rational
+from .cyclo import (
+    dft_product, rank_cyclo, rank_rational, rank_transfer_check, reduction_matrix,
+)
+from .gfp import GFpMatrix, crank, kron, nullspace, rank
 from .incidence import complement_indicator, incidence_matrix, incidence_matrix_pk
 from .kakeya import (
     crt_product, full_set, greedy_independent_lines, line_matrix, power_product,

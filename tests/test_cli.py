@@ -310,6 +310,15 @@ FILE_COMMANDS = {
     "kakeya-power": ["kakeya", "power", "{}"],
     "mv-verify": ["mv", "verify", "{}"],
 }
+def _tangent_with_outside_points() -> str:
+    """The tangent set over F_3^2 with two out-of-range points appended."""
+    from ringkakeya.kakeya import tangent_construction, to_json_dict
+
+    data = to_json_dict(tangent_construction(3, 2))
+    data["points"] += [[5, 7], [0, 3]]
+    return json.dumps(data)
+
+
 MALFORMED_SETS = {
     "empty": ("{}", "missing key 'N'"),
     "not-json": ("{", "not JSON"),
@@ -318,6 +327,7 @@ MALFORMED_SETS = {
     "zero-direction": ('{"N": 3, "n": 2, "points": [], "witness": '
                        '[{"dir": [0, 0], "base": [0, 0]}]}',
                        "not a valid direction"),
+    "point-outside": (_tangent_with_outside_points(), "lies outside [0, 3)^2"),
 }
 MALFORMED_FAMILIES = {
     "empty": ("{}", "missing key 'p'"),
@@ -360,6 +370,19 @@ def test_wrank_rejects_k_or_n_below_1(capsys, k, n):
     code, out, err = run(capsys, "wrank", "--p", "3", "--k", k, "--n", n)
     assert code == 2
     assert out == "" and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("p,k,n,message", [
+    ("4", "1", "2", "characteristic 4 is not prime"),
+    ("1", "1", "2", "characteristic 1 is not prime"),
+    ("3", "0", "2", "must be >= 1"),
+    ("3", "1", "0", "must be >= 1"),
+], ids=["p4", "p1", "k0", "n0"])
+def test_mv_search_rejects_bad_ring(capsys, p, k, n, message):
+    code, out, err = run(capsys, "mv", "search", "--p", p, "--k", k, "--n", n,
+                         "--target", "2")
+    assert code == 2
+    assert out == "" and message in err and len(err.splitlines()) == 1
 
 
 def test_selftest_unknown_filter_lists_suites(capsys):

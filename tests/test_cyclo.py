@@ -253,11 +253,30 @@ def _random_witness_set(spec, rng):
     return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
 
 
+def test_prime_count_outlasts_primes_that_divide_every_minor():
+    from ringkakeya import rank_rational
+    from ringkakeya.cyclo import split_prime
+
+    # ℓ₁ divides the full minor of the first, ℓ₁ and ℓ₂ that of the second,
+    # so one and two of their images lose rank
+    l1, _ = split_prime(2, 1)
+    l2, _ = split_prime(2, 1, l1)
+    assert rank_rational([[1, 0], [0, l1]]) == 2
+    assert rank_rational([[l1 * l2]]) == 1
+    # over Q(i): ℓ·γ^0, and γ - ω, whose norm ω² + 1 is a multiple of ℓ
+    ell, omega = split_prime(2, 2)
+    assert rank_cyclo(np.array([[[ell, 0]]]), 2, 2) == 1
+    assert rank_cyclo(np.array([[[-omega, 1]]]), 2, 2) == 1
+    # squares of these entries pass 2^63: the bound is summed without wrapping
+    assert rank_rational([[2**40, 1], [1, 0]]) == 2
+    assert rank_rational([[l1 * 2**32]]) == 1
+    assert rank_rational([[2**70, 2**70 + 1], [1, 1]]) == 2
+
+
 @pytest.mark.parametrize("q,n,seed", [(4, 2, 0), (4, 2, 1), (4, 2, 2), (9, 1, 0),
                                       (9, 1, 1), (2, 3, 0), (2, 3, 1), (2, 3, 2)])
 def test_rank_cyclo_against_exact_rank(q, n, seed):
-    from ringkakeya import certify_prime_power, line_matrix, rank_rational
-    from ringkakeya.cyclo import _regular
+    from ringkakeya import certify_prime_power, line_matrix
 
     spec = RingSpec.make(q, n)
     p, k = spec.factors[0]
@@ -265,11 +284,9 @@ def test_rank_cyclo_against_exact_rank(q, n, seed):
     report = certify_prime_power(S)
     MS = line_matrix(S, char=p)
     coeffs = dft_product(MS.a, spec)
-    # the exact path: rational rank of the regular representation over φ
-    exact = rank_rational(_regular(coeffs, p, k)) // coeffs.shape[-1]
     # independent oracle: the complex embedding γ = exp(2πi/q)
     gamma = np.exp(2j * np.pi * np.arange(coeffs.shape[-1]) / q)
-    assert np.linalg.matrix_rank(coeffs @ gamma, tol=1e-9) == exact
+    exact = np.linalg.matrix_rank(coeffs @ gamma, tol=1e-9)
     assert report.quantities["rank_cyclo"] == exact == rank_cyclo(coeffs, p, k)
     # a wrong upper bound can never be met: the search gives up loudly
     with pytest.raises(AssertionError):

@@ -154,6 +154,7 @@ def test_rank_rational():
     assert rank_rational([[1, 1], [1, 1]]) == 1
     assert rank_rational([[1, 1], [1, 2]]) == 2
     assert rank_rational(np.eye(4, dtype=np.int64)) == 4
+    assert rank_rational([]) == rank_rational(np.zeros((3, 0), dtype=np.int64)) == 0
     # rows dependent over F_2 but independent over Q
     assert rank_rational([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 3
     assert rank(GFpMatrix(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
