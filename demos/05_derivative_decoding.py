@@ -40,7 +40,7 @@ spec2 = RingSpec.make(2, 2)
 d = enumerate_directions(spec2)[2]
 line = Line.through((0, 0), d, spec2)
 dm = decoding_matrix(line, spec2, 2)
-print(f"  direction {d.rep}, extents {dm.matrix.a.shape}; zero outside the "
+print(f"  direction {d.rep}, extents {dm.a.shape}; zero outside the "
       f"line's point columns")
 
 print("\nsquare-free pipeline over (Z/6)^2 with k = 2:")

@@ -50,8 +50,6 @@ from .kakeya import (
     verify,
 )
 from .polys import (
-    DecodingMatrix,
-    EvalMapSpec,
     GFpPoly,
     decoding_matrix,
     dim_homog,

@@ -10,6 +10,7 @@ each inequality is an assertion between computed numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,9 +30,8 @@ from .incidence import (
     incidence_matrix_pk,
 )
 from .kakeya import KakeyaSet, line_matrix, verify
-from .polys import EvalMapSpec, decoding_matrix, dim_homog, dim_leq, eval_matrix
+from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
 from .rings import (
-    Direction,
     Line,
     RingSpec,
     enumerate_directions,
@@ -188,7 +188,7 @@ def certify_two_primes(
     _require_valid(S)
     p, q = spec.primes
     n = spec.n
-    spec_p, spec_q = spec.factor_specs()
+    spec_p = spec.factor_specs()[0]
     dirs = enumerate_directions(spec)
     _check_guard(len(dirs), spec.num_points, guard)
     Wp = incidence_matrix(p, n, guard=guard)
@@ -200,20 +200,19 @@ def certify_two_primes(
     ).reshape(len(dirs), -1))
 
     row_identity = True
+    hyper: dict[tuple, np.ndarray] = {}
     q_lines: dict[tuple, list] = {}
-    for i, d in enumerate(dirs):
-        Lp, Lq = line_split(S.witness[d], spec)
-        ind_q = np.array(
-            indicator_vector(line_points(Lq, spec_q), spec_q), dtype=np.int64
-        )
-        expected = np.kron(complement_indicator(d.components[0], spec_p), ind_q) % p
-        if not np.array_equal(prod.a[i], expected):
+    for i, (Lp, ind_q) in enumerate(_split_witnesses(S, 0)):
+        c = Lp.direction.rep
+        if c not in hyper:
+            hyper[c] = complement_indicator(c, spec_p)
+        if not np.array_equal(prod.a[i], np.kron(hyper[c], ind_q)):
             row_identity = False
-        q_lines.setdefault(d.components[0], []).append(ind_q)
+        q_lines.setdefault(c, []).append(ind_q)
 
     certified = rank(prod)
     rank_MS = rank(MS)
-    V = GFpMatrix(p, [complement_indicator(c, spec_p) for c in sorted(q_lines)])
+    V = GFpMatrix(p, [hyper[c] for c in sorted(hyper)])
     dim_V = rank(V)
     min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, q_lines, q)
 
@@ -253,12 +252,15 @@ def certify_squarefree(
     """General square-free certificate using derivative decoding matrices.
 
     One family member per direction: the decoding matrix of the pivot-prime
-    component line, tensored with the indicator of the residual-factor
-    component line.  The stacked rank of the family, divided by the number
-    of derivative indices, lower bounds |S|; the chain through the
-    evaluation matrix and the per-factor rank-size counts is re-verified
-    link by link.  Raises GuardExceeded before building anything when the
-    stacked family would exceed guard cells.
+    component of its witness line, tensored with the indicator of the CRT
+    product of the other components.  The stacked rank of the family,
+    divided by the number of derivative indices, lower bounds |S|; the
+    chain through the evaluation matrix (checked once per distinct decoder)
+    and the per-factor rank-size counts is re-verified link by link.
+
+    k defaults to the pivot prime and must be a positive multiple of it;
+    any other k raises ValueError.  Raises GuardExceeded before building
+    anything when the stacked family would exceed guard cells.
     """
     spec = S.spec
     if not spec.is_square_free:
@@ -273,12 +275,11 @@ def certify_squarefree(
     pividx = spec.primes.index(p1)
     if k is None:
         k = p1
-    if k % p1:
-        raise ValueError(f"k = {k} must be divisible by the pivot prime {p1}")
+    if k < 1 or k % p1:
+        raise ValueError(f"k = {k} must be a positive multiple of the pivot prime {p1}")
     m = 2 * k - k // p1
     N0 = spec.N // p1
     spec1 = RingSpec.make(p1, n)
-    spec0 = RingSpec.make(N0, n)
 
     d_hom = k * p1 - 1
     delta_homog = dim_homog(n, d_hom)
@@ -290,43 +291,26 @@ def certify_squarefree(
         len(dirs) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard
     )
 
-    E = eval_matrix(EvalMapSpec(
-        p=p1, n=n, points=tuple(enumerate_points(spec1)), m=m,
-        degree=d_hom, homogeneous=True,
-    ))
-    point_evals: dict[tuple, GFpMatrix] = {}
-    for c in enumerate_directions(spec1):
-        point_evals[c.rep] = eval_matrix(EvalMapSpec(
-            p=p1, n=n, points=(c.rep,), m=k, degree=d_hom, homogeneous=True,
-        ))
+    E = eval_matrix(p1, n, enumerate_points(spec1), m, d_hom)
+    point_evals = {
+        c.rep: eval_matrix(p1, n, (c.rep,), k, d_hom)
+        for c in enumerate_directions(spec1)
+    }
 
     decoders: dict[Line, GFpMatrix] = {}
-    # (C, D, ind0) per direction: the family members are kron(C, ind0)
-    # and kron(D, ind0), built one family at a time by _tensor_rows_rank
-    factors = []
     decode_chain = True
+    # (C, D, row0) per direction: the family members are kron(C, row0)
+    # and kron(D, row0), built one family at a time by _tensor_rows_rank
+    factors = []
     l0_rows: dict[tuple, list] = {}
-    for d in dirs:
-        comps = list(d.components)
-        comp1 = comps[pividx]
-        comp0 = [c for i, c in enumerate(comps) if i != pividx]
-        L = S.witness[d]
-        b1 = Direction(rep=comp1, components=(comp1,))
-        L1 = Line.through(tuple(c % p1 for c in L.base), b1, spec1)
-        b0 = Direction(
-            rep=tuple(_crt0(comp0, spec0, j) for j in range(n)),
-            components=tuple(comp0),
-        )
-        L0 = Line.through(tuple(c % N0 for c in L.base), b0, spec0)
+    for L1, row0 in _split_witnesses(S, pividx):
+        D = point_evals[L1.direction.rep]
         if L1 not in decoders:
-            decoders[L1] = decoding_matrix(L1, spec1, k, m).matrix
-        C = decoders[L1]
-        ind0 = GFpMatrix(p1, [indicator_vector(line_points(L0, spec0), spec0)])
-        D = point_evals[comp1]
-        if C @ E != D:
-            decode_chain = False
-        factors.append((C, D, ind0))
-        l0_rows.setdefault(comp1, []).append(ind0.a[0])
+            decoders[L1] = decoding_matrix(L1, spec1, k, m)
+            if decoders[L1] @ E != D:
+                decode_chain = False
+        factors.append((decoders[L1], D, row0))
+        l0_rows.setdefault(L1.direction.rep, []).append(row0)
 
     crank_family = _tensor_rows_rank(p1, [(C, v) for C, _, v in factors])
     certified = math.ceil(crank_family / Delta)
@@ -391,24 +375,36 @@ def _group_rank_sizes(p: int, groups: dict, modulus: int):
     return min(ranks), min(unions), ok
 
 
+def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
+    """(pivot line, residual row) per direction, in enumeration order: the
+    factor-`pivot` component line of the witness line, and the CRT-major
+    0/1 indicator of the CRT product of the other components, which is the
+    Kronecker product of their indicators."""
+    spec = S.spec
+    fspecs = spec.factor_specs()
+    out = []
+    for d in enumerate_directions(spec):
+        lines = line_split(S.witness[d], spec)
+        rows = [
+            np.array(indicator_vector(line_points(L, fs), fs), dtype=np.int64)
+            for i, (L, fs) in enumerate(zip(lines, fspecs)) if i != pivot
+        ]
+        out.append((lines[pivot], functools.reduce(np.kron, rows)))
+    return out
+
+
 def _tensor_rows_rank(p: int, pairs) -> int:
-    """crank of the family kron(A, v) over (A, v) in pairs, v a 1-row
-    matrix, with every member written straight into one int64 array: the
-    entries of A lie in [0, p) and v is 0/1, so each product is canonical."""
-    width = pairs[0][0].cols * pairs[0][1].cols
+    """crank of the family kron(A, v) over (A, v) in pairs, v a 0/1 row,
+    with every member written straight into one int64 array: the entries of
+    A lie in [0, p), so each product is canonical."""
+    width = pairs[0][0].cols * len(pairs[0][1])
     family = np.empty((sum(A.rows for A, _ in pairs), width), dtype=np.int64)
     r = 0
     for A, v in pairs:
-        block = family[r : r + A.rows].reshape(A.rows, A.cols, v.cols)
-        np.multiply(A.a[:, :, None], v.a[0], out=block)
+        block = family[r : r + A.rows].reshape(A.rows, A.cols, len(v))
+        np.multiply(A.a[:, :, None], v, out=block)
         r += A.rows
     return rank(GFpMatrix(p, family))
-
-
-def _crt0(comps, spec0: RingSpec, j: int) -> int:
-    from .rings import crt_combine
-
-    return crt_combine([c[j] for c in comps], spec0)
 
 
 def certify_prime_power(

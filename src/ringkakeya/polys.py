@@ -4,7 +4,8 @@ matrices, and line decoding matrices.
 
 Monomials are exponent tuples ordered by weight then lexicographically;
 the same order is used for derivative indices, which fixes every matrix
-layout in this module.
+layout in this module.  Evaluation maps act on the homogeneous polynomials
+of one degree; their rows run point-major, then by derivative index.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
+from .errors import RowFactorError
 from .gfp import GFpMatrix, solve_row_factor
 from .rings import Line, RingSpec, line_points, point_index
 
@@ -161,68 +165,36 @@ def sz_mult_check(f: GFpPoly, U) -> tuple[int, int, bool]:
     return total, bound, total <= bound
 
 
-@dataclass(frozen=True)
-class EvalMapSpec:
-    """Parameters of a Hasse-derivative evaluation map as a matrix.
+def eval_matrix(p: int, n: int, points, m: int, degree: int) -> GFpMatrix:
+    """Evaluations of the Hasse derivatives of weight < m of the homogeneous
+    degree-`degree` monomials at `points`.
 
-    The map sends a polynomial (in the monomial basis of the chosen space)
-    to the evaluations of all its Hasse derivatives of weight < m at the
-    points of A.  Row index: point_index * dim_leq(n, m-1) + derivative
-    index; column index: monomial index in the space basis.
+    Row point_index * dim_leq(n, m-1) + derivative index, column monomial
+    index.  The entry at (x, j, a) is prod_i C(a_i, j_i) x_i^(a_i - j_i)
+    mod p, read off a Lucas binomial table and a power table.
     """
-
-    p: int
-    n: int
-    points: tuple
-    m: int
-    degree: int
-    homogeneous: bool
-
-
-def eval_matrix(es: EvalMapSpec) -> GFpMatrix:
-    """Matrix of the evaluation map described by es."""
-    if es.homogeneous:
-        basis = monomials_homog(es.n, es.degree)
-    else:
-        basis = monomials_leq(es.n, es.degree)
-    derivs = deriv_indices(es.n, es.m)
-    rows = []
-    for x in es.points:
-        for j in derivs:
-            row = []
-            for a in basis:
-                if any(e < d for e, d in zip(a, j)):
-                    row.append(0)
-                    continue
-                val = 1
-                for e, d in zip(a, j):
-                    val = val * binom_mod(e, d, es.p) % es.p
-                for xc, e, d in zip(x, a, j):
-                    val = val * pow(int(xc), e - d, es.p) % es.p
-                row.append(val)
-            rows.append(row)
-    return GFpMatrix(es.p, rows)
+    A = np.array(monomials_homog(n, degree), dtype=np.int64).reshape(-1, n)
+    J = np.array(deriv_indices(n, m), dtype=np.int64).reshape(-1, n)
+    X = np.array(points, dtype=np.int64).reshape(-1, n) % p
+    binom = np.array([[binom_mod(a, j, p) for j in range(m)]
+                      for a in range(degree + 1)], dtype=np.int64)
+    power = np.array([[pow(x, e, p) for e in range(degree + 1)]
+                      for x in range(p)], dtype=np.int64)
+    # C(a_i, j_i) = 0 when j_i > a_i, so the clipped exponent never counts
+    expo = np.maximum(A[None, :, :] - J[:, None, :], 0)
+    vals = 1
+    for i in range(n):
+        vals = vals * binom[A[:, i], J[:, None, i]] * power[X[:, i]][:, expo[:, :, i]] % p
+    return GFpMatrix(p, vals.reshape(len(X) * len(J), len(A)))
 
 
-@dataclass(frozen=True)
-class DecodingMatrix:
-    """Decode evaluations of order < m along a line into evaluations of
-    order < k at the line's direction point, for homogeneous degree kp-1.
+def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
+    """The decoding matrix of a line in F_p^n, for homogeneous degree kp-1.
 
-    matrix has extents dim_leq(n, k-1) x p^n * dim_leq(n, m-1); its only
-    non-zero columns sit at tuples (x, j) with x on the line.
-    """
-
-    line: Line
-    k: int
-    m: int
-    p: int
-    n: int
-    matrix: GFpMatrix
-
-
-def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> DecodingMatrix:
-    """Construct the decoding matrix of a line in F_p^n.
+    It maps evaluations of order < m at every point of F_p^n to evaluations
+    of order < k at the line's direction point: it has extents
+    dim_leq(n, k-1) x p^n * dim_leq(n, m-1), and its only non-zero columns
+    sit at tuples (x, j) with x on the line.
 
     Requires p | k; m defaults to 2k - k/p, the smallest order for which the
     underlying kernel containment is guaranteed.  With a smaller caller-
@@ -237,23 +209,16 @@ def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) ->
         m = 2 * k - k // p
     d = k * p - 1
     pts = line_points(line, spec)
-    src = eval_matrix(
-        EvalMapSpec(p=p, n=n, points=tuple(pts), m=m, degree=d, homogeneous=True)
-    )
     b = line.direction.rep
-    dst = eval_matrix(
-        EvalMapSpec(p=p, n=n, points=(b,), m=k, degree=d, homogeneous=True)
-    )
     try:
-        C = solve_row_factor(src, dst)
-    except Exception as exc:
-        raise type(exc)(
+        C = solve_row_factor(eval_matrix(p, n, pts, m, d), eval_matrix(p, n, (b,), k, d))
+    except RowFactorError as exc:
+        raise RowFactorError(
             f"decoding matrix for line base={line.base} direction={b} "
             f"k={k} m={m}: {exc}"
         ) from exc
     width = dim_leq(n, m - 1)
     full = GFpMatrix.zeros(p, C.rows, p**n * width)
-    for t, x in enumerate(pts):
-        col = point_index(x, spec) * width
-        full.a[:, col : col + width] = C.a[:, t * width : (t + 1) * width]
-    return DecodingMatrix(line=line, k=k, m=m, p=p, n=n, matrix=full)
+    cols = np.array([point_index(x, spec) for x in pts])[:, None] * width + np.arange(width)
+    full.a[:, cols.ravel()] = C.a
+    return full

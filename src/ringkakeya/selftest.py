@@ -33,7 +33,7 @@ from .kakeya import (
     tangent_construction, verify,
 )
 from .polys import (
-    EvalMapSpec, GFpPoly, decoding_matrix, deriv_indices, dim_homog, dim_leq,
+    GFpPoly, decoding_matrix, deriv_indices, dim_homog, dim_leq,
     eval_matrix, hasse_derivative, monomials_homog, monomials_leq, sz_mult_check,
 )
 from .rings import (
@@ -269,14 +269,9 @@ def line_kernel_containment() -> bool:
     vanishing order-2 evaluations at the line's direction."""
     spec = RingSpec.make(2, 2)
     for d in enumerate_directions(spec):
-        B = eval_matrix(EvalMapSpec(
-            p=2, n=2, points=(d.rep,), m=2, degree=3, homogeneous=True,
-        ))
+        B = eval_matrix(2, 2, (d.rep,), 2, 3)
         for base in enumerate_points(spec):
-            A = eval_matrix(EvalMapSpec(
-                p=2, n=2, points=tuple(line_points(Line.through(base, d, spec), spec)),
-                m=3, degree=3, homogeneous=True,
-            ))
+            A = eval_matrix(2, 2, line_points(Line.through(base, d, spec), spec), 3, 3)
             if any((B.a @ v % 2).any() for v in nullspace(A).a):
                 return False
     return True
@@ -301,13 +296,11 @@ def decode_then_evaluate() -> bool:
     evaluations have rank dim_homog(2, 3) = 4."""
     spec = RingSpec.make(2, 2)
     pts = tuple(enumerate_points(spec))
-    E = eval_matrix(EvalMapSpec(p=2, n=2, points=pts, m=3, degree=3, homogeneous=True))
-    D = {d: eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
-                                    homogeneous=True))
-         for d in enumerate_directions(spec)}
+    E = eval_matrix(2, 2, pts, 3, 3)
+    D = {d: eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)}
     lines = {Line.through(base, d, spec) for d in D for base in pts}
     return (len(lines) == 6
-            and all(decoding_matrix(line, spec, 2).matrix @ E == D[line.direction]
+            and all(decoding_matrix(line, spec, 2) @ E == D[line.direction]
                     for line in lines)
             and crank(list(D.values())) == dim_homog(2, 3) == 4)
 

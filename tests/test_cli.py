@@ -196,6 +196,19 @@ def test_certify_square_free_guard_refusal(tmp_path, capsys):
     assert out == "" and "guard" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-2", "1"], ids=["k0", "km2", "k1"])
+def test_certify_square_free_rejects_bad_k(tmp_path, capsys, k):
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", "6", "--n", "2",
+        "--method", "tangent-product", "--out", str(path))
+    code, out, err = run(capsys, "certify", str(path), "--pipeline",
+                         "square-free", "--k", k)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "k = " in lines[0]
+
+
 @pytest.mark.parametrize("N,n,method,pipeline", [
     (15, 2, "tangent-product", "two-primes"),
     (7, 3, "tangent", "prime"),

@@ -86,8 +86,8 @@ def test_cyclo_rank_against_float_svd():
         size = rng.randrange(1, 5)
         exps = [[rng.randrange(-1, q) for _ in range(size)] for _ in range(size)]
         assert rank_cyclo(_gamma_matrix(exps, p, k), p, k) == _complex_rank(exps, q)
-    # row b is γ^s times row a: the F_ℓ image is not full, so the exact
-    # rank of the regular representation decides
+    # row b is γ^s times row a: the F_ℓ image is not full, so the largest
+    # F_ℓ image rank over `_prime_count` primes decides
     for _ in range(40):
         p, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
         q = p**k

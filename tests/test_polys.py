@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ringkakeya import (
-    EvalMapSpec,
     GFpPoly,
     Line,
     RingSpec,
@@ -22,7 +21,7 @@ from ringkakeya import (
     multiplicity,
     sz_mult_check,
 )
-from ringkakeya.polys import binom_mod
+from ringkakeya.polys import binom_mod, deriv_indices, monomials_homog
 from ringkakeya.selftest import (
     decode_then_evaluate,
     dimension_counts,
@@ -87,27 +86,48 @@ def test_sz_exhaustive_deg2_f3():
 
 
 def test_eval_matrix_trivial_cases():
-    m = eval_matrix(EvalMapSpec(p=5, n=1, points=((0,),), m=1, degree=0,
-                                homogeneous=False))
+    m = eval_matrix(5, 1, ((0,),), 1, 0)
     assert m.a.tolist() == [[1]]
 
     spec = RingSpec.make(2, 2)
-    m = eval_matrix(EvalMapSpec(p=2, n=2, points=tuple(enumerate_points(spec)),
-                                m=1, degree=1, homogeneous=True))
+    m = eval_matrix(2, 2, enumerate_points(spec), 1, 1)
     assert m.a.shape == (4, 2)
     # row for point (a, b) evaluates the basis monomials (y, x; lex order)
     assert m.a.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+
+
+def test_eval_matrix_against_hasse_derivatives():
+    # every entry is the j-th Hasse derivative of the monomial x^a at the
+    # point, for all points of F_p^n at the decoding orders m = 2k - k/p
+    checked = 0
+    for p in (2, 3, 5, 7):
+        spec_n = [RingSpec.make(p, n) for n in (1, 2, 3)]
+        for spec in spec_n:
+            n = spec.n
+            for k in (p, 2 * p):
+                m, d = 2 * k - k // p, k * p - 1
+                basis = monomials_homog(n, d)
+                derivs = deriv_indices(n, m)
+                pts = enumerate_points(spec)
+                if len(pts) * len(derivs) * len(basis) > 60_000:
+                    continue
+                got = eval_matrix(p, n, pts, m, d).a.reshape(
+                    len(pts), len(derivs), len(basis))
+                for ia, a in enumerate(basis):
+                    mono = GFpPoly(p, n, {a: 1})
+                    for ij, j in enumerate(derivs):
+                        h = hasse_derivative(mono, j)
+                        want = [h.evaluate(x) for x in pts]
+                        assert got[:, ij, ia].tolist() == want, (p, n, k, a, j)
+                checked += got.size
+    assert checked > 90_000
 
 
 def test_stacked_point_evaluations_injective():
     # rank of the stacked per-direction evaluation maps equals dim of the
     # homogeneous cubics over F_2 in two variables
     spec = RingSpec.make(2, 2)
-    mats = [
-        eval_matrix(EvalMapSpec(p=2, n=2, points=(d.rep,), m=2, degree=3,
-                                homogeneous=True))
-        for d in enumerate_directions(spec)
-    ]
+    mats = [eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)]
     assert crank(mats) == dim_homog(2, 3) == 4
 
 
@@ -116,14 +136,13 @@ def test_decoding_matrix_extents_and_zero_columns():
     d = enumerate_directions(spec)[0]
     line = Line.through((0, 0), d, spec)
     dm = decoding_matrix(line, spec, 2)
-    assert dm.m == 3
-    assert dm.matrix.a.shape == (3, 24)
+    assert dm.a.shape == (3, 24)
     width = dim_leq(2, 2)
     from ringkakeya import line_points, point_index
 
     on_line = {point_index(pt, spec) for pt in line_points(line, spec)}
     for pt_idx in range(4):
-        block = dm.matrix.a[:, pt_idx * width : (pt_idx + 1) * width]
+        block = dm.a[:, pt_idx * width : (pt_idx + 1) * width]
         if pt_idx not in on_line:
             assert not block.any()
 
@@ -139,21 +158,18 @@ def test_decoding_identity_other_orders(p, k):
     spec = RingSpec.make(p, 2)
     d_hom = k * p - 1
     m = 2 * k - k // p
-    E = eval_matrix(EvalMapSpec(p=p, n=2, points=tuple(enumerate_points(spec)),
-                                m=m, degree=d_hom, homogeneous=True))
+    E = eval_matrix(p, 2, enumerate_points(spec), m, d_hom)
     seen = set()
     for d in enumerate_directions(spec):
-        D = eval_matrix(EvalMapSpec(p=p, n=2, points=(d.rep,), m=k,
-                                    degree=d_hom, homogeneous=True))
+        D = eval_matrix(p, 2, (d.rep,), k, d_hom)
         for base in enumerate_points(spec):
             line = Line.through(base, d, spec)
             if line in seen:
                 continue
             seen.add(line)
             dm = decoding_matrix(line, spec, k)
-            assert dm.matrix.a.shape == (dim_leq(2, k - 1),
-                                         p**2 * dim_leq(2, m - 1))
-            assert dm.matrix @ E == D
+            assert dm.a.shape == (dim_leq(2, k - 1), p**2 * dim_leq(2, m - 1))
+            assert dm @ E == D
 
 
 def test_decoding_matrix_requires_p_divides_k():
