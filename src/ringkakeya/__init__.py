@@ -32,6 +32,7 @@ from .incidence import (
     MVFamily,
     incidence_matrix,
     incidence_matrix_pk,
+    incidence_quotient,
     mv_rank_bound,
     mv_search,
     mv_verify,

@@ -28,6 +28,7 @@ from .incidence import (
     complement_indicator,
     incidence_matrix,
     incidence_matrix_pk,
+    incidence_quotient,
 )
 from .kakeya import KakeyaSet, line_matrix, verify
 from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
@@ -155,7 +156,7 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
         quantities={
             "rank_MS": rank_MS,
             "rank_MS_W": rank_A,
-            "rank_W": rank(W),
+            "rank_W": rank(incidence_quotient(p, 1, n, guard=guard)),
             "binom_p_plus_n_minus_2": binom,
         },
         checks={
@@ -456,7 +457,7 @@ def certify_prime_power(
     rank_MS_Q = rank_rational(MS.a)
     rank_c = rank_cyclo(coeffs, p, kk, upper=rank_MS_Q)
     rank_pattern = rank(pattern)
-    rank_W = rank(W)
+    rank_W = rank(incidence_quotient(p, kk, n, guard=guard))
 
     report = BoundReport(
         pipeline="prime-power",

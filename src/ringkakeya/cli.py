@@ -39,7 +39,7 @@ from .errors import (
 from .gfp import rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
-    incidence_matrix_pk,
+    incidence_quotient,
     mv_from_json_dict,
     mv_search,
     mv_verify,
@@ -88,7 +88,7 @@ def cmd_wrank(args) -> int:
                        "refused": False, "runtime_s": ""}
                 t0 = time.monotonic()
                 try:
-                    W = incidence_matrix_pk(p, k, n, guard=args.guard)
+                    W = incidence_quotient(p, k, n, guard=args.guard)
                 except GuardExceeded:
                     row["refused"] = True
                     refused = True
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--format", choices=["json", "csv"], default="json")
     w.add_argument("--out", default=None)
     w.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
-                   help="maximum matrix cells")
+                   help="maximum cells of the q^n x n point table and of "
+                   "the unit-orbit quotient matrix")
     w.set_defaults(fn=cmd_wrank)
 
     # --N and --n name the ring (Z/N)^n for every command that builds one

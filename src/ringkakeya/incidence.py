@@ -4,7 +4,8 @@ matching-vector families as rank lower bounds.
 
 The incidence matrix keeps its repeated rows and columns (one per ring
 element, not per projective class), so row-set comparisons against
-Fourier-derived matrices are literal.
+Fourier-derived matrices are literal; ranks are taken on
+`incidence_quotient`, one row and column per unit orbit.
 """
 
 from __future__ import annotations
@@ -39,18 +40,57 @@ def incidence_matrix(p: int, n: int, guard: int = DEFAULT_CELL_GUARD) -> GFpMatr
     return incidence_matrix_pk(p, 1, n, guard=guard)
 
 
+def _check_ring(p: int, k: int, n: int):
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if k < 1 or n < 1:
+        raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
+
+
+def _point_table(q: int, n: int) -> np.ndarray:
+    """The q^n points of (Z/qZ)^n as rows, in natural mixed-radix order."""
+    return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+
+
 def incidence_matrix_pk(
     p: int, k: int, n: int, guard: int = DEFAULT_CELL_GUARD
 ) -> GFpMatrix:
     """0/1 matrix over F_p with entry (x, y) = 1 iff <x, y> = 0 mod p^k."""
-    if k < 1 or n < 1:
-        raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
+    _check_ring(p, k, n)
     q = p**k
     size = q**n
     _check_guard(size, size, guard)
-    pts = np.array(list(product(range(q), repeat=n)), dtype=np.int64)
+    pts = _point_table(q, n)
     gram = pts @ pts.T % q
     return GFpMatrix(p, gram == 0)
+
+
+def incidence_quotient(
+    p: int, k: int, n: int, guard: int = DEFAULT_CELL_GUARD
+) -> GFpMatrix:
+    """W_{p^k,n} on one point per unit orbit, with the F_p rank of W.
+
+    For a unit u of Z/qZ, <u·x, y> = 0 exactly when <x, y> = 0, so x and u·x
+    have equal rows and columns (selftest `unit_scaling_fixes_rows`).  A
+    point's orbit id is the least mixed-radix index of u·x over the units u;
+    the rows are the points at the distinct ids, in increasing order.  The
+    guard counts the q^n × n point table first, then the quotient;
+    OverflowError if an id or an inner product could wrap int64.
+    """
+    _check_ring(p, k, n)
+    q = p**k
+    _check_guard(q**n, n, guard)
+    if max(q**n, n * (q - 1) ** 2) >= 2**63:
+        raise OverflowError(f"int64 arithmetic over (Z/{q})^{n} can wrap")
+    pts = _point_table(q, n)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ids = pts @ radix
+    for u in range(2, q):
+        if u % p:
+            np.minimum(ids, u * pts % q @ radix, out=ids)
+    reps = pts[np.unique(ids)]
+    _check_guard(len(reps), len(reps), guard)
+    return GFpMatrix(p, reps @ reps.T % q == 0)
 
 
 def hyperplane_indicator(b, spec: RingSpec) -> np.ndarray:
@@ -74,7 +114,7 @@ def rank_formula_check(
     p: int, n: int, guard: int = DEFAULT_CELL_GUARD
 ) -> tuple[int, int, bool]:
     """Computed rank of the prime incidence matrix against the closed form."""
-    computed = rank(incidence_matrix(p, n, guard=guard))
+    computed = rank(incidence_quotient(p, 1, n, guard=guard))
     formula = rank_formula(p, n)
     return computed, formula, computed == formula
 
@@ -159,10 +199,7 @@ def mv_search(
     unreachable target; the best-found family is returned instead.  Raises
     ValueError for a p that is not prime, k < 1 or n < 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-    if k < 1 or n < 1:
-        raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
+    _check_ring(p, k, n)
     if budget <= 0:
         raise ValueError("budget must be positive")
     q = p**k

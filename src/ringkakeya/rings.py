@@ -20,6 +20,7 @@ factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
@@ -97,7 +98,7 @@ class RingSpec:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
+    @cached_property
     def factor_moduli(self) -> tuple[int, ...]:
         """Pairwise coprime moduli p_i^{e_i} multiplying to N."""
         return tuple(p**e for p, e in self.factors)
@@ -107,6 +108,10 @@ class RingSpec:
         return self.N**self.n
 
     def factor_specs(self) -> tuple["RingSpec", ...]:
+        return self._factor_specs
+
+    @cached_property  # once per spec; line_split asks once per direction
+    def _factor_specs(self) -> tuple["RingSpec", ...]:
         return tuple(RingSpec.make(q, self.n) for q in self.factor_moduli)
 
 

@@ -1,8 +1,8 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 76 checks (ring 17, gfp 5, cyclotomic 20, polyspace 5,
-incidence 9, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
+pytest run the same 77 checks (ring 17, gfp 5, cyclotomic 20, polyspace 5,
+incidence 10, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances
 takes a `random.Random`; a check over one space or set takes it as
@@ -27,7 +27,9 @@ from .cyclo import (
     dft_product, rank_cyclo, rank_rational, rank_transfer_check, reduction_matrix,
 )
 from .gfp import GFpMatrix, crank, kron, nullspace, rank
-from .incidence import complement_indicator, incidence_matrix, incidence_matrix_pk
+from .incidence import (
+    complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
+)
 from .kakeya import (
     crt_product, full_set, greedy_independent_lines, line_matrix, power_product,
     tangent_construction, verify,
@@ -375,6 +377,10 @@ def suite_incidence(seed: int = 0):
             rational_rank_equals_distinct_rows(q, n)
             for q, n in [(2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (9, 1), (8, 1),
                          (2, 3), (3, 2), (5, 1), (4, 3)]))]
+        + [("quotient_rank_matches_dense", all(
+            rank(incidence_quotient(p, k, n)) == rank(incidence_matrix_pk(p, k, n))
+            for p in (2, 3, 5, 7) for k in range(1, 10) for n in range(1, 10)
+            if p ** (k * n) <= 729))]
         + [(f"line_action_p{p}_n{n}", line_action(p, n))
            for p, n in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]]
     )

@@ -45,6 +45,25 @@ def test_wrank_guard_refusal(capsys):
     assert rows[1]["refused"] is False and rows[1]["rank_fp"] == 2
 
 
+@pytest.mark.parametrize("p,k,rank_fp", [("2", "7", 255), ("3", "5", 364)])
+def test_wrank_quotient_reach(capsys, p, k, rank_fp):
+    # W_{q,2} has q^2 points (16,384 and 59,049), far beyond the dense guard;
+    # its unit-orbit quotient (382 and 485 points) fits
+    code, out, _ = run(capsys, "wrank", "--p", p, "--k", k, "--n", "2")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["rank_fp"] == rank_fp and row["refused"] is False
+
+
+def test_wrank_quotient_guard(capsys):
+    # the 27^3 x 3 = 59,049-cell point table fits; the 1184^2 quotient does not
+    code, out, _ = run(capsys, "wrank", "--p", "3", "--k", "3", "--n", "3",
+                       "--guard", "1000000")
+    assert code == 3
+    [row] = json.loads(out)
+    assert row["refused"] is True and row["rank_fp"] == ""
+
+
 def test_wrank_deterministic_modulo_runtime(capsys):
     _, out1, _ = run(capsys, "wrank", "--p", "2,3,5", "--k", "1", "--n", "2")
     _, out2, _ = run(capsys, "wrank", "--p", "2,3,5", "--k", "1", "--n", "2")
@@ -269,7 +288,7 @@ def selftest_rows():
 
 
 SELFTEST_COUNTS = {"ring": 17, "gfp": 5, "cyclotomic": 20, "polyspace": 5,
-                   "incidence": 9, "kakeya": 13, "bounds": 7}
+                   "incidence": 10, "kakeya": 13, "bounds": 7}
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -11,6 +11,7 @@ from ringkakeya import (
     RingSpec,
     incidence_matrix,
     incidence_matrix_pk,
+    incidence_quotient,
     mv_rank_bound,
     mv_search,
     mv_verify,
@@ -73,6 +74,27 @@ def test_incidence_4_1_rows_and_rank():
 def test_guard_refusal():
     with pytest.raises(GuardExceeded):
         incidence_matrix(7, 3, guard=1000)
+
+
+def test_incidence_quotient_4_1_rows():
+    # orbits {0}, {1, 3}, {2}: the rows of points 0, 1, 2 of W_{4,1}
+    assert incidence_quotient(2, 2, 1).a.tolist() == [
+        [1, 1, 1],
+        [1, 0, 0],
+        [1, 0, 1],
+    ]
+
+
+def test_incidence_quotient_refusals():
+    # the guard counts the q^n x n point table, then the quotient
+    with pytest.raises(GuardExceeded, match="343 x 3 "):
+        incidence_quotient(7, 1, 3, guard=1000)
+    with pytest.raises(GuardExceeded, match="1184 x 1184 "):
+        incidence_quotient(3, 3, 3, guard=1_000_000)
+    # 2^63 points fit a huge guard, but their ids do not fit int64; the
+    # refusal comes before the point table is allocated
+    with pytest.raises(OverflowError):
+        incidence_quotient(2, 63, 1, guard=10**30)
 
 
 def test_line_action_example_p3():

@@ -27,6 +27,15 @@ def test_spec_kinds():
         RingSpec.make(1, 2)
 
 
+def test_factor_specs_computed_once_per_spec():
+    spec = RingSpec.make(15, 2)
+    assert spec.factor_specs() is spec.factor_specs()
+    assert spec.factor_moduli is spec.factor_moduli == (3, 5)
+    assert [fs.N for fs in spec.factor_specs()] == [3, 5]
+    # the cached values are not fields: equality and hashing are unchanged
+    assert spec == RingSpec.make(15, 2) and hash(spec) == hash(RingSpec.make(15, 2))
+
+
 def test_crt_split_examples():
     spec = RingSpec.make(15, 1)
     assert crt_split(7, spec) == (1, 2)
