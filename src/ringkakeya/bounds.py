@@ -395,15 +395,22 @@ def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
 
 
 def _tensor_rows_rank(p: int, pairs) -> int:
-    """crank of the family kron(A, v) over (A, v) in pairs, v a 0/1 row,
-    with every member written straight into one int64 array: the entries of
-    A lie in [0, p), so each product is canonical."""
-    width = pairs[0][0].cols * len(pairs[0][1])
-    family = np.empty((sum(A.rows for A, _ in pairs), width), dtype=np.int64)
+    """crank of the family kron(A, v) over (A, v) in pairs, v a 0/1 row.
+
+    Column (a, y) is zero in every member unless some A is non-zero in
+    column a and some v holds y, and dropping all-zero columns leaves the
+    rank unchanged; so only those acols × ys columns are built, each member
+    written straight into one int64 array (the entries of A lie in [0, p),
+    so each product is canonical)."""
+    acols = np.flatnonzero(np.any([A.a.any(axis=0) for A, _ in pairs], axis=0))
+    ys = np.flatnonzero(np.any([v for _, v in pairs], axis=0))
+    family = np.empty(
+        (sum(A.rows for A, _ in pairs), acols.size * ys.size), dtype=np.int64
+    )
     r = 0
     for A, v in pairs:
-        block = family[r : r + A.rows].reshape(A.rows, A.cols, len(v))
-        np.multiply(A.a[:, :, None], v, out=block)
+        block = family[r : r + A.rows].reshape(A.rows, acols.size, ys.size)
+        np.multiply(A.a[:, acols, None], v[ys], out=block)
         r += A.rows
     return rank(GFpMatrix(p, family))
 

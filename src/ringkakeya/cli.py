@@ -332,7 +332,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GuardExceeded as exc:
+    except (GuardExceeded, OverflowError) as exc:
+        # both refuse a size: one before allocating past the guard, the
+        # other before int64 arithmetic could wrap
         print(str(exc), file=sys.stderr)
         return 3
     except (VerificationError, RowFactorError) as exc:

@@ -1,7 +1,7 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 77 checks (ring 17, gfp 5, cyclotomic 20, polyspace 5,
+pytest run the same 78 checks (ring 17, gfp 6, cyclotomic 20, polyspace 5,
 incidence 10, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances
@@ -26,7 +26,7 @@ from .bounds import (
 from .cyclo import (
     dft_product, rank_cyclo, rank_rational, rank_transfer_check, reduction_matrix,
 )
-from .gfp import GFpMatrix, crank, kron, nullspace, rank
+from .gfp import GFpMatrix, _echelon, _rank_gf2, crank, kron, nullspace, rank
 from .incidence import (
     complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
 )
@@ -162,11 +162,32 @@ def rank_paths_agree(rng: random.Random) -> bool:
     return True
 
 
+def gf2_packed_rank_matches_echelon(rng: random.Random) -> bool:
+    """The packed GF(2) rank equals the echelon pivot count on empty,
+    all-zero, low-rank and random matrices, at column counts on each side of
+    the byte and word boundaries, with fewer rows than columns and with more
+    (the transposed branch)."""
+    gen = np.random.default_rng(rng.randrange(2**32))
+    for cols in (1, 7, 8, 9, 63, 64, 65, 129):
+        cases = [np.zeros((0, cols), dtype=np.int64),
+                 np.zeros((cols, 0), dtype=np.int64)]
+        for rows in (cols // 2, cols + 5):
+            inner = rng.randrange(1, 4)
+            cases += [
+                np.zeros((rows, cols), dtype=np.int64),
+                gen.integers(0, 2, (rows, inner)) @ gen.integers(0, 2, (inner, cols)) % 2,
+                gen.integers(0, 2, (rows, cols)),
+            ]
+        if any(_rank_gf2(a) != len(_echelon(a, 2)[1]) for a in cases):
+            return False
+    return True
+
+
 def suite_gfp(seed: int = 0):
     rng = random.Random(seed)
     return [(check.__name__, check(rng)) for check in (
         rank_product_bound, kron_mixed_product, crank_multiplication_bound,
-        crank_tensor_bound, rank_paths_agree,
+        crank_tensor_bound, rank_paths_agree, gf2_packed_rank_matches_echelon,
     )]
 
 

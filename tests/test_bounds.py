@@ -3,21 +3,26 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ringkakeya import (
+    GFpMatrix,
     RingSpec,
     certify_prime,
     certify_prime_power,
     certify_squarefree,
     certify_two_primes,
+    crank,
     crt_product,
     fq_bound,
     full_set,
+    kron,
     min_kakeya_search,
     squarefree_bound,
     tangent_construction,
 )
+from ringkakeya.bounds import _tensor_rows_rank
 from ringkakeya.selftest import (
     crt_product_size,
     fq_bound_values,
@@ -150,6 +155,40 @@ def test_certify_squarefree_random_witnesses():
         r = certify_squarefree(S, k=2)
         assert r.passed
         assert r.certified <= S.size
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tensor_rows_rank_matches_full_width_crank(p):
+    # members whose A have all-zero columns and whose v have zeros, so the
+    # compact family drops columns; the last trial drops every column
+    gen = np.random.default_rng(p)
+    for trial in range(30):
+        cols, width = int(gen.integers(1, 7)), int(gen.integers(1, 9))
+        pairs = []
+        for _ in range(int(gen.integers(1, 5))):
+            A = gen.integers(0, p, (int(gen.integers(1, 4)), cols))
+            A[:, gen.random(cols) < 0.5] = 0
+            v = (gen.random(width) < 0.4).astype(np.int64)
+            if trial == 29:
+                v[:] = 0
+            pairs.append((GFpMatrix(p, A), v))
+        want = crank([kron(A, GFpMatrix(p, [v])) for A, v in pairs])
+        assert _tensor_rows_rank(p, pairs) == want
+
+
+def test_certify_squarefree_crt_10_cubed():
+    # the benchmark's square-free frontier: both families have 868 rows and
+    # 80 x 125 and 10 x 125 columns, of which 21 x 55 and 10 x 55 can be
+    # non-zero
+    spec = RingSpec.make(10, 3)
+    S = crt_product(
+        [tangent_construction(2, 3), tangent_construction(5, 3)], spec
+    )
+    r = certify_squarefree(S)
+    assert r.passed
+    assert r.quantities["crank_family"] == 609
+    assert r.quantities["crank_D_tensor_L0"] == 290
+    assert r.certified == 61
 
 
 def test_certify_prime_power_n1():

@@ -64,6 +64,14 @@ def test_wrank_quotient_guard(capsys):
     assert row["refused"] is True and row["rank_fp"] == ""
 
 
+def test_wrank_overflow_refusal(capsys):
+    # a guard this large lets Z/2^63 through, whose ids would wrap int64
+    code, out, err = run(capsys, "wrank", "--p", "2", "--k", "63", "--n", "1",
+                         "--guard", str(10**30))
+    assert code == 3
+    assert out == "" and err.count("\n") == 1 and "can wrap" in err
+
+
 def test_wrank_deterministic_modulo_runtime(capsys):
     _, out1, _ = run(capsys, "wrank", "--p", "2,3,5", "--k", "1", "--n", "2")
     _, out2, _ = run(capsys, "wrank", "--p", "2,3,5", "--k", "1", "--n", "2")
@@ -287,7 +295,7 @@ def selftest_rows():
     return run_suites()
 
 
-SELFTEST_COUNTS = {"ring": 17, "gfp": 5, "cyclotomic": 20, "polyspace": 5,
+SELFTEST_COUNTS = {"ring": 17, "gfp": 6, "cyclotomic": 20, "polyspace": 5,
                    "incidence": 10, "kakeya": 13, "bounds": 7}
 
 

@@ -15,9 +15,10 @@ from ringkakeya import (
     rank_rational,
     solve_row_factor,
 )
-from ringkakeya.gfp import is_prime
+from ringkakeya.gfp import _echelon, _rank_gf2, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
+    gf2_packed_rank_matches_echelon,
     kron_mixed_product,
     rank_paths_agree,
     rank_product_bound,
@@ -72,6 +73,20 @@ def test_rank_against_span_oracle():
 
 def test_rank_transpose_and_paths_agree():
     assert rank_paths_agree(random.Random(1))
+
+
+def test_gf2_packed_rank_matches_echelon():
+    assert gf2_packed_rank_matches_echelon(random.Random(17))
+
+
+@pytest.mark.parametrize("rows,cols", [(300, 1000), (1000, 300), (640, 641)])
+def test_gf2_packed_rank_matches_echelon_large(rows, cols):
+    gen = np.random.default_rng(rows + cols)
+    full = gen.integers(0, 2, (rows, cols))
+    low = gen.integers(0, 2, (rows, 150)) @ gen.integers(0, 2, (150, cols)) % 2
+    for a in (full, low):
+        assert _rank_gf2(a) == len(_echelon(a, 2)[1])
+    assert _rank_gf2(low) <= 150
 
 
 def test_kron_examples():
