@@ -65,12 +65,7 @@ from .rings import (
     Line,
     RingSpec,
     crt_combine,
-    crt_point_index,
-    crt_split,
     enumerate_directions,
-    enumerate_points,
-    index_point,
-    indicator_vector,
     line_points,
     line_split,
     point_index,

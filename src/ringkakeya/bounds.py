@@ -10,7 +10,6 @@ each inequality is an assertion between computed numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,21 +26,11 @@ from .incidence import (
     _check_guard,
     complement_indicator,
     incidence_matrix,
-    incidence_matrix_pk,
     incidence_quotient,
 )
-from .kakeya import KakeyaSet, line_matrix, verify
+from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
 from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
-from .rings import (
-    Line,
-    RingSpec,
-    enumerate_directions,
-    enumerate_points,
-    indicator_vector,
-    line_points,
-    line_split,
-    point_index,
-)
+from .rings import Direction, Line, RingSpec, enumerate_directions, point_index
 
 _SAFE_INT = 2**53
 
@@ -280,7 +269,7 @@ def certify_squarefree(
         raise ValueError(f"k = {k} must be a positive multiple of the pivot prime {p1}")
     m = 2 * k - k // p1
     N0 = spec.N // p1
-    spec1 = RingSpec.make(p1, n)
+    spec1 = spec.factor_specs()[pividx]
 
     d_hom = k * p1 - 1
     delta_homog = dim_homog(n, d_hom)
@@ -292,7 +281,7 @@ def certify_squarefree(
         len(dirs) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard
     )
 
-    E = eval_matrix(p1, n, enumerate_points(spec1), m, d_hom)
+    E = eval_matrix(p1, n, spec1.points, m, d_hom)
     point_evals = {
         c.rep: eval_matrix(p1, n, (c.rep,), k, d_hom)
         for c in enumerate_directions(spec1)
@@ -377,21 +366,25 @@ def _group_rank_sizes(p: int, groups: dict, modulus: int):
 
 
 def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
-    """(pivot line, residual row) per direction, in enumeration order: the
-    factor-`pivot` component line of the witness line, and the CRT-major
-    0/1 indicator of the CRT product of the other components, which is the
-    Kronecker product of their indicators."""
+    """(pivot line, residual row) per direction, in enumeration order.
+
+    With p the factor-`pivot` prime and N0 = N/p, the witness line reduced
+    mod p is its pivot component line (base: its point of least index), and
+    reduced mod N0 it is the CRT product of the other components, so its
+    CRT-major 0/1 indicator over (Z/N0)^n is the Kronecker product of their
+    indicators."""
     spec = S.spec
-    fspecs = spec.factor_specs()
-    out = []
-    for d in enumerate_directions(spec):
-        lines = line_split(S.witness[d], spec)
-        rows = [
-            np.array(indicator_vector(line_points(L, fs), fs), dtype=np.int64)
-            for i, (L, fs) in enumerate(zip(lines, fspecs)) if i != pivot
-        ]
-        out.append((lines[pivot], functools.reduce(np.kron, rows)))
-    return out
+    spec_p = spec.factor_specs()[pivot]
+    spec0 = RingSpec.make(spec.N // spec_p.N, spec.n)
+    dirs = enumerate_directions(spec)
+    pts = spec.points[_witness_indices(S)]
+    bases = spec_p.points[point_index(pts % spec_p.N, spec_p).min(axis=1)].tolist()
+    rows = np.zeros((len(dirs), spec0.num_points), dtype=np.int64)
+    cols = spec0.crt_order[point_index(pts % spec0.N, spec0)]
+    rows[np.arange(len(dirs))[:, None], cols] = 1
+    comps = [d.components[pivot] for d in dirs]
+    return [(Line(base=tuple(b), direction=Direction(rep=c, components=(c,))), row)
+            for b, c, row in zip(bases, comps, rows)]
 
 
 def _tensor_rows_rank(p: int, pairs) -> int:
@@ -443,24 +436,23 @@ def certify_prime_power(
     q = spec.N
     n = spec.n
     dirs = enumerate_directions(spec)
-    # dft_product's exponent histogram (q points per line) and W
+    # dft_product's exponent histogram (q points per line), and W's size
     _check_guard(len(dirs) * q, spec.num_points, guard)
     _check_guard(spec.num_points, spec.num_points, guard)
     MS = line_matrix(S, char=p)
     coeffs = dft_product(MS.a, spec)
-    # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere
-    pts = np.array(enumerate_points(spec), dtype=np.int64)
+    # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere;
+    # [<d_i, y> = 0] is also row d_i of the incidence matrix W
+    pts = spec.points
     reps = np.array([d.rep for d in dirs], dtype=np.int64)
     bases = np.array([S.witness[d].base for d in dirs], dtype=np.int64)
     R = reduction_matrix(p, kk)
-    want = q * R[bases @ pts.T % q] * (reps @ pts.T % q == 0)[..., None]
+    w_rows = reps @ pts.T % q == 0
+    want = q * R[bases @ pts.T % q] * w_rows[..., None]
     row_formula = np.array_equal(coeffs, want)
 
     pattern = zero_pattern(coeffs, p)
-    W = incidence_matrix_pk(p, kk, n, guard=guard)
-    pattern_match = np.array_equal(
-        pattern.a, W.a[[point_index(d.rep, spec) for d in dirs]]
-    )
+    pattern_match = np.array_equal(pattern.a, w_rows)
     rank_MS_Q = rank_rational(MS.a)
     rank_c = rank_cyclo(coeffs, p, kk, upper=rank_MS_Q)
     rank_pattern = rank(pattern)

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import GFpMatrix, is_prime, rank as gfp_rank
-from .rings import enumerate_points
 
 # modular images use primes above this floor; a product of t distinct such
 # primes exceeds 2^(20 t), which bounds how many can divide a given minor
@@ -179,7 +178,7 @@ def dft_product(A, spec) -> np.ndarray:
         raise ValueError("dft_product expects a 0/1 matrix")
     p, k = spec.factors[0]
     q = spec.N
-    pts = np.array(enumerate_points(spec), dtype=np.int64)
+    pts = spec.points
     size = len(pts)
     row, point = np.nonzero(A)
     keys = (row[:, None] * size + np.arange(size)) * q + pts[point] @ pts.T % q

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GuardExceeded, json_ints, malformed_input
 from .gfp import GFpMatrix, is_prime, rank
-from .rings import RingSpec, enumerate_points
+from .rings import RingSpec, point_index
 
 DEFAULT_CELL_GUARD = 16_000_000
 
@@ -47,11 +47,6 @@ def _check_ring(p: int, k: int, n: int):
         raise ValueError(f"k and n must be >= 1, got k = {k}, n = {n}")
 
 
-def _point_table(q: int, n: int) -> np.ndarray:
-    """The q^n points of (Z/qZ)^n as rows, in natural mixed-radix order."""
-    return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
-
-
 def incidence_matrix_pk(
     p: int, k: int, n: int, guard: int = DEFAULT_CELL_GUARD
 ) -> GFpMatrix:
@@ -60,7 +55,7 @@ def incidence_matrix_pk(
     q = p**k
     size = q**n
     _check_guard(size, size, guard)
-    pts = _point_table(q, n)
+    pts = RingSpec.make(q, n).points
     gram = pts @ pts.T % q
     return GFpMatrix(p, gram == 0)
 
@@ -82,12 +77,12 @@ def incidence_quotient(
     _check_guard(q**n, n, guard)
     if max(q**n, n * (q - 1) ** 2) >= 2**63:
         raise OverflowError(f"int64 arithmetic over (Z/{q})^{n} can wrap")
-    pts = _point_table(q, n)
-    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ids = pts @ radix
+    spec = RingSpec.make(q, n)
+    pts = spec.points
+    ids = point_index(pts, spec)
     for u in range(2, q):
         if u % p:
-            np.minimum(ids, u * pts % q @ radix, out=ids)
+            np.minimum(ids, point_index(u * pts % q, spec), out=ids)
     reps = pts[np.unique(ids)]
     _check_guard(len(reps), len(reps), guard)
     return GFpMatrix(p, reps @ reps.T % q == 0)
@@ -95,9 +90,8 @@ def incidence_quotient(
 
 def hyperplane_indicator(b, spec: RingSpec) -> np.ndarray:
     """0/1 row of [<x, b> = 0 mod N] over points in natural order."""
-    pts = np.array(enumerate_points(spec), dtype=np.int64)
     bv = np.array([c % spec.N for c in b], dtype=np.int64)
-    return (pts @ bv % spec.N == 0).astype(np.int64)
+    return (spec.points @ bv % spec.N == 0).astype(np.int64)
 
 
 def complement_indicator(b, spec: RingSpec) -> np.ndarray:

@@ -26,11 +26,9 @@ from .rings import (
     Direction,
     Line,
     RingSpec,
+    _progression,
     crt_combine,
-    crt_point_index,
     enumerate_directions,
-    enumerate_points,
-    line_points,
     point_index,
 )
 
@@ -39,7 +37,8 @@ MINSEARCH_COMBO_GUARD = 20_000_000
 
 @dataclass
 class KakeyaSet:
-    """A point set over (Z/NZ)^n with a witness line per direction."""
+    """A point set over (Z/NZ)^n with a witness line per direction; points
+    are tuples of ints in [0, N)."""
 
     spec: RingSpec
     points: frozenset
@@ -53,37 +52,61 @@ class KakeyaSet:
 def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
     """Check every direction has a witness line contained in the point set.
 
-    Returns (ok, problems); problems names each missing or broken direction.
+    Returns (ok, problems); problems names each missing or broken direction,
+    in direction order.
     """
-    problems = []
-    for d in enumerate_directions(S.spec):
+    spec = S.spec
+    dirs = enumerate_directions(spec)
+    problems, lines = {}, {}
+    for i, d in enumerate(dirs):
         line = S.witness.get(d)
         if line is None:
-            problems.append(f"direction {d.rep}: no witness line")
-            continue
-        if line.direction != d:
-            problems.append(
-                f"direction {d.rep}: witness line points in {line.direction.rep}"
-            )
-            continue
-        missing = [
-            pt for pt in line_points(line, S.spec) if pt not in S.points
-        ]
-        if missing:
-            problems.append(
-                f"direction {d.rep}: line point {missing[0]} not in the set"
-            )
-    return not problems, problems
+            problems[i] = f"direction {d.rep}: no witness line"
+        elif line.direction != d:
+            problems[i] = f"direction {d.rep}: witness line points in {line.direction.rep}"
+        else:
+            lines[i] = line
+    in_set = np.zeros(spec.num_points, dtype=bool)
+    in_set[point_index(_int_rows(S.points, spec.n), spec)] = True
+    keys = list(lines)
+    idx = _line_indices(lines.values(), spec)
+    inside = in_set[idx]
+    for r in np.flatnonzero(~inside.all(axis=1)).tolist():
+        missing = tuple(spec.points[idx[r, inside[r].argmin()]].tolist())
+        problems[keys[r]] = (f"direction {dirs[keys[r]].rep}: line point "
+                             f"{missing} not in the set")
+    return not problems, [problems[i] for i in sorted(problems)]
+
+
+def _int_rows(vectors, n: int) -> np.ndarray:
+    return np.array(list(vectors), dtype=np.int64).reshape(-1, n)
+
+
+def _line_indices(lines, spec: RingSpec) -> np.ndarray:
+    """(lines, N) natural indices of the points base + t*dir of each line."""
+    bases = _int_rows([line.base for line in lines], spec.n)
+    reps = _int_rows([line.direction.rep for line in lines], spec.n)
+    return point_index(_progression(bases, reps, spec.N), spec)
+
+
+def _witness_indices(S: KakeyaSet) -> np.ndarray:
+    """(directions, N) natural indices of the witness-line points, in
+    direction order; ValueError when a direction has no witness line."""
+    lines = []
+    for d in enumerate_directions(S.spec):
+        if d not in S.witness:
+            raise ValueError(f"direction {d.rep} has no witness line")
+        lines.append(S.witness[d])
+    return _line_indices(lines, S.spec)
 
 
 def full_set(spec: RingSpec) -> KakeyaSet:
-    """All of R^n, witnessed by the line through the origin per direction."""
+    """All of R^n, witnessed by the line through the origin per direction
+    (the origin, of index 0, is each line's base)."""
     origin = (0,) * spec.n
-    witness = {
-        d: Line.through(origin, d, spec) for d in enumerate_directions(spec)
-    }
+    witness = {d: Line(base=origin, direction=d) for d in enumerate_directions(spec)}
     return KakeyaSet(
-        spec=spec, points=frozenset(enumerate_points(spec)), witness=witness
+        spec=spec, points=frozenset(map(tuple, spec.points.tolist())), witness=witness
     )
 
 
@@ -221,14 +244,9 @@ def line_matrix(S: KakeyaSet, char: int | None = None) -> GFpMatrix:
     being the witness-line indicator in CRT-major point column order."""
     spec = S.spec
     p = char if char is not None else spec.primes[0]
-    dirs = enumerate_directions(spec)
-    M = np.zeros((len(dirs), spec.num_points), dtype=np.int64)
-    for i, d in enumerate(dirs):
-        line = S.witness.get(d)
-        if line is None:
-            raise ValueError(f"direction {d.rep} has no witness line")
-        for pt in line_points(line, spec):
-            M[i, crt_point_index(pt, spec)] = 1
+    idx = _witness_indices(S)
+    M = np.zeros((len(idx), spec.num_points), dtype=np.int64)
+    M[np.arange(len(idx))[:, None], spec.crt_order[idx]] = 1
     return GFpMatrix(p, M)
 
 
@@ -239,29 +257,22 @@ def greedy_independent_lines(S: KakeyaSet) -> list[Line]:
     the union of the lines kept so far, which guarantees at least
     ceil(|union of all witness lines| / N) lines.
     """
-    spec = S.spec
     chosen = []
-    covered = set()
-    for d in enumerate_directions(spec):
-        pts = line_points(S.witness[d], spec)
-        if any(pt not in covered for pt in pts):
+    covered = np.zeros(S.spec.num_points, dtype=bool)
+    for d, idx in zip(enumerate_directions(S.spec), _witness_indices(S)):
+        if not covered[idx].all():
             chosen.append(S.witness[d])
-            covered.update(pts)
+            covered[idx] = True
     return chosen
 
 
 def _lines_in_direction(d: Direction, spec: RingSpec) -> list[Line]:
-    """The N^{n-1} distinct lines in direction d, lex order of base."""
-    seen = set()
-    lines = []
-    for pt in enumerate_points(spec):
-        if pt in seen:
-            continue
-        line = Line.through(pt, d, spec)
-        pts = line_points(line, spec)
-        seen.update(pts)
-        lines.append(line)
-    return lines
+    """The N^{n-1} distinct lines in direction d, lex order of base: each
+    line's base is its point of least index, taken over the lines through
+    every point."""
+    least = point_index(_progression(spec.points, d.rep, spec.N), spec).min(axis=1)
+    bases = spec.points[np.unique(least)].tolist()
+    return [Line(base=tuple(b), direction=d) for b in bases]
 
 
 def min_kakeya_search(
@@ -288,11 +299,8 @@ def min_kakeya_search(
                 f"minimum search over {spec.N}^{spec.n} needs more than "
                 f"{cap} witness combinations"
             )
-    masks = [
-        [sum(1 << point_index(pt, spec) for pt in line_points(line, spec))
-         for line in cands]
-        for cands in candidates
-    ]
+    masks = [_bitmasks(_line_indices(cands, spec), spec.num_points)
+             for cands in candidates]
     best_size = spec.num_points + 1
     best_choice = None
 
@@ -315,14 +323,22 @@ def min_kakeya_search(
     witness = {
         d: candidates[i][ci] for i, (d, ci) in enumerate(zip(dirs, best_choice))
     }
-    points = frozenset().union(
-        *[frozenset(line_points(w, spec)) for w in witness.values()]
-    )
+    idx = np.unique(_line_indices(witness.values(), spec))
+    points = frozenset(map(tuple, spec.points[idx].tolist()))
     S = KakeyaSet(spec=spec, points=points, witness=witness)
     ok, problems = verify(S)
     if not ok:
         raise AssertionError(f"search produced an invalid set: {problems[:3]}")
     return best_size, S
+
+
+def _bitmasks(idx: np.ndarray, size: int) -> list[int]:
+    """Python-int bitmask of each row of natural indices: bit i set for
+    index i (packed little-endian, so no shift overflows int64)."""
+    rows = np.zeros((len(idx), size), dtype=bool)
+    rows[np.arange(len(idx))[:, None], idx] = True
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def to_json_dict(S: KakeyaSet) -> dict:

@@ -219,6 +219,6 @@ def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) ->
         ) from exc
     width = dim_leq(n, m - 1)
     full = GFpMatrix.zeros(p, C.rows, p**n * width)
-    cols = np.array([point_index(x, spec) for x in pts])[:, None] * width + np.arange(width)
+    cols = point_index(pts, spec)[:, None] * width + np.arange(width)
     full.a[:, cols.ravel()] = C.a
     return full

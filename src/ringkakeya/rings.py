@@ -1,15 +1,21 @@
 """Arithmetic and geometry over R = Z/NZ for square-free and prime-power N.
 
-Points are plain tuples of residues in [0, N).  Directions and lines are
-small frozen dataclasses, canonicalized on construction so they can be used
-as dictionary keys.  All values are immutable and all operations are pure.
+Points are rows of int64 arrays with entries in [0, N).  Each RingSpec
+builds, once, the read-only table `points` of all N^n points, the
+read-only permutation `crt_order` and the tuple `directions`.  Directions
+and lines are small frozen dataclasses whose fields are tuples of Python
+ints, canonicalized on construction so they can be used as dictionary
+keys and written to JSON.
 
 Two point orders are used throughout the package:
 
-* the natural mixed-radix order (coordinate 0 most significant), which is
-  what ``point_index`` / ``index_point`` implement, and
+* the natural mixed-radix order (coordinate 0 most significant): row i of
+  `points` is the point whose ``point_index`` is i.  Lexicographic order
+  of points is natural-index order, so the least point of a set is the
+  one of least index.
 * the CRT-major order (factor 0 most significant, each factor block in its
-  own natural order), implemented by ``crt_point_index``.
+  own natural order), a permutation of the natural order: `crt_order[i]`
+  is the CRT-major column of the point of natural index i.
 
 Indicator vectors of subsets of R^n are laid out in CRT-major order so that
 the indicator of a product set is exactly the Kronecker product of the
@@ -20,9 +26,11 @@ factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import gcd, prod
+
+import numpy as np
 
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
@@ -114,16 +122,56 @@ class RingSpec:
     def _factor_specs(self) -> tuple["RingSpec", ...]:
         return tuple(RingSpec.make(q, self.n) for q in self.factor_moduli)
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The N^n x n table of all points, row i the point of index i."""
+        _radix(self.N, self.n)  # OverflowError where the indices wrap
+        pts = np.indices((self.N,) * self.n, dtype=np.int64)
+        return _read_only(pts.reshape(self.n, -1).T)
 
-def crt_split(x: int, spec: RingSpec) -> tuple[int, ...]:
-    """Residues of x modulo each factor modulus of spec."""
-    if not 0 <= x < spec.N:
-        raise ValueError(f"residue {x} out of range for modulus {spec.N}")
-    return tuple(x % q for q in spec.factor_moduli)
+    @cached_property
+    def crt_order(self) -> np.ndarray:
+        """crt_order[i] is the CRT-major column of the point of index i."""
+        order = 0
+        for q in self.factor_moduli:
+            order = order * q**self.n + self.points % q @ _radix(q, self.n)
+        return _read_only(order)
+
+    @cached_property
+    def directions(self) -> tuple["Direction", ...]:
+        """All projective directions, in the order of enumerate_directions."""
+        if self.is_prime_power:
+            # canonical: the first unit coordinate is 1; where there is no
+            # unit coordinate argmax picks coordinate 0, a non-unit
+            unit = self.points % self.primes[0] != 0
+            lead = self.points[np.arange(self.num_points), unit.argmax(axis=1)]
+            reps = map(tuple, self.points[lead == 1].tolist())
+            return tuple(Direction(rep=v, components=(v,)) for v in reps)
+        combos = product(*[[d.rep for d in fs.directions]
+                           for fs in self.factor_specs()])
+        return tuple(
+            Direction(rep=tuple(crt_combine(c, self) for c in zip(*comps)),
+                      components=comps)
+            for comps in combos
+        )
+
+
+@cache
+def _radix(N: int, n: int) -> np.ndarray:
+    """Place values N^(n-1), ..., N, 1 of the natural index; OverflowError
+    where N^n indices do not fit int64."""
+    if N**n >= 2**63:
+        raise OverflowError(f"the {N}^{n} points of (Z/{N})^{n} overflow int64 indices")
+    return _read_only(N ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def crt_combine(residues, spec: RingSpec) -> int:
-    """Inverse of crt_split: the unique x mod N with the given residues."""
+    """The unique x mod N with the given residues mod spec.factor_moduli."""
     moduli = spec.factor_moduli
     if len(residues) != len(moduli):
         raise ValueError("residue tuple does not match factor count")
@@ -134,44 +182,18 @@ def crt_combine(residues, spec: RingSpec) -> int:
     return x
 
 
-def point_index(coords, spec: RingSpec) -> int:
-    """Mixed-radix index of a point, coordinate 0 most significant."""
-    idx = 0
-    for c in coords:
-        idx = idx * spec.N + (c % spec.N)
-    return idx
+def point_index(coords, spec: RingSpec) -> np.ndarray:
+    """Natural index of each point of an (..., n) array with entries in
+    [0, N): ``coords @ radix``, coordinate 0 most significant."""
+    return np.asarray(coords, dtype=np.int64) @ _radix(spec.N, spec.n)
 
 
-def index_point(idx: int, spec: RingSpec) -> tuple[int, ...]:
-    """Inverse of point_index."""
-    if not 0 <= idx < spec.num_points:
-        raise ValueError(f"index {idx} out of range")
-    coords = []
-    for _ in range(spec.n):
-        idx, c = divmod(idx, spec.N)
-        coords.append(c)
-    return tuple(reversed(coords))
-
-
-def enumerate_points(spec: RingSpec) -> list[tuple[int, ...]]:
-    """All points of R^n in natural mixed-radix order."""
-    return list(product(range(spec.N), repeat=spec.n))
-
-
-def crt_point_index(coords, spec: RingSpec) -> int:
-    """CRT-major index: factor 0 most significant, natural order per block.
-
-    Equals point_index when spec has a single prime factor.  This is the
-    column order under which the indicator of a CRT product set is the
-    Kronecker product of the factor indicators.
-    """
-    idx = 0
-    for q in spec.factor_moduli:
-        block = 0
-        for c in coords:
-            block = block * q + (c % q)
-        idx = idx * q**spec.n + block
-    return idx
+def _progression(base, rep, N: int) -> np.ndarray:
+    """The points base + t*rep mod N, t = 0..N-1: an (..., N, n) array for
+    (..., n) arrays of bases and representatives."""
+    base = np.asarray(base, dtype=np.int64)[..., None, :]
+    rep = np.asarray(rep, dtype=np.int64)[..., None, :]
+    return (base + np.arange(N, dtype=np.int64)[:, None] * rep) % N
 
 
 def _canonical_component(vec, q: int, p: int) -> tuple[int, ...]:
@@ -220,56 +242,33 @@ class Direction:
 
 @dataclass(frozen=True)
 class Line:
-    """The line {base + t*dir : t in R}; base is the lex-smallest point."""
+    """The line {base + t*dir : t in R}; base is its point of least index,
+    which is its lexicographically least point."""
 
     base: tuple[int, ...]
     direction: Direction
 
     @classmethod
     def through(cls, point, direction: Direction, spec: RingSpec) -> "Line":
-        pts = [
-            tuple((a + t * b) % spec.N for a, b in zip(point, direction.rep))
-            for t in range(spec.N)
-        ]
-        return cls(base=min(pts), direction=direction)
+        pts = _progression([c % spec.N for c in point], direction.rep, spec.N)
+        base = pts[point_index(pts, spec).argmin()]
+        return cls(base=tuple(base.tolist()), direction=direction)
 
 
-def enumerate_directions(spec: RingSpec) -> list[Direction]:
-    """All projective directions of R^n, deterministically ordered.
+def enumerate_directions(spec: RingSpec) -> tuple[Direction, ...]:
+    """All projective directions of R^n, deterministically ordered; built
+    once per spec (`spec.directions`).
 
     Single-factor N: canonical representatives in lexicographic order.
     Square-free N with several factors: Cartesian product of the per-factor
     lists, first factor most significant.
     """
-    if spec.is_prime_power:
-        p = spec.factors[0][0]
-        dirs = []
-        for vec in product(range(spec.N), repeat=spec.n):
-            units = [c for c in vec if gcd(c, p) == 1]
-            if units and units[0] == 1:
-                dirs.append(Direction(rep=vec, components=(vec,)))
-        return dirs
-
-    factor_dirs = [
-        [d.rep for d in enumerate_directions(fs)] for fs in spec.factor_specs()
-    ]
-    dirs = []
-    for comps in product(*factor_dirs):
-        rep = tuple(
-            crt_combine([comp[j] for comp in comps], spec)
-            for j in range(spec.n)
-        )
-        dirs.append(Direction(rep=rep, components=tuple(comps)))
-    return dirs
+    return spec.directions
 
 
-def line_points(line: Line, spec: RingSpec) -> list[tuple[int, ...]]:
-    """The N points base + t*dir for t = 0..N-1."""
-    b = line.direction.rep
-    return [
-        tuple((a + t * c) % spec.N for a, c in zip(line.base, b))
-        for t in range(spec.N)
-    ]
+def line_points(line: Line, spec: RingSpec) -> np.ndarray:
+    """The (N, n) array of the points base + t*dir, t = 0..N-1."""
+    return _progression(line.base, line.direction.rep, spec.N)
 
 
 def line_split(line: Line, spec: RingSpec) -> list[Line]:
@@ -282,11 +281,3 @@ def line_split(line: Line, spec: RingSpec) -> list[Line]:
         base = tuple(c % fs.N for c in line.base)
         out.append(Line.through(base, d, fs))
     return out
-
-
-def indicator_vector(points, spec: RingSpec) -> list[int]:
-    """0/1 indicator of a point set, in CRT-major column order."""
-    vec = [0] * spec.num_points
-    for pt in points:
-        vec[crt_point_index(pt, spec)] = 1
-    return vec

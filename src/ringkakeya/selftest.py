@@ -39,8 +39,8 @@ from .polys import (
     eval_matrix, hasse_derivative, monomials_homog, monomials_leq, sz_mult_check,
 )
 from .rings import (
-    Direction, Line, RingSpec, crt_combine, enumerate_directions, enumerate_points,
-    index_point, line_points, line_split, point_index,
+    Direction, Line, RingSpec, crt_combine, enumerate_directions, line_points,
+    line_split, point_index,
 )
 
 
@@ -52,10 +52,16 @@ def _units(N: int) -> list[int]:
     return [u for u in range(1, N) if math.gcd(u, N) == 1]
 
 
+def _tuples(points: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(pt) for pt in points.tolist()]
+
+
 def point_index_bijection(N: int, n: int) -> bool:
+    """Row i of the point table has index i, and the rows are the N^n
+    points in lexicographic order."""
     spec = RingSpec.make(N, n)
-    return all(point_index(pt, spec) == i and index_point(i, spec) == pt
-               for i, pt in enumerate(enumerate_points(spec)))
+    return (np.array_equal(point_index(spec.points, spec), np.arange(N**n))
+            and _tuples(spec.points) == list(product(range(N), repeat=n)))
 
 
 def direction_classes(N: int, n: int) -> bool:
@@ -86,11 +92,11 @@ def line_crt_product(N: int) -> bool:
         for d in enumerate_directions(spec):
             for base in bases:
                 line = Line.through(base, d, spec)
-                parts = [line_points(pl, fs) for pl, fs
+                parts = [_tuples(line_points(pl, fs)) for pl, fs
                          in zip(line_split(line, spec), spec.factor_specs())]
                 combos = {tuple(crt_combine([c[j] for c in combo], spec)
                                 for j in range(n)) for combo in product(*parts)}
-                if set(line_points(line, spec)) != combos:
+                if set(_tuples(line_points(line, spec))) != combos:
                     return False
     return True
 
@@ -216,19 +222,18 @@ def dft_line_row_formula(q: int, n: int) -> bool:
     spec = RingSpec.make(q, n)
     R = reduction_matrix(*spec.factors[0])
     zero = np.zeros_like(R[0])
-    pts = enumerate_points(spec)
+    pts = _tuples(spec.points)
     lines = [Line.through(base, d, spec)
              for d in enumerate_directions(spec) for base in pts]
     A = np.zeros((len(lines), len(pts)), dtype=np.int64)
     for i, line in enumerate(lines):
-        for pt in line_points(line, spec):
-            A[i, point_index(pt, spec)] = 1
+        A[i, point_index(line_points(line, spec), spec)] = 1
     coeffs = dft_product(A, spec)
     table = dft_product(np.eye(len(pts), dtype=np.int64), spec)
     for i, line in enumerate(lines):
         for j, y in enumerate(pts):
             acc = sum(R[sum(a * b for a, b in zip(t, y)) % q]
-                      for t in line_points(line, spec))
+                      for t in _tuples(line_points(line, spec)))
             ip_d = sum(a * b for a, b in zip(line.direction.rep, y)) % q
             ip_b = sum(a * b for a, b in zip(line.base, y)) % q
             want = zero if ip_d else q * R[ip_b]
@@ -293,7 +298,7 @@ def line_kernel_containment() -> bool:
     spec = RingSpec.make(2, 2)
     for d in enumerate_directions(spec):
         B = eval_matrix(2, 2, (d.rep,), 2, 3)
-        for base in enumerate_points(spec):
+        for base in _tuples(spec.points):
             A = eval_matrix(2, 2, line_points(Line.through(base, d, spec), spec), 3, 3)
             if any((B.a @ v % 2).any() for v in nullspace(A).a):
                 return False
@@ -318,7 +323,7 @@ def decode_then_evaluate() -> bool:
     order-2 evaluation at the line's direction; the stacked per-direction
     evaluations have rank dim_homog(2, 3) = 4."""
     spec = RingSpec.make(2, 2)
-    pts = tuple(enumerate_points(spec))
+    pts = _tuples(spec.points)
     E = eval_matrix(2, 2, pts, 3, 3)
     D = {d: eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)}
     lines = {Line.through(base, d, spec) for d in D for base in pts}
@@ -342,8 +347,7 @@ def unit_scaling_fixes_rows(q: int, n: int) -> bool:
     """Scaling a point by a unit fixes its row and its column of W."""
     spec = RingSpec.make(q, n)
     W = incidence_matrix_pk(*spec.factors[0], n).a
-    for x in enumerate_points(spec):
-        i = point_index(x, spec)
+    for i, x in enumerate(_tuples(spec.points)):
         for u in _units(q):
             j = point_index(tuple(u * c % q for c in x), spec)
             if not (np.array_equal(W[i], W[j]) and np.array_equal(W[:, i], W[:, j])):
@@ -378,10 +382,10 @@ def line_action(p: int, n: int) -> bool:
     spec = RingSpec.make(p, n)
     W = incidence_matrix(p, n)
     lines = {Line.through(base, d, spec) for d in enumerate_directions(spec)
-             for base in enumerate_points(spec)}
+             for base in _tuples(spec.points)}
     for line in lines:
         ind = np.zeros(p**n, dtype=np.int64)
-        ind[[point_index(pt, spec) for pt in line_points(line, spec)]] = 1
+        ind[point_index(line_points(line, spec), spec)] = 1
         want = complement_indicator(line.direction.rep, spec)
         if not (np.array_equal(ind @ W.a % p, want)
                 and want.sum() == p**n - p ** (n - 1)):
@@ -443,10 +447,11 @@ def greedy_lines_independent(S) -> bool:
     N, and number between ⌈|witness lines' union| / N⌉ and the directions."""
     spec = S.spec
     lines = greedy_independent_lines(S)
-    union = set().union(*(line_points(line, spec) for line in S.witness.values()))
+    union = set().union(*(_tuples(line_points(line, spec))
+                          for line in S.witness.values()))
     sel = GFpMatrix(spec.primes[0], [
-        [int(pt in on) for pt in enumerate_points(spec)]
-        for on in (set(line_points(line, spec)) for line in lines)
+        [int(pt in on) for pt in _tuples(spec.points)]
+        for on in (set(_tuples(line_points(line, spec))) for line in lines)
     ])
     return (math.ceil(len(union) / spec.N) <= len(lines) <= len(S.witness)
             and rank(sel) == len(lines))

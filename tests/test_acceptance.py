@@ -23,12 +23,12 @@ from ringkakeya import (
     full_set,
     incidence_matrix,
     incidence_matrix_pk,
-    indicator_vector,
     kron,
     line_matrix,
     line_points,
     line_split,
     min_kakeya_search,
+    point_index,
     rank,
     squarefree_bound,
     tangent_construction,
@@ -148,9 +148,8 @@ def test_criterion_06_two_prime_row_identity():
         prod = MS @ K
         for i, d in enumerate(enumerate_directions(spec)):
             Lp, Lq = line_split(S.witness[d], spec)
-            ind_q = np.array(
-                indicator_vector(line_points(Lq, spec3), spec3), dtype=np.int64
-            )
+            ind_q = np.zeros(spec3.num_points, dtype=np.int64)
+            ind_q[spec3.crt_order[point_index(line_points(Lq, spec3), spec3)]] = 1
             expected = np.kron(
                 complement_indicator(d.components[0], spec2), ind_q
             ) % 2

@@ -249,7 +249,7 @@ def _random_witness_set(spec, rng):
     for d in enumerate_directions(spec):
         base = tuple(rng.randrange(spec.N) for _ in range(spec.n))
         witness[d] = Line.through(base, d, spec)
-        points.update(line_points(witness[d], spec))
+        points.update(map(tuple, line_points(witness[d], spec).tolist()))
     return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
 
 

@@ -48,7 +48,7 @@ def test_verify_reports_missing_direction():
     S = full_set(spec)
     d = enumerate_directions(spec)[1]
     removed = S.witness[d]
-    victim = line_points(removed, spec)[0]
+    victim = tuple(line_points(removed, spec)[0].tolist())
     broken = KakeyaSet(
         spec=spec,
         points=frozenset(S.points - {victim}),
@@ -144,7 +144,8 @@ def brute_min_kakeya(spec):
     candidate-line indices, by trying every combination."""
     dirs = enumerate_directions(spec)
     cands = [
-        [frozenset(line_points(l, spec)) for l in _lines_in_direction(d, spec)]
+        [frozenset(map(tuple, line_points(l, spec).tolist()))
+         for l in _lines_in_direction(d, spec)]
         for d in dirs
     ]
     best = None

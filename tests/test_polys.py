@@ -15,7 +15,6 @@ from ringkakeya import (
     dim_homog,
     dim_leq,
     enumerate_directions,
-    enumerate_points,
     eval_matrix,
     hasse_derivative,
     multiplicity,
@@ -90,7 +89,7 @@ def test_eval_matrix_trivial_cases():
     assert m.a.tolist() == [[1]]
 
     spec = RingSpec.make(2, 2)
-    m = eval_matrix(2, 2, enumerate_points(spec), 1, 1)
+    m = eval_matrix(2, 2, spec.points, 1, 1)
     assert m.a.shape == (4, 2)
     # row for point (a, b) evaluates the basis monomials (y, x; lex order)
     assert m.a.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
@@ -108,7 +107,7 @@ def test_eval_matrix_against_hasse_derivatives():
                 m, d = 2 * k - k // p, k * p - 1
                 basis = monomials_homog(n, d)
                 derivs = deriv_indices(n, m)
-                pts = enumerate_points(spec)
+                pts = spec.points.tolist()
                 if len(pts) * len(derivs) * len(basis) > 60_000:
                     continue
                 got = eval_matrix(p, n, pts, m, d).a.reshape(
@@ -140,7 +139,7 @@ def test_decoding_matrix_extents_and_zero_columns():
     width = dim_leq(2, 2)
     from ringkakeya import line_points, point_index
 
-    on_line = {point_index(pt, spec) for pt in line_points(line, spec)}
+    on_line = set(point_index(line_points(line, spec), spec).tolist())
     for pt_idx in range(4):
         block = dm.a[:, pt_idx * width : (pt_idx + 1) * width]
         if pt_idx not in on_line:
@@ -158,11 +157,11 @@ def test_decoding_identity_other_orders(p, k):
     spec = RingSpec.make(p, 2)
     d_hom = k * p - 1
     m = 2 * k - k // p
-    E = eval_matrix(p, 2, enumerate_points(spec), m, d_hom)
+    E = eval_matrix(p, 2, spec.points, m, d_hom)
     seen = set()
     for d in enumerate_directions(spec):
         D = eval_matrix(p, 2, (d.rep,), k, d_hom)
-        for base in enumerate_points(spec):
+        for base in spec.points.tolist():
             line = Line.through(base, d, spec)
             if line in seen:
                 continue

@@ -1,5 +1,6 @@
 """Ring geometry: CRT, point indexing, directions, lines."""
 
+import numpy as np
 import pytest
 
 from ringkakeya import (
@@ -7,11 +8,10 @@ from ringkakeya import (
     Line,
     RingSpec,
     crt_combine,
-    crt_split,
     enumerate_directions,
-    indicator_vector,
     line_points,
     line_split,
+    point_index,
 )
 from ringkakeya.selftest import direction_classes, line_crt_product, point_index_bijection
 
@@ -32,15 +32,23 @@ def test_factor_specs_computed_once_per_spec():
     assert spec.factor_specs() is spec.factor_specs()
     assert spec.factor_moduli is spec.factor_moduli == (3, 5)
     assert [fs.N for fs in spec.factor_specs()] == [3, 5]
+    assert enumerate_directions(spec) is enumerate_directions(spec)
+    assert spec.points is spec.points and spec.crt_order is spec.crt_order
+    assert not spec.points.flags.writeable and not spec.crt_order.flags.writeable
     # the cached values are not fields: equality and hashing are unchanged
     assert spec == RingSpec.make(15, 2) and hash(spec) == hash(RingSpec.make(15, 2))
 
 
+def _residues(x, spec):
+    return tuple(x % q for q in spec.factor_moduli)
+
+
 def test_crt_split_examples():
+    # x splits into its residues mod the factor moduli, which crt_combine joins
     spec = RingSpec.make(15, 1)
-    assert crt_split(7, spec) == (1, 2)
-    assert crt_split(0, spec) == (0, 0)
-    assert crt_split(0, RingSpec.make(6, 1)) == (0, 0)
+    assert _residues(7, spec) == (1, 2) and crt_combine((1, 2), spec) == 7
+    assert _residues(0, spec) == (0, 0) and crt_combine((0, 0), spec) == 0
+    assert crt_combine((0, 0), RingSpec.make(6, 1)) == 0
 
 
 def test_crt_combine_exhaustive():
@@ -52,7 +60,7 @@ def test_crt_combine_exhaustive():
     assert expected == 8
     assert crt_combine((2, 3), spec) == 8
     for x in range(15):
-        assert crt_combine(crt_split(x, spec), spec) == x
+        assert crt_combine(_residues(x, spec), spec) == x
 
 
 @pytest.mark.parametrize("N,n", [(7, 2), (15, 1), (6, 2), (4, 2), (10, 2), (3, 4)])
@@ -105,22 +113,25 @@ def test_squarefree_direction_requires_nonzero_per_prime():
     assert all(any(c for c in comp) for comp in d.components)
 
 
+def _point_set(line, spec):
+    return set(map(tuple, line_points(line, spec).tolist()))
+
+
 def test_line_points_examples():
     spec = RingSpec.make(5, 2)
     d = Direction.from_vector((1, 2), spec)
     line = Line.through((0, 0), d, spec)
-    assert set(line_points(line, spec)) == {(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)}
+    assert line_points(line, spec).tolist() == [[0, 0], [1, 2], [2, 4], [3, 1], [4, 3]]
 
     spec6 = RingSpec.make(6, 1)
     d6 = Direction.from_vector((1,), spec6)
-    assert set(line_points(Line.through((0,), d6, spec6), spec6)) == {
+    assert _point_set(Line.through((0,), d6, spec6), spec6) == {
         (t,) for t in range(6)
     }
 
     spec4 = RingSpec.make(4, 2)
     d4 = Direction.from_vector((2, 1), spec4)
-    pts = line_points(Line.through((0, 0), d4, spec4), spec4)
-    assert len(set(pts)) == 4
+    assert len(_point_set(Line.through((0, 0), d4, spec4), spec4)) == 4
 
 
 def test_line_canonical_base_is_lex_smallest():
@@ -138,8 +149,8 @@ def test_line_split_basic():
     line = Line.through((0,), d, spec)
     parts = line_split(line, spec)
     s2, s3 = spec.factor_specs()
-    assert set(line_points(parts[0], s2)) == {(0,), (1,)}
-    assert set(line_points(parts[1], s3)) == {(0,), (1,), (2,)}
+    assert _point_set(parts[0], s2) == {(0,), (1,)}
+    assert _point_set(parts[1], s3) == {(0,), (1,), (2,)}
     spec4 = RingSpec.make(4, 1)
     d4 = Direction.from_vector((1,), spec4)
     with pytest.raises(ValueError):
@@ -156,14 +167,18 @@ def test_line_split_componentwise_reduction():
     line = Line.through((1, 2), d, spec)
     s3, s5 = spec.factor_specs()
     p3, p5 = line_split(line, spec)
-    assert (1 % 3, 2 % 3) in set(line_points(p3, s3))
-    assert (1 % 5, 2 % 5) in set(line_points(p5, s5))
+    assert (1 % 3, 2 % 3) in _point_set(p3, s3)
+    assert (1 % 5, 2 % 5) in _point_set(p5, s5)
+
+
+def _crt_indicator(line, spec):
+    ind = np.zeros(spec.num_points, dtype=np.int64)
+    ind[spec.crt_order[point_index(line_points(line, spec), spec)]] = 1
+    return ind
 
 
 def test_line_indicator_is_tensor_of_components():
     # exhaustive over all lines of Z/15 in dimension 1
-    import numpy as np
-
     spec = RingSpec.make(15, 1)
     s3, s5 = spec.factor_specs()
     for b in range(15):
@@ -174,10 +189,9 @@ def test_line_indicator_is_tensor_of_components():
         for a in range(15):
             line = Line.through((a,), d, spec)
             parts = line_split(line, spec)
-            ind = indicator_vector(line_points(line, spec), spec)
-            ind3 = indicator_vector(line_points(parts[0], s3), s3)
-            ind5 = indicator_vector(line_points(parts[1], s5), s5)
-            assert np.array_equal(np.array(ind), np.kron(ind3, ind5))
+            ind = _crt_indicator(line, spec)
+            ind3, ind5 = _crt_indicator(parts[0], s3), _crt_indicator(parts[1], s5)
+            assert np.array_equal(ind, np.kron(ind3, ind5))
 
 
 def test_crt_product_of_line_points():
