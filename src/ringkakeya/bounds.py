@@ -30,7 +30,9 @@ from .incidence import (
 )
 from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
 from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
-from .rings import Direction, Line, RingSpec, enumerate_directions, point_index
+from .rings import (
+    Direction, Line, RingSpec, _least_bases, enumerate_directions, point_index,
+)
 
 _SAFE_INT = 2**53
 
@@ -378,11 +380,11 @@ def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
     spec0 = RingSpec.make(spec.N // spec_p.N, spec.n)
     dirs = enumerate_directions(spec)
     pts = spec.points[_witness_indices(S)]
-    bases = spec_p.points[point_index(pts % spec_p.N, spec_p).min(axis=1)].tolist()
+    comps = [d.components[pivot] for d in dirs]
+    bases = _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist()
     rows = np.zeros((len(dirs), spec0.num_points), dtype=np.int64)
     cols = spec0.crt_order[point_index(pts % spec0.N, spec0)]
     rows[np.arange(len(dirs))[:, None], cols] = 1
-    comps = [d.components[pivot] for d in dirs]
     return [(Line(base=tuple(b), direction=Direction(rep=c, components=(c,))), row)
             for b, c, row in zip(bases, comps, rows)]
 

@@ -111,6 +111,7 @@ def cmd_wrank(args) -> int:
 
 def cmd_kakeya_construct(args) -> int:
     spec = RingSpec.make(args.N, args.n)
+    kak._check_point_table(spec)
     if args.method == "full":
         S = kak.full_set(spec)
     elif args.method == "tangent":

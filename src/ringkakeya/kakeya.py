@@ -10,26 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
 from .errors import (
-    GuardExceeded,
-    VerificationError,
-    json_ints,
-    malformed_input,
-    read_json,
+    GuardExceeded, VerificationError, json_ints, malformed_input, read_json,
 )
 from .gfp import GFpMatrix
+from .incidence import DEFAULT_CELL_GUARD, _check_guard
 from .rings import (
-    Direction,
-    Line,
-    RingSpec,
-    _progression,
-    crt_combine,
-    enumerate_directions,
-    point_index,
+    Direction, Line, RingSpec, _canonical, _inverses, _least_bases, _progression,
+    _radix, _residue_rows, crt_combine, enumerate_directions, point_index,
 )
 
 MINSEARCH_COMBO_GUARD = 20_000_000
@@ -57,7 +49,7 @@ def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
     """
     spec = S.spec
     dirs = enumerate_directions(spec)
-    problems, lines = {}, {}
+    problems, keys = {}, []
     for i, d in enumerate(dirs):
         line = S.witness.get(d)
         if line is None:
@@ -65,11 +57,9 @@ def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
         elif line.direction != d:
             problems[i] = f"direction {d.rep}: witness line points in {line.direction.rep}"
         else:
-            lines[i] = line
-    in_set = np.zeros(spec.num_points, dtype=bool)
-    in_set[point_index(_int_rows(S.points, spec.n), spec)] = True
-    keys = list(lines)
-    idx = _line_indices(lines.values(), spec)
+            keys.append(i)
+    in_set = _indicator(S.points, spec)
+    idx = _witness_indices(S, [dirs[i] for i in keys])
     inside = in_set[idx]
     for r in np.flatnonzero(~inside.all(axis=1)).tolist():
         missing = tuple(spec.points[idx[r, inside[r].argmin()]].tolist())
@@ -82,84 +72,93 @@ def _int_rows(vectors, n: int) -> np.ndarray:
     return np.array(list(vectors), dtype=np.int64).reshape(-1, n)
 
 
-def _line_indices(lines, spec: RingSpec) -> np.ndarray:
-    """(lines, N) natural indices of the points base + t*dir of each line."""
-    bases = _int_rows([line.base for line in lines], spec.n)
-    reps = _int_rows([line.direction.rep for line in lines], spec.n)
+def _indicator(points, spec: RingSpec) -> np.ndarray:
+    """Boolean indicator, in natural order, of a collection of points."""
+    ind = np.zeros(spec.num_points, dtype=bool)
+    ind[point_index(_int_rows(points, spec.n), spec)] = True
+    return ind
+
+
+def _line_indices(bases, reps, spec: RingSpec) -> np.ndarray:
+    """(lines, N) natural indices of the points base + t*rep of each line."""
     return point_index(_progression(bases, reps, spec.N), spec)
 
 
-def _witness_indices(S: KakeyaSet) -> np.ndarray:
-    """(directions, N) natural indices of the witness-line points, in
-    direction order; ValueError when a direction has no witness line."""
-    lines = []
-    for d in enumerate_directions(S.spec):
-        if d not in S.witness:
-            raise ValueError(f"direction {d.rep} has no witness line")
-        lines.append(S.witness[d])
-    return _line_indices(lines, S.spec)
+def _witness_bases(S: KakeyaSet, dirs) -> np.ndarray:
+    """(len(dirs), n) bases of the witness lines of dirs; ValueError naming
+    the first of dirs without a witness line."""
+    try:
+        return _int_rows([S.witness[d].base for d in dirs], S.spec.n)
+    except KeyError as exc:
+        raise ValueError(f"direction {exc.args[0].rep} has no witness line") from None
+
+
+def _witness_indices(S: KakeyaSet, dirs=None) -> np.ndarray:
+    """(directions, N) natural indices of the witness-line points of dirs
+    (default: all, in enumeration order); ValueError as _witness_bases."""
+    dirs = enumerate_directions(S.spec) if dirs is None else dirs
+    reps = _int_rows((d.rep for d in dirs), S.spec.n)
+    return _line_indices(_witness_bases(S, dirs), reps, S.spec)
+
+
+def _witness_lines(dirs, bases, spec: RingSpec) -> dict:
+    """{d: its line through the matching row of bases}; a later duplicate
+    of a direction replaces the earlier line."""
+    least = _least_bases(bases, _int_rows((d.rep for d in dirs), spec.n), spec).tolist()
+    return {d: Line(base=tuple(b), direction=d) for d, b in zip(dirs, least)}
+
+
+def _assemble(spec: RingSpec, points: np.ndarray, bases: np.ndarray) -> KakeyaSet:
+    """The set of the rows of points, witnessed in each direction (in
+    enumeration order) by its line through the matching row of bases."""
+    return KakeyaSet(spec=spec, points=frozenset(map(tuple, points.tolist())),
+                     witness=_witness_lines(enumerate_directions(spec), bases, spec))
+
+
+def _check_point_table(spec: RingSpec) -> None:
+    """Before any allocation: OverflowError where the N^n point indices wrap
+    int64, GuardExceeded where the N^n x n table passes DEFAULT_CELL_GUARD."""
+    _radix(spec.N, spec.n)
+    _check_guard(spec.num_points, spec.n, DEFAULT_CELL_GUARD)
 
 
 def full_set(spec: RingSpec) -> KakeyaSet:
-    """All of R^n, witnessed by the line through the origin per direction
-    (the origin, of index 0, is each line's base)."""
-    origin = (0,) * spec.n
-    witness = {d: Line(base=origin, direction=d) for d in enumerate_directions(spec)}
-    return KakeyaSet(
-        spec=spec, points=frozenset(map(tuple, spec.points.tolist())), witness=witness
-    )
+    """All of R^n, witnessed by the line through the origin per direction."""
+    return _assemble(spec, spec.points, np.zeros(spec.n, dtype=np.int64))
 
 
 def tangent_construction(p: int, n: int) -> KakeyaSet:
     """Small Kakeya set in F_p^n built from tangent lines of a parabola.
 
-    For odd p the set is A_n united with the recursive set for dimension
-    n-1 embedded at last coordinate zero, where A_n holds the points
-    (y_1..y_{n-1}, t) with every t^2 - y_i a square or zero.  For p = 2 the
-    squares trick degenerates (it needs division by 2), so the full set is
-    returned instead.
+    For odd p, x is in the set when, for some j, x_i = 0 for every i > j
+    and x_j^2 - x_i is a square or zero for every i < j.  The direction b
+    whose last non-zero coordinate is j, scaled to b_j = 1, is witnessed
+    through (-b_i^2/4 for i < j, then 0).  For p = 2 the squares trick
+    degenerates (it needs division by 2), so the full set is returned.
     """
     spec = RingSpec.make(p, n)
     if not spec.is_prime:
         raise ValueError("tangent construction requires a prime modulus")
     if p == 2:
         return full_set(spec)
-
-    squares = {t * t % p for t in range(p)}
-    inv4 = pow(4, -1, p)
-
-    def build(dim: int) -> tuple[set, dict]:
-        sub = RingSpec.make(p, dim)
-        if dim == 1:
-            d = Direction.from_vector((1,), sub)
-            return set((t,) for t in range(p)), {d: Line.through((0,), d, sub)}
-        pts_prev, wit_prev = build(dim - 1)
-        pts = {prev + (0,) for prev in pts_prev}
-        admissible = {t: [y for y in range(p) if (t * t - y) % p in squares]
-                      for t in range(p)}
-        for t in range(p):
-            for ys in product(admissible[t], repeat=dim - 1):
-                pts.add(ys + (t,))
-        witness = {}
-        for d in enumerate_directions(sub):
-            rep = d.rep
-            if rep[-1] != 0:
-                scale = pow(rep[-1], -1, p)
-                b = tuple(c * scale % p for c in rep)
-                base = tuple((-b[i] * b[i] * inv4) % p for i in range(dim - 1))
-                witness[d] = Line.through(base + (0,), d, sub)
-            else:
-                d_prev = Direction.from_vector(rep[:-1], RingSpec.make(p, dim - 1))
-                prev_line = wit_prev[d_prev]
-                witness[d] = Line.through(prev_line.base + (0,), d, sub)
-        return pts, witness
-
-    pts, witness = build(n)
-    return KakeyaSet(spec=spec, points=frozenset(pts), witness=witness)
+    square = np.isin(np.arange(p), np.arange(p) ** 2 % p)
+    x = spec.points
+    member = np.any([(x[:, j + 1:] == 0).all(axis=1)
+                     & square[(x[:, j, None] ** 2 - x[:, :j]) % p].all(axis=1)
+                     for j in range(n)], axis=0)
+    reps = _int_rows((d.rep for d in enumerate_directions(spec)), n)
+    last = n - 1 - (reps[:, ::-1] != 0).argmax(axis=1)
+    b = reps * _inverses(reps[np.arange(len(reps)), last], p)[:, None] % p
+    bases = np.where(np.arange(n) < last[:, None],
+                     -(b * b % p) * pow(4, -1, p) % p, 0)
+    return _assemble(spec, x[member], bases)
 
 
 def crt_product(sets, spec: RingSpec) -> KakeyaSet:
-    """CRT combination of one Kakeya set per prime factor of square-free N."""
+    """CRT combination of one Kakeya set per prime factor of square-free N:
+    its CRT-major indicator is the Kronecker product of the factors', and
+    direction i, of factor directions np.unravel_index(i, ...), has its
+    witness through the CRT of their witness bases."""
     sets = list(sets)
     if not spec.is_square_free:
         raise ValueError("crt_product requires a square-free modulus")
@@ -171,25 +170,12 @@ def crt_product(sets, spec: RingSpec) -> KakeyaSet:
             raise ValueError(
                 f"component set over {S.spec.N} does not match factor {fs.N}"
             )
-    points = set()
-    for combo in product(*[sorted(S.points) for S in sets]):
-        points.add(
-            tuple(
-                crt_combine([pt[j] for pt in combo], spec)
-                for j in range(spec.n)
-            )
-        )
-    witness = {}
-    for d in enumerate_directions(spec):
-        bases = []
-        for S, fs, comp in zip(sets, fspecs, d.components):
-            comp_dir = Direction.from_vector(comp, fs)
-            bases.append(S.witness[comp_dir].base)
-        base = tuple(
-            crt_combine([b[j] for b in bases], spec) for j in range(spec.n)
-        )
-        witness[d] = Line.through(base, d, spec)
-    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
+    inside = reduce(np.kron, [_indicator(S.points, fs) for S, fs in zip(sets, fspecs)])
+    combos = np.unravel_index(np.arange(len(enumerate_directions(spec))),
+                              [len(enumerate_directions(fs)) for fs in fspecs])
+    bases = crt_combine([_witness_bases(S, enumerate_directions(fs))[js]
+                         for S, fs, js in zip(sets, fspecs, combos)], spec)
+    return _assemble(spec, spec.points[inside[spec.crt_order]], bases)
 
 
 def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
@@ -199,7 +185,7 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
     component lines whose directions agree with each block modulo every
     prime where the block is non-zero; where a block vanishes modulo a
     prime the component direction is free and the first enumerated
-    direction is used.
+    direction is used.  The product ring passes _check_point_table first.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -207,36 +193,19 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
         raise ValueError("power_product requires a square-free modulus")
     if t == 1:
         return S
-    spec = S.spec
-    n = spec.n
+    spec, n = S.spec, S.spec.n
     big = RingSpec.make(spec.N, t * n)
-    points = set()
-    for combo in product(*([sorted(S.points)] * t)):
-        points.add(sum(combo, ()))
-    fspecs = spec.factor_specs()
-    default_comps = [enumerate_directions(fs)[0].rep for fs in fspecs]
-    witness = {}
-    for D in enumerate_directions(big):
-        bases = []
-        for blk in range(t):
-            block_comps = []
-            for fi, fs in enumerate(fspecs):
-                comp = tuple(
-                    D.components[fi][blk * n + j] for j in range(n)
-                )
-                if any(comp):
-                    block_comps.append(comp)
-                else:
-                    block_comps.append(default_comps[fi])
-            vec = tuple(
-                crt_combine([bc[j] for bc in block_comps], spec)
-                for j in range(n)
-            )
-            c = Direction.from_vector(vec, spec)
-            bases.append(S.witness[c].base)
-        base = sum(bases, ())
-        witness[D] = Line.through(base, D, big)
-    return KakeyaSet(spec=big, points=frozenset(points), witness=witness)
+    _check_point_table(big)
+    pts = _int_rows(S.points, n)
+    points = pts[np.indices((len(pts),) * t).reshape(t, -1).T].reshape(-1, t * n)
+    dirs = enumerate_directions(big)
+    blocks = []
+    for i, fs in enumerate(spec.factor_specs()):
+        comps = _int_rows([d.components[i] for d in dirs], t * n).reshape(-1, t, n)
+        blocks.append(np.where(comps.any(axis=2, keepdims=True), comps,
+                               enumerate_directions(fs)[0].rep))
+    block_dirs = _canonical(crt_combine(blocks, spec).reshape(-1, n), spec)
+    return _assemble(big, points, _witness_bases(S, block_dirs).reshape(-1, t * n))
 
 
 def line_matrix(S: KakeyaSet, char: int | None = None) -> GFpMatrix:
@@ -270,7 +239,7 @@ def _lines_in_direction(d: Direction, spec: RingSpec) -> list[Line]:
     """The N^{n-1} distinct lines in direction d, lex order of base: each
     line's base is its point of least index, taken over the lines through
     every point."""
-    least = point_index(_progression(spec.points, d.rep, spec.N), spec).min(axis=1)
+    least = point_index(_least_bases(spec.points, d.rep, spec), spec)
     bases = spec.points[np.unique(least)].tolist()
     return [Line(base=tuple(b), direction=d) for b in bases]
 
@@ -299,8 +268,9 @@ def min_kakeya_search(
                 f"minimum search over {spec.N}^{spec.n} needs more than "
                 f"{cap} witness combinations"
             )
-    masks = [_bitmasks(_line_indices(cands, spec), spec.num_points)
-             for cands in candidates]
+    masks = [_bitmasks(_line_indices(_int_rows([c.base for c in cands], spec.n),
+                                     d.rep, spec), spec.num_points)
+             for d, cands in zip(dirs, candidates)]
     best_size = spec.num_points + 1
     best_choice = None
 
@@ -320,12 +290,9 @@ def min_kakeya_search(
     # direction is a translate of its first line.  So some optimum uses
     # candidates[0][0], and the first optimum in scan order is among those.
     dfs(1, masks[0][0], [0])
-    witness = {
-        d: candidates[i][ci] for i, (d, ci) in enumerate(zip(dirs, best_choice))
-    }
-    idx = np.unique(_line_indices(witness.values(), spec))
-    points = frozenset(map(tuple, spec.points[idx].tolist()))
-    S = KakeyaSet(spec=spec, points=points, witness=witness)
+    bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
+    idx = _line_indices(bases, _int_rows((d.rep for d in dirs), spec.n), spec)
+    S = _assemble(spec, spec.points[np.unique(idx)], bases)
     ok, problems = verify(S)
     if not ok:
         raise AssertionError(f"search produced an invalid set: {problems[:3]}")
@@ -371,12 +338,12 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
         outside = [pt for pt in points if not all(0 <= c < N for c in pt)]
         if outside:
             raise ValueError(f"point {list(min(outside))} lies outside [0, {N})^{n}")
-        witness = {}
-        for entry in data["witness"]:
-            vec = json_ints(entry["dir"], n, "direction")
-            base = json_ints(entry["base"], n, "base")
-            d = Direction.from_vector(vec, spec)
-            witness[d] = Line.through(base, d, spec)
+        entries = [(json_ints(entry["dir"], n, "direction"),
+                    json_ints(entry["base"], n, "base"))
+                   for entry in data["witness"]]
+        dirs = _canonical([vec for vec, _ in entries], spec)
+        bases = _residue_rows([base for _, base in entries], spec)
+        witness = _witness_lines(dirs, bases, spec)
     S = KakeyaSet(spec=spec, points=points, witness=witness)
     if check:
         ok, problems = verify(S)

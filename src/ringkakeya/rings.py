@@ -4,8 +4,15 @@ Points are rows of int64 arrays with entries in [0, N).  Each RingSpec
 builds, once, the read-only table `points` of all N^n points, the
 read-only permutation `crt_order` and the tuple `directions`.  Directions
 and lines are small frozen dataclasses whose fields are tuples of Python
-ints, canonicalized on construction so they can be used as dictionary
-keys and written to JSON.
+ints in canonical form, so they can be used as dictionary keys and written
+to JSON.
+
+Three array rules, one row per vector or line, serve every caller:
+`_canonical` (behind `Direction.from_vector`) scales a vector, modulo each
+factor modulus p^e, so that its first unit coordinate is 1; `crt_combine`
+is the sum of residue times idempotent mod N, the idempotents kept on the
+spec, for Python ints and int64 arrays alike; `_least_bases` (behind
+`Line.through`) takes the point of least index of each line.
 
 Two point orders are used throughout the package:
 
@@ -27,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -147,13 +153,21 @@ class RingSpec:
             lead = self.points[np.arange(self.num_points), unit.argmax(axis=1)]
             reps = map(tuple, self.points[lead == 1].tolist())
             return tuple(Direction(rep=v, components=(v,)) for v in reps)
-        combos = product(*[[d.rep for d in fs.directions]
-                           for fs in self.factor_specs()])
-        return tuple(
-            Direction(rep=tuple(crt_combine(c, self) for c in zip(*comps)),
-                      components=comps)
-            for comps in combos
-        )
+        factor_dirs = [fs.directions for fs in self.factor_specs()]
+        combos = np.indices([len(fd) for fd in factor_dirs]).reshape(self.r, -1)
+        comps = [[fd[j].rep for j in js] for fd, js in zip(factor_dirs, combos.tolist())]
+        reps = crt_combine([np.array(c, dtype=np.int64) for c in comps], self)
+        return tuple(Direction(rep=tuple(rep), components=cs)
+                     for rep, cs in zip(reps.tolist(), zip(*comps)))
+
+    @cached_property
+    def _idempotents(self) -> tuple[int, ...]:
+        """e_i = 1 mod q_i, 0 mod the other factor moduli; OverflowError
+        where some q_i·N reaches 2^63 and int64 CRT arithmetic could wrap."""
+        if max(self.factor_moduli) * self.N >= 2**63:
+            raise OverflowError(f"CRT arithmetic over Z/{self.N} can wrap int64")
+        return tuple(self.N // q * pow(self.N // q, -1, q) % self.N
+                     for q in self.factor_moduli)
 
 
 @cache
@@ -170,16 +184,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def crt_combine(residues, spec: RingSpec) -> int:
-    """The unique x mod N with the given residues mod spec.factor_moduli."""
-    moduli = spec.factor_moduli
-    if len(residues) != len(moduli):
+def crt_combine(residues, spec: RingSpec):
+    """The unique x mod N with the given residues mod spec.factor_moduli,
+    Python ints or int64 arrays with entries in [0, q_i); each residue
+    times its idempotent is added mod N, so int64 never wraps."""
+    if len(residues) != len(spec.factor_moduli):
         raise ValueError("residue tuple does not match factor count")
     x = 0
-    for res, q in zip(residues, moduli):
-        m = spec.N // q
-        x = (x + res * m * pow(m, -1, q)) % spec.N
+    for res, e in zip(residues, spec._idempotents):
+        x = (x + res * e) % spec.N
     return x
+
+
+def _residue_rows(rows, spec: RingSpec) -> np.ndarray:
+    """Rows of integers of any size reduced mod N, as an (m, n) int64 array."""
+    return (np.array(rows, dtype=object) % spec.N).astype(np.int64).reshape(-1, spec.n)
+
+
+def _inverses(units: np.ndarray, q: int) -> np.ndarray:
+    """Inverse mod q of each unit in a 1-d int64 array, one pow per value."""
+    units = units.tolist()
+    inv = {a: pow(a, -1, q) for a in set(units)}
+    return np.array([inv[a] for a in units], dtype=np.int64)
 
 
 def point_index(coords, spec: RingSpec) -> np.ndarray:
@@ -196,24 +222,38 @@ def _progression(base, rep, N: int) -> np.ndarray:
     return (base + np.arange(N, dtype=np.int64)[:, None] * rep) % N
 
 
-def _canonical_component(vec, q: int, p: int) -> tuple[int, ...]:
-    """Canonical projective representative of vec over Z/qZ, q = p^e.
+def _least_bases(bases, reps, spec: RingSpec) -> np.ndarray:
+    """The least-index point of each line base + t*rep, an (m, n) array;
+    bases or reps may be one (n,) row shared by all m lines."""
+    pts = _progression(bases, reps, spec.N)
+    return pts[np.arange(len(pts)), point_index(pts, spec).argmin(axis=1)]
 
-    For prime q the vector must be non-zero and is scaled so its first
-    non-zero coordinate is 1.  For q = p^e with e >= 2 the vector must have
-    a unit coordinate and is scaled so its first unit coordinate is 1.
-    """
-    comp = tuple(c % q for c in vec)
-    if q == p:
-        pivots = [c for c in comp if c != 0]
-    else:
-        pivots = [c for c in comp if gcd(c, p) == 1]
-    if not pivots:
+
+def _canonical(vectors, spec: RingSpec) -> list["Direction"]:
+    """The canonical Direction of each of a sequence of integer vectors:
+    modulo each factor modulus q = p^e the vector is scaled so that its
+    first unit coordinate is 1, and the CRT joins the components into rep.
+    ValueError names the first vector, as given, with no unit coordinate
+    modulo some q, and the first such q."""
+    spec._idempotents  # OverflowError before any arithmetic
+    v = _residue_rows(vectors, spec)
+    residues = [v % q for q in spec.factor_moduli]
+    # argmax picks coordinate 0, a non-unit, where a row has no unit
+    leads = np.array([r[np.arange(len(v)), (r % p != 0).argmax(axis=1)]
+                      for r, p in zip(residues, spec.primes)]).reshape(spec.r, -1)
+    invalid = leads % np.array(spec.primes)[:, None] == 0
+    if invalid.any():
+        i = int(invalid.any(axis=0).argmax())
+        q = spec.factor_moduli[int(invalid[:, i].argmax())]
         raise ValueError(
-            f"vector {tuple(vec)} is not a valid direction modulo {q}"
+            f"vector {tuple(vectors[i])} is not a valid direction modulo {q}"
         )
-    inv = pow(pivots[0], -1, q)
-    return tuple(c * inv % q for c in comp)
+    comps = [r * _inverses(lead, q)[:, None] % q
+             for r, lead, q in zip(residues, leads, spec.factor_moduli)]
+    reps = crt_combine(comps, spec).tolist()
+    components = zip(*[map(tuple, c.tolist()) for c in comps])
+    return [Direction(rep=tuple(rep), components=cs)
+            for rep, cs in zip(reps, components)]
 
 
 @dataclass(frozen=True)
@@ -230,14 +270,7 @@ class Direction:
 
     @classmethod
     def from_vector(cls, vec, spec: RingSpec) -> "Direction":
-        comps = tuple(
-            _canonical_component(vec, p**e, p) for p, e in spec.factors
-        )
-        rep = tuple(
-            crt_combine([comp[j] for comp in comps], spec)
-            for j in range(spec.n)
-        )
-        return cls(rep=rep, components=comps)
+        return _canonical([vec], spec)[0]
 
 
 @dataclass(frozen=True)
@@ -250,9 +283,8 @@ class Line:
 
     @classmethod
     def through(cls, point, direction: Direction, spec: RingSpec) -> "Line":
-        pts = _progression([c % spec.N for c in point], direction.rep, spec.N)
-        base = pts[point_index(pts, spec).argmin()]
-        return cls(base=tuple(base.tolist()), direction=direction)
+        base = _least_bases(_residue_rows([point], spec), direction.rep, spec)
+        return cls(base=tuple(base[0].tolist()), direction=direction)
 
 
 def enumerate_directions(spec: RingSpec) -> tuple[Direction, ...]:
@@ -275,9 +307,5 @@ def line_split(line: Line, spec: RingSpec) -> list[Line]:
     """Per-factor component lines of a line over square-free N."""
     if not spec.is_square_free:
         raise ValueError("line_split requires a square-free modulus")
-    out = []
-    for fs, comp in zip(spec.factor_specs(), line.direction.components):
-        d = Direction(rep=comp, components=(comp,))
-        base = tuple(c % fs.N for c in line.base)
-        out.append(Line.through(base, d, fs))
-    return out
+    return [Line.through(line.base, Direction(rep=comp, components=(comp,)), fs)
+            for fs, comp in zip(spec.factor_specs(), line.direction.components)]

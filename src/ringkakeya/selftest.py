@@ -92,11 +92,11 @@ def line_crt_product(N: int) -> bool:
         for d in enumerate_directions(spec):
             for base in bases:
                 line = Line.through(base, d, spec)
-                parts = [_tuples(line_points(pl, fs)) for pl, fs
+                parts = [line_points(pl, fs) for pl, fs
                          in zip(line_split(line, spec), spec.factor_specs())]
-                combos = {tuple(crt_combine([c[j] for c in combo], spec)
-                                for j in range(n)) for combo in product(*parts)}
-                if set(_tuples(line_points(line, spec))) != combos:
+                combos = np.indices([len(part) for part in parts]).reshape(len(parts), -1)
+                crt = crt_combine([part[c] for part, c in zip(parts, combos)], spec)
+                if set(_tuples(line_points(line, spec))) != set(_tuples(crt)):
                     return False
     return True
 

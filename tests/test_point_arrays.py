@@ -1,14 +1,21 @@
-"""Differential tests: the array geometry of `rings` against per-point
-tuple code, kept here as the reference.
+"""Differential tests: the array geometry of `rings` and the array
+constructors of `kakeya` against per-point tuple code, kept here as the
+reference.
 
 The reference functions are the per-point loops the array code replaced:
 CRT-major indices point by point, indicator vectors and their Kronecker
 products, the line matrix filled point by point, lines found by scanning
-the points, and verification by set membership.
+the points, and verification by set membership; the CRT as a loop over
+the factor moduli, directions canonicalised one factor at a time, the
+recursive tangent construction, CRT and Cartesian products built point by
+point and direction by direction, and the loader's loop over witnesses.
 """
 
 import functools
+import json
+import tracemalloc
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from ringkakeya import (
 )
 from ringkakeya.bounds import _split_witnesses
 from ringkakeya.cli import main
+from ringkakeya.errors import VerificationError
 from ringkakeya.kakeya import _lines_in_direction, from_json_dict, to_json_dict
 
 from conftest import random_full_witness
@@ -89,11 +97,122 @@ def ref_directions(spec):
         return out
     factor_dirs = [[d.rep for d in ref_directions(fs)] for fs in spec.factor_specs()]
     return [
-        Direction(rep=tuple(crt_combine([c[j] for c in comps], spec)
+        Direction(rep=tuple(ref_crt_combine([c[j] for c in comps], spec)
                             for j in range(spec.n)),
                   components=tuple(comps))
         for comps in product(*factor_dirs)
     ]
+
+
+def ref_crt_combine(residues, spec):
+    x = 0
+    for res, q in zip(residues, spec.factor_moduli):
+        m = spec.N // q
+        x = (x + res * m * pow(m, -1, q)) % spec.N
+    return x
+
+
+def ref_canonical_component(vec, q, p):
+    comp = tuple(c % q for c in vec)
+    if q == p:
+        pivots = [c for c in comp if c != 0]
+    else:
+        pivots = [c for c in comp if gcd(c, p) == 1]
+    if not pivots:
+        raise ValueError(f"vector {tuple(vec)} is not a valid direction modulo {q}")
+    inv = pow(pivots[0], -1, q)
+    return tuple(c * inv % q for c in comp)
+
+
+def ref_from_vector(vec, spec):
+    comps = tuple(ref_canonical_component(vec, p**e, p) for p, e in spec.factors)
+    rep = tuple(ref_crt_combine([comp[j] for comp in comps], spec)
+                for j in range(spec.n))
+    return Direction(rep=rep, components=comps)
+
+
+def ref_tangent_construction(p, n):
+    spec = RingSpec.make(p, n)
+    if p == 2:
+        return full_set(spec)
+    squares = {t * t % p for t in range(p)}
+    inv4 = pow(4, -1, p)
+
+    def build(dim):
+        sub = RingSpec.make(p, dim)
+        if dim == 1:
+            d = ref_from_vector((1,), sub)
+            return set((t,) for t in range(p)), {d: ref_line_through((0,), d, sub)}
+        pts_prev, wit_prev = build(dim - 1)
+        pts = {prev + (0,) for prev in pts_prev}
+        admissible = {t: [y for y in range(p) if (t * t - y) % p in squares]
+                      for t in range(p)}
+        for t in range(p):
+            for ys in product(admissible[t], repeat=dim - 1):
+                pts.add(ys + (t,))
+        witness = {}
+        for d in enumerate_directions(sub):
+            rep = d.rep
+            if rep[-1] != 0:
+                scale = pow(rep[-1], -1, p)
+                b = tuple(c * scale % p for c in rep)
+                base = tuple((-b[i] * b[i] * inv4) % p for i in range(dim - 1))
+                witness[d] = ref_line_through(base + (0,), d, sub)
+            else:
+                d_prev = ref_from_vector(rep[:-1], RingSpec.make(p, dim - 1))
+                prev_line = wit_prev[d_prev]
+                witness[d] = ref_line_through(prev_line.base + (0,), d, sub)
+        return pts, witness
+
+    pts, witness = build(n)
+    return KakeyaSet(spec=spec, points=frozenset(pts), witness=witness)
+
+
+def ref_crt_product(sets, spec):
+    points = set()
+    for combo in product(*[sorted(S.points) for S in sets]):
+        points.add(tuple(ref_crt_combine([pt[j] for pt in combo], spec)
+                         for j in range(spec.n)))
+    witness = {}
+    for d in enumerate_directions(spec):
+        bases = []
+        for S, fs, comp in zip(sets, spec.factor_specs(), d.components):
+            bases.append(S.witness[ref_from_vector(comp, fs)].base)
+        base = tuple(ref_crt_combine([b[j] for b in bases], spec)
+                     for j in range(spec.n))
+        witness[d] = ref_line_through(base, d, spec)
+    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
+
+
+def ref_power_product(S, t):
+    spec, n = S.spec, S.spec.n
+    big = RingSpec.make(spec.N, t * n)
+    points = {sum(combo, ()) for combo in product(*([sorted(S.points)] * t))}
+    fspecs = spec.factor_specs()
+    default_comps = [enumerate_directions(fs)[0].rep for fs in fspecs]
+    witness = {}
+    for D in enumerate_directions(big):
+        bases = []
+        for blk in range(t):
+            block_comps = []
+            for fi in range(len(fspecs)):
+                comp = tuple(D.components[fi][blk * n + j] for j in range(n))
+                block_comps.append(comp if any(comp) else default_comps[fi])
+            vec = tuple(ref_crt_combine([bc[j] for bc in block_comps], spec)
+                        for j in range(n))
+            bases.append(S.witness[ref_from_vector(vec, spec)].base)
+        witness[D] = ref_line_through(sum(bases, ()), D, big)
+    return KakeyaSet(spec=big, points=frozenset(points), witness=witness)
+
+
+def ref_load_witness(data):
+    """The loader's loop: one canonical direction and one line per entry."""
+    spec = RingSpec.make(data["N"], data["n"])
+    witness = {}
+    for entry in data["witness"]:
+        d = ref_from_vector(tuple(entry["dir"]), spec)
+        witness[d] = ref_line_through(tuple(entry["base"]), d, spec)
+    return witness
 
 
 def ref_line_matrix(S):
@@ -257,6 +376,10 @@ def test_constructed_and_loaded_lines_hold_python_ints():
                     RingSpec.make(15, 2)),
         power_product(full_set(RingSpec.make(6, 1)), 2),
         min_kakeya_search(RingSpec.make(3, 2))[1],
+        tangent_construction(7, 3),
+        _tangent_product(30, 2),
+        power_product(random_full_witness(RingSpec.make(10, 1), 1), 3),
+        power_product(_tangent_product(6, 2), 2),
     ]
     for S in sets:
         loaded = from_json_dict(to_json_dict(S))
@@ -280,3 +403,143 @@ def test_point_tables_refuse_int64_overflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3 and not out.exists()
     assert err.count("\n") == 1 and "overflow int64" in err
+
+
+# ------------------------------------------- constructors and the loader
+
+def _tangent_product(N, n):
+    spec = RingSpec.make(N, n)
+    return crt_product([tangent_construction(p, n) for p in spec.primes], spec)
+
+
+TANGENT_RINGS = [(p, n) for p in (3, 5, 7, 11, 13) for n in (1, 2, 3)] + [(3, 4)]
+CRT_RINGS = [(6, 1), (6, 2), (6, 3), (15, 2), (21, 2), (10, 3), (30, 1), (30, 2),
+             (42, 1)]
+POWER_CASES = [(6, 1, 2), (6, 1, 3), (10, 1, 2), (10, 1, 3), (6, 2, 2), (30, 1, 2)]
+
+
+@pytest.mark.parametrize("p,n", TANGENT_RINGS, ids=map(_ring_id, TANGENT_RINGS))
+def test_tangent_construction_matches_recursion(p, n):
+    assert to_json_dict(tangent_construction(p, n)) == to_json_dict(
+        ref_tangent_construction(p, n))
+
+
+@pytest.mark.parametrize("N,n", CRT_RINGS, ids=map(_ring_id, CRT_RINGS))
+def test_crt_product_matches_per_point_product(N, n):
+    spec = RingSpec.make(N, n)
+    tangents = [tangent_construction(p, n) for p in spec.primes]
+    randoms = [random_full_witness(fs, 3) for fs in spec.factor_specs()]
+    for parts in (tangents, randoms, [tangents[0]] + randoms[1:]):
+        assert to_json_dict(crt_product(parts, spec)) == to_json_dict(
+            ref_crt_product(parts, spec))
+
+
+@pytest.mark.parametrize("N,n,t", POWER_CASES,
+                         ids=[f"{N}^{n}x{t}" for N, n, t in POWER_CASES])
+def test_power_product_matches_per_point_product(N, n, t):
+    spec = RingSpec.make(N, n)
+    for S in (_tangent_product(N, n), random_full_witness(spec, 4)):
+        assert to_json_dict(power_product(S, t)) == to_json_dict(
+            ref_power_product(S, t))
+
+
+def _from_vector_outcome(fn, vec, spec):
+    try:
+        return fn(vec, spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("N,n", [(6, 2), (15, 2), (4, 2), (9, 2), (30, 1)],
+                         ids=map(_ring_id, [(6, 2), (15, 2), (4, 2), (9, 2), (30, 1)]))
+def test_from_vector_matches_per_factor_canonicalisation(N, n):
+    spec = RingSpec.make(N, n)
+    # every vector, then unreduced ones: shifted by N, negative, and huge
+    vectors = ref_points(spec)
+    vectors += [tuple(c + N * (j + 1) for j, c in enumerate(v)) for v in vectors]
+    vectors += [tuple(-c for c in v) for v in vectors[:N]]
+    vectors += [tuple(c + N * 2**70 for c in v) for v in vectors[:N]]
+    for vec in vectors:
+        got = _from_vector_outcome(Direction.from_vector, vec, spec)
+        assert got == _from_vector_outcome(ref_from_vector, vec, spec)
+        if isinstance(got, Direction):
+            assert _is_int_tuple(got.rep) and all(map(_is_int_tuple, got.components))
+
+
+def _scaled(data, unit):
+    """The file with every direction times unit, every base moved out of
+    [0, N) and each witness listed twice, a wrong base first."""
+    N = data["N"]
+    out = dict(data, witness=[])
+    for i, entry in enumerate(data["witness"]):
+        vec = [c * unit for c in entry["dir"]]
+        wrong = [(c + 1) % N for c in entry["base"]]
+        out["witness"] += [
+            {"dir": vec, "base": wrong},
+            {"dir": vec, "base": [c + N * (i + 1) if i % 2 else c - N
+                                  for c in entry["base"]]},
+        ]
+    return out
+
+
+@pytest.mark.parametrize("N,n,unit", [(15, 2, 7), (10, 3, 3), (9, 2, 4),
+                                      (7, 3, 5), (30, 2, 7)],
+                         ids=["15^2", "10^3", "9^2", "7^3", "30^2"])
+def test_loader_matches_per_witness_loop(N, n, unit):
+    spec = RingSpec.make(N, n)
+    S = (tangent_construction(N, n) if spec.is_prime
+         else full_set(spec) if spec.is_prime_power else _tangent_product(N, n))
+    data = _scaled(to_json_dict(S), unit)
+    loaded = from_json_dict(data)
+    assert loaded.witness == ref_load_witness(data) == S.witness
+    assert to_json_dict(loaded) == to_json_dict(S)
+    assert _python_ints(loaded.witness.values())
+
+
+def test_loader_names_the_invalid_direction():
+    data = to_json_dict(_tangent_product(15, 2))
+    data["witness"][3]["dir"] = [6, 3]     # zero mod 3
+    data["witness"][5]["dir"] = [5, 10]    # zero mod 5, later
+    with pytest.raises(ValueError) as ref:
+        ref_load_witness(data)
+    with pytest.raises(VerificationError) as exc:
+        from_json_dict(data, check=False)
+    assert str(exc.value) == f"malformed Kakeya set: {ref.value}"
+    assert str(ref.value) == "vector (6, 3) is not a valid direction modulo 3"
+
+
+def test_construct_and_power_refuse_large_rings_before_allocating(tmp_path, capsys):
+    full6 = tmp_path / "full6.json"
+    assert main(["kakeya", "construct", "--N", "6", "--n", "2",
+                 "--out", str(full6)]) == 0
+    cases = [
+        (["kakeya", "construct", "--N", "6", "--n", "30"], "overflow int64"),
+        (["kakeya", "power", str(full6), "--k", "6"], "exceeds the guard"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "refused.json"
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists() and peak < 2**20
+        assert err.count("\n") == 1 and message in err
+
+
+def test_crt_arithmetic_refuses_rings_that_could_wrap_int64(tmp_path, capsys):
+    # 4294967311 is prime, and 4294967311 * N >= 2^63
+    spec = RingSpec.make(2 * 4294967311, 1)
+    with pytest.raises(OverflowError):
+        Direction.from_vector((1,), spec)
+    with pytest.raises(OverflowError):
+        crt_combine((1, 1), spec)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"N": spec.N, "n": 1, "points": [],
+                                "witness": [{"dir": [1], "base": [0]}]}))
+    assert main(["kakeya", "verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "wrap int64" in err
