@@ -126,7 +126,8 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
     _require_valid(S)
     p, n = spec.N, spec.n
     dirs = enumerate_directions(spec)
-    _check_guard(len(dirs), spec.num_points, guard)
+    _check_guard(f"line matrix of (Z/{p})^{n}", len(dirs), spec.num_points,
+                 guard)
     W = incidence_matrix(p, n, guard=guard)
     MS = line_matrix(S, char=p)
     A = MS @ W
@@ -182,7 +183,8 @@ def certify_two_primes(
     n = spec.n
     spec_p = spec.factor_specs()[0]
     dirs = enumerate_directions(spec)
-    _check_guard(len(dirs), spec.num_points, guard)
+    _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
+                 spec.num_points, guard)
     Wp = incidence_matrix(p, n, guard=guard)
     MS = line_matrix(S, char=p)
     # columns are CRT-major (p-side point, q-side point), so the product
@@ -280,6 +282,7 @@ def certify_squarefree(
     # column per (pivot point, derivative index, residual point)
     dirs = enumerate_directions(spec)
     _check_guard(
+        f"stacked decoding family over (Z/{spec.N})^{n} at k = {k}",
         len(dirs) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard
     )
 
@@ -439,8 +442,10 @@ def certify_prime_power(
     n = spec.n
     dirs = enumerate_directions(spec)
     # dft_product's exponent histogram (q points per line), and W's size
-    _check_guard(len(dirs) * q, spec.num_points, guard)
-    _check_guard(spec.num_points, spec.num_points, guard)
+    _check_guard(f"DFT exponent histogram of (Z/{q})^{n}", len(dirs) * q,
+                 spec.num_points, guard)
+    _check_guard(f"incidence matrix W_{{{q},{n}}}", spec.num_points,
+                 spec.num_points, guard)
     MS = line_matrix(S, char=p)
     coeffs = dft_product(MS.a, spec)
     # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere;

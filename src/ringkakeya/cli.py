@@ -187,7 +187,7 @@ def cmd_certify(args) -> int:
 
 def cmd_mv_search(args) -> int:
     fam, nodes = mv_search(args.p, args.k, args.n, args.target,
-                           budget=args.budget)
+                           budget=args.budget, guard=args.guard)
     data = {
         "p": fam.p, "k": fam.k, "n": fam.n, "size": fam.size,
         "target": args.target, "nodes": nodes,
@@ -305,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--target", type=int, default=2)
     a.add_argument("--budget", type=int, default=200_000)
+    a.add_argument("--guard", type=int, default=DEFAULT_CELL_GUARD,
+                   help="maximum cells of the q^n x q^n orthogonality table")
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_mv_search)
     a = ma.add_parser("verify", help="check a family file")

@@ -183,6 +183,13 @@ def _rank_gf2(a: np.ndarray) -> int:
     return r
 
 
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each 0/1 row as a Python-int bitmask, bit j set iff entry j is
+    non-zero (packed little-endian, so no shift overflows int64)."""
+    packed = np.packbits(rows != 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def rank(M: GFpMatrix) -> int:
     """Rank over F_p: packed XOR elimination for p = 2, otherwise the
     number of pivots of the echelon form."""

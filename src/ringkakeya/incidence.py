@@ -6,6 +6,11 @@ The incidence matrix keeps its repeated rows and columns (one per ring
 element, not per projective class), so row-set comparisons against
 Fourier-derived matrices are literal; ranks are taken on
 `incidence_quotient`, one row and column per unit orbit.
+
+`mv_search` scans on bitmasks: one Python int per orthogonality-table row,
+two masks per search frame for the u's and v's still allowed, and a jump
+to the next admissible pair that books each skipped pair as one node.
+Every builder checks a cell guard first and names itself when it refuses.
 """
 
 from __future__ import annotations
@@ -17,16 +22,18 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceeded, json_ints, malformed_input
-from .gfp import GFpMatrix, is_prime, rank
+from .gfp import GFpMatrix, _bitmasks, is_prime, rank
 from .rings import RingSpec, point_index
 
 DEFAULT_CELL_GUARD = 16_000_000
 
 
-def _check_guard(rows: int, cols: int, guard: int):
+def _check_guard(what: str, rows: int, cols: int, guard: int):
+    """GuardExceeded naming what would be built when rows x cols passes
+    guard cells."""
     if rows * cols > guard:
         raise GuardExceeded(
-            f"matrix of {rows} x {cols} = {rows * cols} cells exceeds the "
+            f"{what}: {rows} x {cols} = {rows * cols} cells exceeds the "
             f"guard of {guard}"
         )
 
@@ -54,7 +61,7 @@ def incidence_matrix_pk(
     _check_ring(p, k, n)
     q = p**k
     size = q**n
-    _check_guard(size, size, guard)
+    _check_guard(f"incidence matrix W_{{{q},{n}}}", size, size, guard)
     pts = RingSpec.make(q, n).points
     gram = pts @ pts.T % q
     return GFpMatrix(p, gram == 0)
@@ -74,7 +81,7 @@ def incidence_quotient(
     """
     _check_ring(p, k, n)
     q = p**k
-    _check_guard(q**n, n, guard)
+    _check_guard(f"point table of (Z/{q})^{n}", q**n, n, guard)
     if max(q**n, n * (q - 1) ** 2) >= 2**63:
         raise OverflowError(f"int64 arithmetic over (Z/{q})^{n} can wrap")
     spec = RingSpec.make(q, n)
@@ -84,7 +91,8 @@ def incidence_quotient(
         if u % p:
             np.minimum(ids, point_index(u * pts % q, spec), out=ids)
     reps = pts[np.unique(ids)]
-    _check_guard(len(reps), len(reps), guard)
+    _check_guard(f"unit-orbit quotient of W_{{{q},{n}}}", len(reps), len(reps),
+                 guard)
     return GFpMatrix(p, reps @ reps.T % q == 0)
 
 
@@ -181,22 +189,32 @@ def mv_rank_bound(fam: MVFamily) -> int:
 
 
 def mv_search(
-    p: int, k: int, n: int, target_size: int, budget: int = 200_000
+    p: int, k: int, n: int, target_size: int, budget: int = 200_000,
+    guard: int = DEFAULT_CELL_GUARD,
 ) -> tuple[MVFamily, int]:
     """Deterministic backtracking search for a matching-vector family.
 
-    Scans candidate (u, v) pairs in lexicographic order, depth-first, and
-    stops at target_size or when the node budget runs out.  Inner products
-    are looked up, not recomputed: orth[i][j] says whether vectors i and j
-    are orthogonal mod q, tabulated once before the scan.  Returns the best
-    family found and the number of nodes visited.  Never errors on an
-    unreachable target; the best-found family is returned instead.  Raises
-    ValueError for a p that is not prime, k < 1 or n < 1.
+    Scans the m^2 candidate pairs (u_i, v_j) in row-major order, depth-first,
+    and stops at target_size or when the node budget runs out; each pair
+    the scan passes is one node.  orth[i] is a bitmask, bit j set iff
+    <x_i, x_j> = 0 mod q.  A frame keeps rows, the u's no member's v is
+    orthogonal to, and cols, the v's no member's u is orthogonal to; adding
+    (i, j) leaves rows & ~orth[j] and cols & ~orth[i] (orth is symmetric).
+    From position idx a frame jumps to the next admissible pair found: it
+    is examined iff nodes + (found - idx) < budget and costs found - idx + 1
+    nodes; otherwise the frame ends with nodes = min(budget, nodes + m^2 -
+    idx).  Family and node count are those of testing pairs one by one.
+
+    Returns the best family found and the number of nodes visited; an
+    unreachable target is not an error.  Raises ValueError for a p that is
+    not prime, k < 1 or n < 1, and GuardExceeded, before any vector is
+    listed, when the q^n x q^n orthogonality table passes guard cells.
     """
     _check_ring(p, k, n)
     if budget <= 0:
         raise ValueError("budget must be positive")
     q = p**k
+    _check_guard(f"orthogonality table of (Z/{q})^{n}", q**n, q**n, guard)
     vectors = list(product(range(q), repeat=n))
     if target_size >= 2:
         # a zero vector forces a zero inner product off the diagonal, so it
@@ -204,30 +222,52 @@ def mv_search(
         vectors = [v for v in vectors if any(v)]
     m = len(vectors)
     X = np.array(vectors, dtype=np.int64).reshape(m, n)
-    orth = (X @ X.T % q == 0).tolist()
+    orth = _bitmasks(X @ X.T % q == 0)
+    end = m * m
     nodes = 0
-    best: list[tuple] = []
+    path: list[tuple[int, int]] = []
+    best: list[tuple[int, int]] = []
 
-    def dfs(us, vs, start):
-        # us, vs index the family's vectors; reordering a family preserves
-        # the property, so pairs are scanned in non-decreasing position only
+    def next_pair(rows, cols, idx):
+        # the first admissible pair at or after idx in row-major order, or end
+        i, j = divmod(idx, m)
+        if rows >> i & 1:
+            hits = (orth[i] & cols) >> j
+            if hits:
+                return idx + (hits & -hits).bit_length() - 1
+        rest = rows >> (i + 1)
+        while rest:
+            step = (rest & -rest).bit_length()
+            i += step
+            rest >>= step
+            hits = orth[i] & cols
+            if hits:
+                return i * m + (hits & -hits).bit_length() - 1
+        return end
+
+    def dfs(rows, cols, idx):
+        # reordering a family preserves the property, so pairs are scanned
+        # in non-decreasing position only
         nonlocal nodes, best
-        if len(us) > len(best):
-            best = list(zip(us, vs))
-        if len(us) >= target_size or nodes >= budget:
-            return len(us) >= target_size
-        for idx in range(start, m * m):
-            if nodes >= budget:
+        if len(path) > len(best):
+            best = path.copy()
+        if len(path) >= target_size or nodes >= budget:
+            return len(path) >= target_size
+        while True:
+            found = next_pair(rows, cols, idx)
+            if found == end or nodes + (found - idx) >= budget:
+                nodes = min(budget, nodes + (end - idx))
                 return False
-            nodes += 1
-            i, j = divmod(idx, m)
-            if (orth[i][j] and not any(orth[i][b] for b in vs)
-                    and not any(orth[a][j] for a in us)):
-                if dfs(us + [i], vs + [j], idx + 1):
-                    return True
-        return False
+            nodes += found - idx + 1
+            i, j = divmod(found, m)
+            path.append((i, j))
+            if dfs(rows & ~orth[j], cols & ~orth[i], found + 1):
+                return True
+            path.pop()
+            idx = found + 1
 
-    dfs([], [], 0)
+    everything = (1 << m) - 1
+    dfs(everything, everything, 0)
     U = tuple(vectors[i] for i, _ in best)
     V = tuple(vectors[j] for _, j in best)
     fam = MVFamily(p=p, k=k, n=n, U=U, V=V)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (
     GuardExceeded, VerificationError, json_ints, malformed_input, read_json,
 )
-from .gfp import GFpMatrix
+from .gfp import GFpMatrix, _bitmasks
 from .incidence import DEFAULT_CELL_GUARD, _check_guard
 from .rings import (
     Direction, Line, RingSpec, _canonical, _inverses, _least_bases, _progression,
@@ -119,7 +119,8 @@ def _check_point_table(spec: RingSpec) -> None:
     """Before any allocation: OverflowError where the N^n point indices wrap
     int64, GuardExceeded where the N^n x n table passes DEFAULT_CELL_GUARD."""
     _radix(spec.N, spec.n)
-    _check_guard(spec.num_points, spec.n, DEFAULT_CELL_GUARD)
+    _check_guard(f"point table of (Z/{spec.N})^{spec.n}", spec.num_points,
+                 spec.n, DEFAULT_CELL_GUARD)
 
 
 def full_set(spec: RingSpec) -> KakeyaSet:
@@ -268,8 +269,8 @@ def min_kakeya_search(
                 f"minimum search over {spec.N}^{spec.n} needs more than "
                 f"{cap} witness combinations"
             )
-    masks = [_bitmasks(_line_indices(_int_rows([c.base for c in cands], spec.n),
-                                     d.rep, spec), spec.num_points)
+    masks = [_index_masks(_line_indices(_int_rows([c.base for c in cands], spec.n),
+                                        d.rep, spec), spec.num_points)
              for d, cands in zip(dirs, candidates)]
     best_size = spec.num_points + 1
     best_choice = None
@@ -299,13 +300,12 @@ def min_kakeya_search(
     return best_size, S
 
 
-def _bitmasks(idx: np.ndarray, size: int) -> list[int]:
+def _index_masks(idx: np.ndarray, size: int) -> list[int]:
     """Python-int bitmask of each row of natural indices: bit i set for
-    index i (packed little-endian, so no shift overflows int64)."""
+    index i."""
     rows = np.zeros((len(idx), size), dtype=bool)
     rows[np.arange(len(idx))[:, None], idx] = True
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _bitmasks(rows)
 
 
 def to_json_dict(S: KakeyaSet) -> dict:

@@ -246,7 +246,8 @@ def test_prime_power_guard_refusal():
     with pytest.raises(GuardExceeded):
         certify_prime_power(full_set(RingSpec.make(4, 1)), guard=3)
     # (Z/4)^2: W has 256 cells, the exponent histogram 6 lines x 4 points x 16
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^DFT exponent histogram of "
+                       r"\(Z/4\)\^2: 24 x 16 "):
         certify_prime_power(full_set(RingSpec.make(4, 2)), guard=300)
 
 
@@ -279,3 +280,17 @@ def test_reports_serialize():
     d2 = r2.to_json_dict()
     assert d2["closed_form"] is None
     assert d2["certified"] == 3
+
+
+@pytest.mark.parametrize("certify,N,n,guard,message", [
+    (certify_prime, 3, 2, 10, r"line matrix of \(Z/3\)\^2: 4 x 9 "),
+    (certify_prime, 3, 2, 50, r"incidence matrix W_\{3,2\}: 9 x 9 "),
+    (certify_two_primes, 6, 2, 10, r"line matrix of \(Z/6\)\^2: 12 x 36 "),
+    (certify_squarefree, 6, 2, 10,
+     r"stacked decoding family over \(Z/6\)\^2 at k = 2: "),
+], ids=["prime-lines", "prime-W", "two-primes", "square-free"])
+def test_guard_refusals_name_their_builder(certify, N, n, guard, message):
+    from ringkakeya import GuardExceeded
+
+    with pytest.raises(GuardExceeded, match="^" + message):
+        certify(full_set(RingSpec.make(N, n)), guard=guard)

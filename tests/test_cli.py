@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -269,6 +270,40 @@ def test_mv_search_and_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "mv", "verify", str(path))
     assert code == 1
     assert "violation" in out
+
+
+def test_mv_search_guard_refuses_before_listing_vectors(tmp_path, capsys):
+    # (Z/3)^12 has 531441 vectors: the q^n x q^n table is refused before
+    # any of them is listed
+    out = tmp_path / "mv.json"
+    tracemalloc.start()
+    try:
+        code = main(["mv", "search", "--p", "3", "--n", "12", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists() and peak < 2**20
+    assert err == ("orthogonality table of (Z/3)^12: 531441 x 531441 = "
+                   "282429536481 cells exceeds the guard of 16000000\n")
+    code, out, err = run(capsys, "mv", "search", "--p", "3", "--n", "4",
+                         "--target", "6", "--guard", "6400")
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+
+
+def test_construct_refusal_names_the_point_table(capsys):
+    code, out, err = run(capsys, "kakeya", "construct", "--N", "6", "--n", "12")
+    assert code == 3 and out == ""
+    assert err == ("point table of (Z/6)^12: 2176782336 x 12 = 26121388032 "
+                   "cells exceeds the guard of 16000000\n")
+
+
+def test_mv_search_exhausts_default_budget(capsys):
+    code, out, _ = run(capsys, "mv", "search", "--p", "3", "--n", "4",
+                       "--target", "6")
+    data = json.loads(out)
+    assert code == 1
+    assert (data["nodes"], data["size"], data["target"]) == (200_000, 4, 6)
 
 
 def test_bound_command(capsys):

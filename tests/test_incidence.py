@@ -72,7 +72,8 @@ def test_incidence_4_1_rows_and_rank():
 
 
 def test_guard_refusal():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded,
+                       match=r"^incidence matrix W_\{7,3\}: 343 x 343 "):
         incidence_matrix(7, 3, guard=1000)
 
 
@@ -87,9 +88,11 @@ def test_incidence_quotient_4_1_rows():
 
 def test_incidence_quotient_refusals():
     # the guard counts the q^n x n point table, then the quotient
-    with pytest.raises(GuardExceeded, match="343 x 3 "):
+    with pytest.raises(GuardExceeded,
+                       match=r"^point table of \(Z/7\)\^3: 343 x 3 "):
         incidence_quotient(7, 1, 3, guard=1000)
-    with pytest.raises(GuardExceeded, match="1184 x 1184 "):
+    with pytest.raises(GuardExceeded,
+                       match=r"^unit-orbit quotient of W_\{27,3\}: 1184 x 1184 "):
         incidence_quotient(3, 3, 3, guard=1_000_000)
     # 2^63 points fit a huge guard, but their ids do not fit int64; the
     # refusal comes before the point table is allocated
@@ -235,3 +238,78 @@ def tuple_mv_search(p, k, n, target_size, budget):
 def test_mv_search_matches_tuple_search(p, k, n, target, budget):
     fam, nodes = mv_search(p, k, n, target, budget=budget)
     assert (fam.U, fam.V, nodes) == tuple_mv_search(p, k, n, target, budget)
+
+
+def orth_table_mv_search(p, k, n, target_size, budget):
+    """The per-node search that looks every pair up in a list-of-lists
+    orthogonality table, one node at a time: the reference for the bitmask
+    scan.  Also returns the node count at which each pair was accepted."""
+    q = p**k
+    vectors = list(product(range(q), repeat=n))
+    if target_size >= 2:
+        vectors = [v for v in vectors if any(v)]
+    m = len(vectors)
+    X = np.array(vectors, dtype=np.int64).reshape(m, n)
+    orth = (X @ X.T % q == 0).tolist()
+    nodes = 0
+    best = []
+    accepted = []
+
+    def dfs(us, vs, start):
+        nonlocal nodes, best
+        if len(us) > len(best):
+            best = list(zip(us, vs))
+        if len(us) >= target_size or nodes >= budget:
+            return len(us) >= target_size
+        for idx in range(start, m * m):
+            if nodes >= budget:
+                return False
+            nodes += 1
+            i, j = divmod(idx, m)
+            if (orth[i][j] and not any(orth[i][b] for b in vs)
+                    and not any(orth[a][j] for a in us)):
+                accepted.append(nodes)
+                if dfs(us + [i], vs + [j], idx + 1):
+                    return True
+        return False
+
+    dfs([], [], 0)
+    U = tuple(vectors[i] for i, _ in best)
+    V = tuple(vectors[j] for _, j in best)
+    return U, V, nodes, accepted
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 3), (3, 2, 2), (3, 1, 4)])
+def test_mv_search_matches_orth_table_search_at_full_budget(p, k, n):
+    fam, nodes = mv_search(p, k, n, 6, budget=200_000)
+    assert (fam.U, fam.V, nodes) == orth_table_mv_search(p, k, n, 6, 200_000)[:3]
+
+
+def test_mv_search_node_count_at_budget_edges():
+    # the jump books the skipped pairs arithmetically; a budget that ends
+    # exactly at, just before or just after an accepted pair is where an
+    # off-by-one would show
+    accepted = orth_table_mv_search(2, 2, 2, 99, 1000)[3]
+    edges = accepted[:4] + accepted[len(accepted) // 2:][:2] + accepted[-2:]
+    for a in edges:
+        for budget in (a - 1, a, a + 1):
+            if budget > 0:
+                fam, nodes = mv_search(2, 2, 2, 99, budget=budget)
+                ref = orth_table_mv_search(2, 2, 2, 99, budget)[:3]
+                assert (fam.U, fam.V, nodes) == ref, budget
+    # a scan that ends before its budget: budgets around its full count
+    total = orth_table_mv_search(3, 1, 2, 99, 10**6)[2]
+    assert total < 10**6
+    for budget in (total - 1, total, total + 1):
+        fam, nodes = mv_search(3, 1, 2, 99, budget=budget)
+        assert (fam.U, fam.V, nodes) == orth_table_mv_search(3, 1, 2, 99, budget)[:3]
+
+
+def test_mv_search_guard():
+    # the q^n x q^n orthogonality table, counted before any vector is listed
+    with pytest.raises(GuardExceeded, match=r"^orthogonality table of "
+                       r"\(Z/3\)\^12: 531441 x 531441 = \d+ cells exceeds "):
+        mv_search(3, 1, 12, 6)
+    with pytest.raises(GuardExceeded, match=r"^orthogonality table of \(Z/3\)\^4"):
+        mv_search(3, 1, 4, 6, guard=80 * 80)
+    assert mv_search(3, 1, 4, 6, guard=81 * 81)[1] == 200_000
