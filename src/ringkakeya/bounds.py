@@ -24,7 +24,6 @@ from .gfp import GFpMatrix, crank, rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
     _check_guard,
-    complement_indicator,
     incidence_matrix,
     incidence_quotient,
 )
@@ -131,10 +130,8 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
     W = incidence_matrix(p, n, guard=guard)
     MS = line_matrix(S, char=p)
     A = MS @ W
-    row_identity = all(
-        np.array_equal(A.a[i], complement_indicator(d.rep, spec))
-        for i, d in enumerate(dirs)
-    )
+    reps = np.array([d.rep for d in dirs], dtype=np.int64)
+    row_identity = np.array_equal(A.a, reps @ spec.points.T % p != 0)
     rank_A = rank(A)
     rank_MS = rank(MS)
     binom = math.comb(p + n - 2, n - 1)
@@ -193,20 +190,22 @@ def certify_two_primes(
         "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n), Wp.a
     ).reshape(len(dirs), -1))
 
-    row_identity = True
-    hyper: dict[tuple, np.ndarray] = {}
+    # row i should be the complement-hyperplane indicator of its p-side
+    # direction c_i, tensored with its q-side line indicator
+    lines, ind_q = _split_witnesses(S, 0)
+    comps = np.array([L.direction.rep for L in lines], dtype=np.int64)
+    hyper = comps @ spec_p.points.T % p != 0
+    row_identity = np.array_equal(
+        prod.a, (hyper[:, :, None] * ind_q[:, None, :]).reshape(len(dirs), -1)
+    )
     q_lines: dict[tuple, list] = {}
-    for i, (Lp, ind_q) in enumerate(_split_witnesses(S, 0)):
-        c = Lp.direction.rep
-        if c not in hyper:
-            hyper[c] = complement_indicator(c, spec_p)
-        if not np.array_equal(prod.a[i], np.kron(hyper[c], ind_q)):
-            row_identity = False
-        q_lines.setdefault(c, []).append(ind_q)
+    for L, row in zip(lines, ind_q):
+        q_lines.setdefault(L.direction.rep, []).append(row)
 
     certified = rank(prod)
     rank_MS = rank(MS)
-    V = GFpMatrix(p, [hyper[c] for c in sorted(hyper)])
+    # one row per distinct p-side direction
+    V = GFpMatrix(p, hyper[np.unique(comps, axis=0, return_index=True)[1]])
     dim_V = rank(V)
     min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, q_lines, q)
 
@@ -298,7 +297,7 @@ def certify_squarefree(
     # and kron(D, row0), built one family at a time by _tensor_rows_rank
     factors = []
     l0_rows: dict[tuple, list] = {}
-    for L1, row0 in _split_witnesses(S, pividx):
+    for L1, row0 in zip(*_split_witnesses(S, pividx)):
         D = point_evals[L1.direction.rep]
         if L1 not in decoders:
             decoders[L1] = decoding_matrix(L1, spec1, k, m)
@@ -370,8 +369,9 @@ def _group_rank_sizes(p: int, groups: dict, modulus: int):
     return min(ranks), min(unions), ok
 
 
-def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
-    """(pivot line, residual row) per direction, in enumeration order.
+def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
+    """The pivot lines and the (directions, (N/p)^n) residual rows, one per
+    direction in enumeration order.
 
     With p the factor-`pivot` prime and N0 = N/p, the witness line reduced
     mod p is its pivot component line (base: its point of least index), and
@@ -388,8 +388,8 @@ def _split_witnesses(S: KakeyaSet, pivot: int) -> list:
     rows = np.zeros((len(dirs), spec0.num_points), dtype=np.int64)
     cols = spec0.crt_order[point_index(pts % spec0.N, spec0)]
     rows[np.arange(len(dirs))[:, None], cols] = 1
-    return [(Line(base=tuple(b), direction=Direction(rep=c, components=(c,))), row)
-            for b, c, row in zip(bases, comps, rows)]
+    return [Line(base=tuple(b), direction=Direction(rep=c, components=(c,)))
+            for b, c in zip(bases, comps)], rows
 
 
 def _tensor_rows_rank(p: int, pairs) -> int:
@@ -441,10 +441,12 @@ def certify_prime_power(
     q = spec.N
     n = spec.n
     dirs = enumerate_directions(spec)
-    # dft_product's exponent histogram (q points per line), and W's size
+    # dft_product's exponent histogram (q points per line).  No W guard is
+    # needed: with q = p^k there are (q^n - p^{(k-1)n}) / φ(q) directions,
+    # so the histogram has p(q^n - p^{(k-1)n}) / (p - 1) = q^n (p - p^{1-n})
+    # / (p - 1) >= q^n rows against W's q^n columns, and W's q^n x q^n cells
+    # never pass a guard that this one let through
     _check_guard(f"DFT exponent histogram of (Z/{q})^{n}", len(dirs) * q,
-                 spec.num_points, guard)
-    _check_guard(f"incidence matrix W_{{{q},{n}}}", spec.num_points,
                  spec.num_points, guard)
     MS = line_matrix(S, char=p)
     coeffs = dft_product(MS.a, spec)

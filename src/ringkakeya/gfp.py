@@ -5,15 +5,15 @@ residues are reduced once, when a GFpMatrix is built, and every kernel
 trusts `.a`.  One elimination kernel, `_echelon`, gives every row
 factorization and kernel for every p and every rank for odd p; through the
 F_ℓ images of `cyclo.rank_cyclo` it gives the exact ranks over Q and Q(γ)
-too.  `rank` forks once, for p = 2, to `_rank_gf2`, which XORs rows packed
-64 entries to a uint64 word; factorizations and kernels stay on
-`_echelon` for p = 2 as well.  `_echelon` uses a fixed pivot rule (first
-non-zero entry scanning columns left to right, rows top to bottom) so
-echelon forms and ranks are reproducible bit for bit.  It works on one
-copy of its input in the narrowest signed integer type that holds
-(p - 1)^2: int8 for p <= 11, int16 for p <= 181, int32 for p <= 46337,
-int64 above.  Products or eliminations whose int64 arithmetic
-could wrap raise OverflowError.
+too.  `rank` forks once, for p = 2, to `_rank_gf2`, which reduces each
+row, packed to one Python-int bitmask, against an XOR basis keyed by
+leading bit; factorizations and kernels stay on `_echelon` for p = 2 as
+well.  `_echelon` uses a fixed pivot rule (first non-zero entry scanning
+columns left to right, rows top to bottom) so echelon forms and ranks are
+reproducible bit for bit.  It works on one copy of its input in the
+narrowest signed integer type that holds (p - 1)^2: int8 for p <= 11,
+int16 for p <= 181, int32 for p <= 46337, int64 above.  Products or
+eliminations whose int64 arithmetic could wrap raise OverflowError.
 """
 
 from __future__ import annotations
@@ -154,35 +154,6 @@ def _echelon(a: np.ndarray, p: int, track: bool = False):
     return E, pivots
 
 
-def _rank_gf2(a: np.ndarray) -> int:
-    """Rank over GF(2) of a, on rows packed 64 entries to a uint64 word.
-
-    Each row in turn is either zero or a pivot row: its leading set bit is
-    the pivot, and the row is XORed into every later row holding that bit,
-    from the pivot's word on.  A later row never gets an earlier pivot bit
-    back, so the pivot rows are independent and span the rows.
-    """
-    if a.shape[0] > a.shape[1]:
-        a = a.T
-    m, n = a.shape
-    bits = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
-    bits[:, : -(-n // 8)] = np.packbits(a != 0, axis=1)
-    words = bits.view(np.uint64)
-    r = 0
-    for i in range(m):
-        nz = bits[i].nonzero()[0]
-        if not nz.size:
-            continue
-        b = int(nz[0])
-        mask = 1 << (int(bits[i, b]).bit_length() - 1)
-        below = i + 1 + np.flatnonzero(bits[i + 1 :, b] & mask)
-        if below.size:
-            w = b // 8
-            words[below, w:] ^= words[i, w:]
-        r += 1
-    return r
-
-
 def _bitmasks(rows: np.ndarray) -> list[int]:
     """Each 0/1 row as a Python-int bitmask, bit j set iff entry j is
     non-zero (packed little-endian, so no shift overflows int64)."""
@@ -190,9 +161,30 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _rank_gf2(a: np.ndarray) -> int:
+    """Rank over GF(2) of a: the size of an XOR basis of its rows.
+
+    Each row, as a `_bitmasks` Python int, is XORed with the basis row of
+    its leading bit until it is zero or its leading bit is new, and then
+    joins the basis under that bit.  Basis rows have distinct leading bits,
+    so they are independent, and every row is a sum of basis rows, so they
+    span the rows.
+    """
+    basis: dict[int, int] = {}
+    for x in _bitmasks(a):
+        while x:
+            top = x.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = x
+                break
+            x ^= b
+    return len(basis)
+
+
 def rank(M: GFpMatrix) -> int:
-    """Rank over F_p: packed XOR elimination for p = 2, otherwise the
-    number of pivots of the echelon form."""
+    """Rank over F_p: an XOR basis of bitmask rows for p = 2, otherwise
+    the number of pivots of the echelon form."""
     if M.p == 2:
         return _rank_gf2(M.a)
     return len(_echelon(M.a, M.p)[1])

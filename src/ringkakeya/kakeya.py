@@ -253,9 +253,11 @@ def min_kakeya_search(
     Considers one witness line per direction and minimizes the union size;
     the optimum is exact and the returned witness assignment is the first
     optimum in lexicographic scan order.  Each candidate line is a bitmask
-    over point indices, so a union is ``|`` and its size ``bit_count()``;
-    a branch is cut once its union is as large as the best found.  The
-    first direction tries only its first line (the translation cut, see
+    over point indices, so a union is ``|`` and its size ``bit_count()``.
+    A child is entered only while its union is smaller than the best found,
+    and the last direction is scanned in a flat loop that keeps a strictly
+    smaller union, so no call is made for a branch that is already cut.
+    The first direction tries only its first line (the translation cut, see
     the comment below).  Instances whose total combination count exceeds
     cap are refused.
     """
@@ -272,25 +274,28 @@ def min_kakeya_search(
     masks = [_index_masks(_line_indices(_int_rows([c.base for c in cands], spec.n),
                                         d.rep, spec), spec.num_points)
              for d, cands in zip(dirs, candidates)]
-    best_size = spec.num_points + 1
-    best_choice = None
-
-    def dfs(idx, union, choice):
-        nonlocal best_size, best_choice
-        size = union.bit_count()
-        if size >= best_size:
-            return
-        if idx == len(dirs):
-            best_size, best_choice = size, choice
-            return
-        for ci, mask in enumerate(masks[idx]):
-            dfs(idx + 1, union | mask, choice + [ci])
-
     # A translate of a Kakeya set has the same size and maps each direction's
     # lines onto lines of that direction, and every line of the first
     # direction is a translate of its first line.  So some optimum uses
     # candidates[0][0], and the first optimum in scan order is among those.
-    dfs(1, masks[0][0], [0])
+    masks[0] = masks[0][:1]
+    best_size, best_choice = spec.num_points + 1, None
+    last = len(dirs) - 1
+
+    def dfs(idx, union, choice):
+        nonlocal best_size, best_choice
+        if idx == last:
+            for ci, mask in enumerate(masks[idx]):
+                size = (union | mask).bit_count()
+                if size < best_size:
+                    best_size, best_choice = size, choice + [ci]
+            return
+        for ci, mask in enumerate(masks[idx]):
+            child = union | mask
+            if child.bit_count() < best_size:
+                dfs(idx + 1, child, choice + [ci])
+
+    dfs(0, 0, [])
     bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
     idx = _line_indices(bases, _int_rows((d.rep for d in dirs), spec.n), spec)
     S = _assemble(spec, spec.points[np.unique(idx)], bases)

@@ -171,8 +171,8 @@ def rank_paths_agree(rng: random.Random) -> bool:
 def gf2_packed_rank_matches_echelon(rng: random.Random) -> bool:
     """The packed GF(2) rank equals the echelon pivot count on empty,
     all-zero, low-rank and random matrices, at column counts on each side of
-    the byte and word boundaries, with fewer rows than columns and with more
-    (the transposed branch)."""
+    the byte and word boundaries, with fewer rows than columns and with
+    more."""
     gen = np.random.default_rng(rng.randrange(2**32))
     for cols in (1, 7, 8, 9, 63, 64, 65, 129):
         cases = [np.zeros((0, cols), dtype=np.int64),

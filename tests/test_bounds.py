@@ -15,14 +15,17 @@ from ringkakeya import (
     certify_two_primes,
     crank,
     crt_product,
+    enumerate_directions,
     fq_bound,
     full_set,
     kron,
     min_kakeya_search,
+    rank,
     squarefree_bound,
     tangent_construction,
 )
 from ringkakeya.bounds import _tensor_rows_rank
+from ringkakeya.incidence import complement_indicator
 from ringkakeya.selftest import (
     crt_product_size,
     fq_bound_values,
@@ -92,6 +95,11 @@ def test_certify_two_primes_constructions():
     r = certify_two_primes(S)
     assert r.passed and r.certified <= S.size
     assert r.closed_form == 25
+    # V: the complement-hyperplane indicators of the p-side directions
+    spec_p = spec.factor_specs()[0]
+    V = GFpMatrix(3, [complement_indicator(c.rep, spec_p)
+                      for c in enumerate_directions(spec_p)])
+    assert r.quantities["dim_V"] == rank(V)
 
 
 def test_certify_squarefree_chain():

@@ -7,14 +7,20 @@ import pytest
 
 from ringkakeya import (
     GFpMatrix,
+    RingSpec,
     RowFactorError,
+    certify_squarefree,
+    certify_two_primes,
     crank,
+    crt_product,
     kron,
     nullspace,
     rank,
     rank_rational,
     solve_row_factor,
+    tangent_construction,
 )
+from ringkakeya import bounds
 from ringkakeya.gfp import _echelon, _rank_gf2, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
@@ -87,6 +93,53 @@ def test_gf2_packed_rank_matches_echelon_large(rows, cols):
     for a in (full, low):
         assert _rank_gf2(a) == len(_echelon(a, 2)[1])
     assert _rank_gf2(low) <= 150
+
+
+def _echelon_rank_gf2(a):
+    return len(_echelon(a, 2)[1])
+
+
+def test_gf2_rank_matches_echelon_on_certificate_matrices(monkeypatch):
+    # every GF(2) matrix the crt-10^3 certificates rank: the square-free
+    # family (868 x 1155), its D ⊗ L0 family (868 x 550), the two-primes
+    # product (217 x 1000) and the small V and q-line groups
+    seen = []
+
+    def recording_rank(M):
+        if M.p == 2:
+            seen.append(M.a)
+        return rank(M)
+
+    monkeypatch.setattr(bounds, "rank", recording_rank)
+    spec = RingSpec.make(10, 3)
+    S = crt_product([tangent_construction(2, 3), tangent_construction(5, 3)], spec)
+    certify_squarefree(S)
+    certify_two_primes(S)
+    assert {(868, 1155), (868, 550), (217, 1000)} <= {a.shape for a in seen}
+    for a in seen:
+        assert _rank_gf2(a) == _echelon_rank_gf2(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gf2_rank_matches_echelon_on_sparse_kron_family(seed):
+    # stacked kron(C, v) members, sparse like the square-free families
+    gen = np.random.default_rng(seed)
+    a = np.vstack([np.kron(gen.random((4, 12)) < 0.2, gen.random((1, 40)) < 0.1)
+                   for _ in range(120)]).astype(np.int64)
+    assert _rank_gf2(a) == _echelon_rank_gf2(a)
+
+
+@pytest.mark.parametrize("tops", [[62], [63], [64], [65], [126], [127], [128],
+                                  [129], [62, 63, 64, 65, 126, 127, 128, 129]])
+def test_gf2_rank_matches_echelon_at_word_boundary_leading_bits(tops):
+    # each row's leading bit (its last non-zero column) is one of tops
+    gen = np.random.default_rng(tops[0] * len(tops))
+    for rows in (5, 40, 200):
+        a = gen.integers(0, 2, (rows, 140))
+        top = gen.choice(tops, rows)
+        a[np.arange(140) > top[:, None]] = 0
+        a[np.arange(rows), top] = 1
+        assert _rank_gf2(a) == _echelon_rank_gf2(a)
 
 
 def test_kron_examples():

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ringkakeya import (
@@ -19,6 +20,11 @@ from ringkakeya import (
     verify,
 )
 from ringkakeya.kakeya import (
+    MINSEARCH_COMBO_GUARD,
+    _assemble,
+    _index_masks,
+    _int_rows,
+    _line_indices,
     _lines_in_direction,
     from_json_dict,
     load,
@@ -186,6 +192,79 @@ def test_min_search_z4():
     opt2, S2 = min_kakeya_search(spec)
     assert opt2 == brute_min_kakeya(spec)[0]
     assert verify(S2)[0]
+
+
+def reference_min_kakeya_search(spec, cap=MINSEARCH_COMBO_GUARD):
+    """Reference search with the cut at the top of each call: every child
+    is entered and returns at once when its union is as large as the best
+    found, and a full assignment is recorded one level below the last
+    direction."""
+    dirs = enumerate_directions(spec)
+    candidates = [_lines_in_direction(d, spec) for d in dirs]
+    combos = 1
+    for c in candidates:
+        combos *= len(c)
+        if combos > cap:
+            raise GuardExceeded("too many combinations")
+    masks = [_index_masks(_line_indices(_int_rows([c.base for c in cands], spec.n),
+                                        d.rep, spec), spec.num_points)
+             for d, cands in zip(dirs, candidates)]
+    best_size = spec.num_points + 1
+    best_choice = None
+
+    def dfs(idx, union, choice):
+        nonlocal best_size, best_choice
+        size = union.bit_count()
+        if size >= best_size:
+            return
+        if idx == len(dirs):
+            best_size, best_choice = size, choice
+            return
+        for ci, mask in enumerate(masks[idx]):
+            dfs(idx + 1, union | mask, choice + [ci])
+
+    dfs(1, masks[0][0], [0])
+    bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
+    idx = _line_indices(bases, _int_rows((d.rep for d in dirs), spec.n), spec)
+    return best_size, _assemble(spec, spec.points[np.unique(idx)], bases)
+
+
+def _small_rings():
+    """Every supported (N, n) with N^n <= 49."""
+    rings = []
+    for N in range(2, 50):
+        try:
+            RingSpec.make(N, 1)
+        except ValueError:
+            continue
+        n = 1
+        while N ** n <= 49:
+            rings.append((N, n))
+            n += 1
+    return rings
+
+
+@pytest.mark.parametrize("N,n", _small_rings())
+def test_min_search_matches_reference_dfs(N, n):
+    spec = RingSpec.make(N, n)
+    try:
+        want = reference_min_kakeya_search(spec)
+    except GuardExceeded:
+        with pytest.raises(GuardExceeded):
+            min_kakeya_search(spec)
+        return
+    size, S = min_kakeya_search(spec)
+    assert (size, to_json_dict(S)) == (want[0], to_json_dict(want[1]))
+
+
+@pytest.mark.parametrize("N,n", [(6, 2), (8, 2)])
+def test_min_search_matches_reference_dfs_without_cap(N, n):
+    spec = RingSpec.make(N, n)
+    with pytest.raises(GuardExceeded):
+        min_kakeya_search(spec)
+    size, S = min_kakeya_search(spec, cap=10**100)
+    want = reference_min_kakeya_search(spec, cap=10**100)
+    assert (size, to_json_dict(S)) == (want[0], to_json_dict(want[1]))
 
 
 def test_min_search_deterministic_and_guarded():

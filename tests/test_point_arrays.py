@@ -347,7 +347,7 @@ def test_residual_rows_match_kron_of_indicators(N, n):
     for seed in (1, 2):
         S = random_full_witness(spec, seed)
         for pivot in range(spec.r):
-            got = _split_witnesses(S, pivot)
+            got = list(zip(*_split_witnesses(S, pivot)))
             want = ref_split_witnesses(S, pivot)
             assert [L for L, _ in got] == [L for L, _ in want]
             assert _python_ints(L for L, _ in got)
