@@ -7,19 +7,21 @@ CLI's `wrank` command exports, plus matching-vector lower bounds.
 
 from ringkakeya import (
     incidence_matrix_pk,
-    mv_rank_bound,
+    incidence_quotient,
     mv_search,
+    mv_verify,
     rank,
     rank_formula,
-    rank_formula_check,
     rank_rational,
 )
 
 print("prime case: computed rank vs closed form")
 for p in (2, 3, 5, 7):
     for n in (2, 3):
-        computed, formula, ok = rank_formula_check(p, n)
-        print(f"  p={p} n={n}: rank {computed}, formula {formula}, match {ok}")
+        computed = rank(incidence_quotient(p, 1, n))
+        formula = rank_formula(p, n)
+        print(f"  p={p} n={n}: rank {computed}, formula {formula}, "
+              f"match {computed == formula}")
 
 print("\nprime powers: empirical F_p ranks (no closed form asserted)")
 print(f"  {'q':>3} {'n':>2} {'extent':>7} {'rank_Fp':>8} {'rank_Q':>7}")
@@ -32,8 +34,9 @@ print("\nmatching-vector families give field-independent rank lower bounds:")
 for p, k, n in [(2, 2, 2), (3, 2, 2)]:
     fam, nodes = mv_search(p, k, n, target_size=3, budget=500_000)
     W = incidence_matrix_pk(p, k, n)
+    assert mv_verify(fam)
     print(f"  q={p**k} n={n}: family of size {fam.size} "
-          f"(U={list(fam.U)}) -> rank >= {mv_rank_bound(fam)}; "
+          f"(U={list(fam.U)}) -> rank >= {fam.size}; "
           f"actual rank {rank(W)}")
 
 print("\nprime rank formula values, for reference:",

@@ -33,11 +33,9 @@ from .incidence import (
     incidence_matrix,
     incidence_matrix_pk,
     incidence_quotient,
-    mv_rank_bound,
     mv_search,
     mv_verify,
     rank_formula,
-    rank_formula_check,
 )
 from .kakeya import (
     KakeyaSet,

@@ -6,6 +6,10 @@ row/rank identities the bound rests on, and reports every intermediate
 quantity with a pass/fail flag per checked identity.  The pipelines
 compute actual ranks rather than only the closed-form lower bounds, so
 each inequality is an assertion between computed numbers.
+
+`prime` and `two-primes` share one product, `_pivot_product`: over F_p,
+p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p},
+with one row identity and one guard pair; `prime` is the case N = p.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .cyclo import (
     dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
 )
 from .errors import VerificationError
-from .gfp import GFpMatrix, crank, rank
+from .gfp import GFpMatrix, _check_product, crank, rank
 from .incidence import (
     DEFAULT_CELL_GUARD,
     _check_guard,
@@ -110,32 +114,57 @@ def _require_valid(S: KakeyaSet):
         )
 
 
+def _pivot_product(S: KakeyaSet, guard: int):
+    """M_S·(W_p ⊗ I_m) over F_p, p the least prime of square-free N and
+    m = N/p, with its row identity checked.
+
+    M_S's columns are CRT-major (pivot point, rest point), so W_p acts on
+    the pivot index alone: one batched product W_p^T @ M_S reshaped to
+    (directions, p^n, m^n).  Row i must be the complement-hyperplane
+    indicator H_i of the pivot component c_i of direction i, tensored with
+    the `_residual_rows` row of its witness line; AssertionError otherwise.
+    Raises GuardExceeded before building anything when the line matrix or
+    W_p would exceed guard cells.  Returns the ranks of M_S and of the
+    product, the natural indices of the c_i in (Z/p)^n, H and the residual
+    rows.
+    """
+    _require_valid(S)
+    spec = S.spec
+    p, n = spec.primes[0], spec.n
+    dirs = enumerate_directions(spec)
+    _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
+                 spec.num_points, guard)
+    W = incidence_matrix(p, n, guard=guard)
+    MS = line_matrix(S)
+    _check_product(W.rows, p)
+    prod = W.a.T @ MS.a.reshape(len(dirs), W.rows, -1) % p
+    spec_p = spec.factor_specs()[0]
+    comps = np.array([d.components[0] for d in dirs], dtype=np.int64)
+    H = comps @ spec_p.points.T % p != 0
+    if spec.r == 1:  # no rest: row i is H_i alone
+        rows = np.ones((len(dirs), 1), dtype=np.int64)
+    else:
+        rows = _residual_rows(spec, 0, spec.points[_witness_indices(S)])
+    if not np.array_equal(prod, H[:, :, None] * rows[:, None, :]):
+        raise AssertionError("pivot row identity failed (internal bug)")
+    return (rank(MS), rank(GFpMatrix(p, prod.reshape(len(dirs), -1))),
+            point_index(comps, spec_p), H, rows)
+
+
 def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
     """Prime-field certificate: rank of line matrix times incidence matrix.
 
-    Verifies that each row of the product is the complement-hyperplane
-    indicator of its direction, then certifies |S| >= rank of the product,
-    which the rank formula pins to at least C(p+n-2, n-1).  Raises
-    GuardExceeded before building anything when the line matrix or the
-    incidence matrix would exceed guard cells.
+    `_pivot_product` with m = 1: each row of the product is the
+    complement-hyperplane indicator of its direction.  Certifies |S| >= rank
+    of the product, which the rank formula pins to at least C(p+n-2, n-1).
     """
     spec = S.spec
     if not spec.is_prime:
         raise ValueError("prime pipeline requires a prime modulus")
-    _require_valid(S)
+    rank_MS, rank_A, _, _, _ = _pivot_product(S, guard)
     p, n = spec.N, spec.n
-    dirs = enumerate_directions(spec)
-    _check_guard(f"line matrix of (Z/{p})^{n}", len(dirs), spec.num_points,
-                 guard)
-    W = incidence_matrix(p, n, guard=guard)
-    MS = line_matrix(S, char=p)
-    A = MS @ W
-    reps = np.array([d.rep for d in dirs], dtype=np.int64)
-    row_identity = np.array_equal(A.a, reps @ spec.points.T % p != 0)
-    rank_A = rank(A)
-    rank_MS = rank(MS)
     binom = math.comb(p + n - 2, n - 1)
-    report = BoundReport(
+    return BoundReport(
         pipeline="prime",
         N=spec.N,
         n=n,
@@ -149,67 +178,37 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
             "binom_p_plus_n_minus_2": binom,
         },
         checks={
-            "row_identity": row_identity,
+            "row_identity": True,
             "rank_chain": rank_MS >= rank_A,
             "rank_formula_lower_bound": rank_A >= binom,
             "soundness": rank_A <= S.size,
         },
     )
-    if not row_identity:
-        raise AssertionError("line-action row identity failed (internal bug)")
-    return report
 
 
 def certify_two_primes(
     S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD
 ) -> BoundReport:
-    """Two-prime certificate over F_p, N = p*q with p < q.
+    """Pivot certificate over F_p for square-free N with at least two
+    primes, p the least of them and m = N/p.
 
-    Multiplies the line matrix by (incidence ⊗ identity), checks each row
-    equals the tensor of the complement-hyperplane indicator mod p with the
-    q-side line indicator, and certifies via the rank of the product plus
-    the tensor-span dimension bound.  Raises GuardExceeded before building
-    anything when the line matrix or the incidence matrix would exceed
-    guard cells.
+    `_pivot_product`: each row of M_S·(W_p ⊗ I_m) is the tensor of the
+    complement-hyperplane indicator of its pivot direction with its
+    residual line indicator.  Certifies |S| >= rank of the product, and
+    checks that rank against the tensor-span bound dim V · min rank B: V
+    spans the complement-hyperplane rows of the distinct pivot directions,
+    and B is the residual rows of the directions sharing one of them.
     """
     spec = S.spec
-    if not (spec.is_square_free and spec.r == 2):
-        raise ValueError("two-prime pipeline requires N = p*q, distinct primes")
-    _require_valid(S)
-    p, q = spec.primes
-    n = spec.n
-    spec_p = spec.factor_specs()[0]
-    dirs = enumerate_directions(spec)
-    _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
-                 spec.num_points, guard)
-    Wp = incidence_matrix(p, n, guard=guard)
-    MS = line_matrix(S, char=p)
-    # columns are CRT-major (p-side point, q-side point), so the product
-    # with Wp ⊗ I acts on the p-side index alone
-    prod = GFpMatrix(p, np.einsum(
-        "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n), Wp.a
-    ).reshape(len(dirs), -1))
-
-    # row i should be the complement-hyperplane indicator of its p-side
-    # direction c_i, tensored with its q-side line indicator
-    lines, ind_q = _split_witnesses(S, 0)
-    comps = np.array([L.direction.rep for L in lines], dtype=np.int64)
-    hyper = comps @ spec_p.points.T % p != 0
-    row_identity = np.array_equal(
-        prod.a, (hyper[:, :, None] * ind_q[:, None, :]).reshape(len(dirs), -1)
-    )
-    q_lines: dict[tuple, list] = {}
-    for L, row in zip(lines, ind_q):
-        q_lines.setdefault(L.direction.rep, []).append(row)
-
-    certified = rank(prod)
-    rank_MS = rank(MS)
-    # one row per distinct p-side direction
-    V = GFpMatrix(p, hyper[np.unique(comps, axis=0, return_index=True)[1]])
-    dim_V = rank(V)
-    min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, q_lines, q)
-
-    report = BoundReport(
+    if spec.kind != "square-free":
+        raise ValueError("two-prime pipeline requires square-free N with at "
+                         "least two prime factors")
+    rank_MS, certified, pivots, H, rows = _pivot_product(S, guard)
+    p, n = spec.primes[0], spec.n
+    dim_V = rank(GFpMatrix(p, H[np.unique(pivots, return_index=True)[1]]))
+    min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, pivots.tolist(),
+                                                       rows, spec.N // p)
+    return BoundReport(
         pipeline="two-primes",
         N=spec.N,
         n=n,
@@ -224,16 +223,13 @@ def certify_two_primes(
             "tensor_lower_bound": dim_V * min_rank_B,
         },
         checks={
-            "row_identity": row_identity,
+            "row_identity": True,
             "tensor_span_bound": certified >= dim_V * min_rank_B,
             "rank_size_per_direction": rank_size_per_c,
             "rank_chain": rank_MS >= certified,
             "soundness": certified <= S.size,
         },
     )
-    if not row_identity:
-        raise AssertionError("tensor row identity failed (internal bug)")
-    return report
 
 
 def certify_squarefree(
@@ -296,27 +292,22 @@ def certify_squarefree(
     # (C, D, row0) per direction: the family members are kron(C, row0)
     # and kron(D, row0), built one family at a time by _tensor_rows_rank
     factors = []
-    l0_rows: dict[tuple, list] = {}
-    for L1, row0 in zip(*_split_witnesses(S, pividx)):
+    lines, rows0 = _split_witnesses(S, pividx)
+    for L1, row0 in zip(lines, rows0):
         D = point_evals[L1.direction.rep]
         if L1 not in decoders:
             decoders[L1] = decoding_matrix(L1, spec1, k, m)
             if decoders[L1] @ E != D:
                 decode_chain = False
         factors.append((decoders[L1], D, row0))
-        l0_rows.setdefault(L1.direction.rep, []).append(row0)
 
     crank_family = _tensor_rows_rank(p1, [(C, v) for C, _, v in factors])
     certified = math.ceil(crank_family / Delta)
     crank_D = crank(list(point_evals.values()))
     crank_DL0 = _tensor_rows_rank(p1, [(D, v) for _, D, v in factors])
-    min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(p1, l0_rows, N0)
-    bound0 = (
-        squarefree_bound(N0, n)
-        if RingSpec.make(N0, n).is_square_free
-        else fq_bound(N0, n)
-    )
-    union_bound_ok = Fraction(min_union) >= bound0
+    min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(
+        p1, [L.direction.rep for L in lines], rows0, N0)
+    union_bound_ok = Fraction(min_union) >= squarefree_bound(N0, n)
 
     final_rhs = Fraction(N0 ** (n - 1)) * delta_homog
     for pi in spec.primes:
@@ -357,39 +348,49 @@ def certify_squarefree(
     return report
 
 
-def _group_rank_sizes(p: int, groups: dict, modulus: int):
-    """Over the groups of 0/1 witness rows: the least F_p rank, the least
-    union size, and whether every group's rank is at least
-    ⌈its union / modulus⌉."""
+def _group_rank_sizes(p: int, pivots, rows: np.ndarray, modulus: int):
+    """Over the groups of 0/1 residual rows of equal pivot (one hashable
+    key per row): the least F_p rank, the least union size, and whether
+    every group's rank is at least ⌈its union / modulus⌉."""
+    groups: dict = {}
+    for i, pivot in enumerate(pivots):
+        groups.setdefault(pivot, []).append(i)
     ranks, unions = [], []
-    for rows in groups.values():
-        ranks.append(rank(GFpMatrix(p, rows)))
-        unions.append(int(np.count_nonzero(np.any(np.array(rows), axis=0))))
+    for group in groups.values():
+        block = rows[group]
+        ranks.append(rank(GFpMatrix(p, block)))
+        unions.append(int(np.count_nonzero(block.any(axis=0))))
     ok = all(r >= math.ceil(u / modulus) for r, u in zip(ranks, unions))
     return min(ranks), min(unions), ok
 
 
-def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
-    """The pivot lines and the (directions, (N/p)^n) residual rows, one per
-    direction in enumeration order.
+def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
+    """(lines, (N/p)^n) rows, p the factor-`pivot` prime and pts the
+    (lines, N, n) points of lines over (Z/N)^n with at least two primes.
 
-    With p the factor-`pivot` prime and N0 = N/p, the witness line reduced
-    mod p is its pivot component line (base: its point of least index), and
-    reduced mod N0 it is the CRT product of the other components, so its
-    CRT-major 0/1 indicator over (Z/N0)^n is the Kronecker product of their
-    indicators."""
+    Reduced mod N0 = N/p, a line is the CRT product of its components other
+    than the pivot, so its CRT-major 0/1 indicator over (Z/N0)^n is the
+    Kronecker product of their indicators."""
+    N0 = spec.N // spec.primes[pivot]
+    spec0 = RingSpec.make(N0, spec.n)
+    rows = np.zeros((len(pts), spec0.num_points), dtype=np.int64)
+    cols = spec0.crt_order[point_index(pts % N0, spec0)]
+    rows[np.arange(len(pts))[:, None], cols] = 1
+    return rows
+
+
+def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
+    """The pivot lines and the `_residual_rows` of the witness lines, one
+    per direction in enumeration order: a witness line reduced mod the
+    pivot prime is its pivot component line, based at its point of least
+    index."""
     spec = S.spec
     spec_p = spec.factor_specs()[pivot]
-    spec0 = RingSpec.make(spec.N // spec_p.N, spec.n)
-    dirs = enumerate_directions(spec)
+    comps = [d.components[pivot] for d in enumerate_directions(spec)]
     pts = spec.points[_witness_indices(S)]
-    comps = [d.components[pivot] for d in dirs]
     bases = _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist()
-    rows = np.zeros((len(dirs), spec0.num_points), dtype=np.int64)
-    cols = spec0.crt_order[point_index(pts % spec0.N, spec0)]
-    rows[np.arange(len(dirs))[:, None], cols] = 1
     return [Line(base=tuple(b), direction=Direction(rep=c, components=(c,)))
-            for b, c in zip(bases, comps)], rows
+            for b, c in zip(bases, comps)], _residual_rows(spec, pivot, pts)
 
 
 def _tensor_rows_rank(p: int, pairs) -> int:
@@ -448,7 +449,7 @@ def certify_prime_power(
     # never pass a guard that this one let through
     _check_guard(f"DFT exponent histogram of (Z/{q})^{n}", len(dirs) * q,
                  spec.num_points, guard)
-    MS = line_matrix(S, char=p)
+    MS = line_matrix(S)
     coeffs = dft_product(MS.a, spec)
     # row i should be q·γ^{<base_i, y>} where <d_i, y> = 0, and 0 elsewhere;
     # [<d_i, y> = 0] is also row d_i of the incidence matrix W

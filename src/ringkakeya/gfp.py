@@ -85,11 +85,7 @@ class GFpMatrix:
     def __matmul__(self, other: "GFpMatrix") -> "GFpMatrix":
         if self.p != other.p:
             raise ValueError("characteristic mismatch")
-        if self.cols * (self.p - 1) ** 2 >= 2**63:
-            raise OverflowError(
-                f"a product with inner dimension {self.cols} over F_{self.p} "
-                "can wrap int64"
-            )
+        _check_product(self.cols, self.p)
         return GFpMatrix(self.p, self.a @ other.a % self.p)
 
     def transpose(self) -> "GFpMatrix":
@@ -97,6 +93,15 @@ class GFpMatrix:
 
     def __repr__(self) -> str:
         return f"GFpMatrix(p={self.p}, shape={self.a.shape})"
+
+
+def _check_product(inner: int, p: int):
+    """OverflowError where an int64 product over F_p with this inner
+    dimension could wrap."""
+    if inner * (p - 1) ** 2 >= 2**63:
+        raise OverflowError(
+            f"a product with inner dimension {inner} over F_{p} can wrap int64"
+        )
 
 
 def _work_type(p: int):

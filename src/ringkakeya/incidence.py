@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardExceeded, json_ints, malformed_input
-from .gfp import GFpMatrix, _bitmasks, is_prime, rank
+from .gfp import GFpMatrix, _bitmasks, is_prime
 from .rings import RingSpec, point_index
 
 DEFAULT_CELL_GUARD = 16_000_000
@@ -112,15 +112,6 @@ def rank_formula(p: int, n: int) -> int:
     return math.comb(p + n - 2, n - 1) + 1
 
 
-def rank_formula_check(
-    p: int, n: int, guard: int = DEFAULT_CELL_GUARD
-) -> tuple[int, int, bool]:
-    """Computed rank of the prime incidence matrix against the closed form."""
-    computed = rank(incidence_quotient(p, 1, n, guard=guard))
-    formula = rank_formula(p, n)
-    return computed, formula, computed == formula
-
-
 @dataclass(frozen=True)
 class MVFamily:
     """A matching-vector family over (Z/qZ)^n, q = p^k.
@@ -179,13 +170,6 @@ def mv_verify(fam: MVFamily) -> bool:
     if len(fam.U) != len(fam.V):
         return False
     return not mv_violations(fam)
-
-
-def mv_rank_bound(fam: MVFamily) -> int:
-    """Family size: a lower bound on the incidence-matrix rank over any field."""
-    if not mv_verify(fam):
-        raise ValueError(f"not a matching-vector family: {mv_violations(fam)[:3]}")
-    return fam.size
 
 
 def mv_search(

@@ -209,15 +209,15 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
     return _assemble(big, points, _witness_bases(S, block_dirs).reshape(-1, t * n))
 
 
-def line_matrix(S: KakeyaSet, char: int | None = None) -> GFpMatrix:
-    """0/1 matrix with one row per direction (enumeration order), the row
-    being the witness-line indicator in CRT-major point column order."""
+def line_matrix(S: KakeyaSet) -> GFpMatrix:
+    """0/1 matrix over F_p, p the least prime of N, with one row per
+    direction (enumeration order), the row being the witness-line indicator
+    in CRT-major point column order."""
     spec = S.spec
-    p = char if char is not None else spec.primes[0]
     idx = _witness_indices(S)
     M = np.zeros((len(idx), spec.num_points), dtype=np.int64)
     M[np.arange(len(idx))[:, None], spec.crt_order[idx]] = 1
-    return GFpMatrix(p, M)
+    return GFpMatrix(spec.primes[0], M)
 
 
 def greedy_independent_lines(S: KakeyaSet) -> list[Line]:

@@ -126,6 +126,8 @@ class RingSpec:
 
     @cached_property  # once per spec; line_split asks once per direction
     def _factor_specs(self) -> tuple["RingSpec", ...]:
+        if self.r == 1:  # share this spec's cached tables
+            return (self,)
         return tuple(RingSpec.make(q, self.n) for q in self.factor_moduli)
 
     @cached_property

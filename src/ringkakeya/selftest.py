@@ -360,7 +360,7 @@ def complement_rows_p3():
     with the all-ones row, which they lack, they are the row set of W, so
     the product rank drops by at most one."""
     W = incidence_matrix(3, 2)
-    A = (line_matrix(full_set(RingSpec.make(3, 2)), char=3) @ W).a
+    A = (line_matrix(full_set(RingSpec.make(3, 2))) @ W).a
     rows_JA = {tuple(r) for r in (1 - A) % 3}
     allones = (1,) * 9
     return [

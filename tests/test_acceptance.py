@@ -144,7 +144,7 @@ def test_criterion_06_two_prime_row_identity():
                                for seed in range(20)]
     for S in sets:
         assert verify(S)[0]
-        MS = line_matrix(S, char=2)
+        MS = line_matrix(S)
         prod = MS @ K
         for i, d in enumerate(enumerate_directions(spec)):
             Lp, Lq = line_split(S.witness[d], spec)

@@ -282,7 +282,7 @@ def test_rank_cyclo_against_exact_rank(q, n, seed):
     p, k = spec.factors[0]
     S = _random_witness_set(spec, random.Random(seed))
     report = certify_prime_power(S)
-    MS = line_matrix(S, char=p)
+    MS = line_matrix(S)
     coeffs = dft_product(MS.a, spec)
     # independent oracle: the complex embedding γ = exp(2πi/q)
     gamma = np.exp(2j * np.pi * np.arange(coeffs.shape[-1]) / q)

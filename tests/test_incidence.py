@@ -12,11 +12,10 @@ from ringkakeya import (
     incidence_matrix,
     incidence_matrix_pk,
     incidence_quotient,
-    mv_rank_bound,
     mv_search,
     mv_verify,
     rank,
-    rank_formula_check,
+    rank_formula,
 )
 from ringkakeya.incidence import complement_indicator, mv_violations
 from ringkakeya.selftest import (
@@ -115,9 +114,8 @@ def test_line_action_exhaustive(p, n):
 
 
 def test_rank_formula_examples():
-    assert rank_formula_check(2, 2) == (3, 3, True)
-    assert rank_formula_check(3, 2) == (4, 4, True)
-    assert rank_formula_check(5, 3) == (16, 16, True)
+    for p, n, want in [(2, 2, 3), (3, 2, 4), (5, 3, 16)]:
+        assert rank(incidence_quotient(p, 1, n)) == rank_formula(p, n) == want
 
 
 def test_unit_scaling_fixes_rows_and_columns():
@@ -137,19 +135,16 @@ def test_rational_rank_equals_distinct_rows(q, n):
 
 def test_mv_verify_examples():
     fam = MVFamily(p=2, k=2, n=2, U=((1, 0), (0, 1)), V=((0, 1), (1, 0)))
-    assert mv_verify(fam)
-    assert mv_rank_bound(fam) == 2
+    assert mv_verify(fam) and fam.size == 2
     bad = MVFamily(p=2, k=2, n=2, U=((1, 0),), V=((1, 0),))
     assert not mv_verify(bad)
     assert mv_violations(bad) == [(0, 0, 1)]
-    with pytest.raises(ValueError):
-        mv_rank_bound(bad)
 
 
 def test_mv_family_bounds_incidence_rank():
     fam = MVFamily(p=2, k=2, n=2, U=((1, 0), (0, 1)), V=((0, 1), (1, 0)))
     W = incidence_matrix_pk(2, 2, 2)
-    assert rank(W) >= mv_rank_bound(fam)
+    assert mv_verify(fam) and rank(W) >= fam.size
 
 
 def test_mv_search_small():

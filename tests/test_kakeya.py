@@ -135,7 +135,7 @@ def test_line_matrix_full_f2():
 
 def test_line_matrix_row_support_and_rank_size():
     T = tangent_construction(3, 2)
-    M = line_matrix(T, char=3)
+    M = line_matrix(T)
     assert all(row.sum() == 3 for row in M.a)
     assert rank(M) <= T.size
 
