@@ -23,7 +23,6 @@ from ringkakeya import (
     min_kakeya_search,
     rank,
     rank_cyclo,
-    rank_transfer_check,
     reduction_matrix,
     zero_pattern,
 )
@@ -35,9 +34,9 @@ for p, k in [(2, 2), (3, 1), (2, 3), (3, 2)]:
 print("\nrank transfer on a hand-sized example over Q(i):")
 R = reduction_matrix(2, 2)  # 1, i, -1, -i
 M = np.array([[R[0], R[1]], [R[1], R[2]]])
-print(f"  [[1, i], [i, -1]]: rank over Q(i) = {rank_cyclo(M, 2, 2)}, "
-      f"pattern rank over F_2 = {rank(zero_pattern(M, 2))}, "
-      f"transfer holds: {rank_transfer_check(M, 2, 2)}")
+rank_q, rank_p = rank_cyclo(M, 2, 2), rank(zero_pattern(M, 2))
+print(f"  [[1, i], [i, -1]]: rank over Q(i) = {rank_q}, "
+      f"pattern rank over F_2 = {rank_p}, transfer holds: {rank_q >= rank_p}")
 
 spec = RingSpec.make(4, 2)
 F = dft_product(np.eye(spec.num_points, dtype=np.int64), spec)

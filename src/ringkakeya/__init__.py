@@ -1,6 +1,10 @@
 """Exact-arithmetic toolkit for Kakeya sets over Z/NZ (square-free N and
 prime powers): constructions, incidence-matrix ranks over F_p, cyclotomic
-rank transfer, and machine-checkable lower-bound certificates."""
+ranks, and machine-checkable lower-bound certificates.
+
+The names below are what the certificates, the CLI and the selftest run,
+plus the reference machinery the tests compare against (`GFpPoly`,
+`hasse_derivative`, `multiplicity`, `sz_mult_check`)."""
 
 from .bounds import (
     BoundReport,
@@ -15,7 +19,6 @@ from .cyclo import (
     dft_product,
     rank_cyclo,
     rank_rational,
-    rank_transfer_check,
     reduction_matrix,
     zero_pattern,
 )
@@ -24,7 +27,6 @@ from .gfp import (
     GFpMatrix,
     crank,
     kron,
-    nullspace,
     rank,
     solve_row_factor,
 )
@@ -41,7 +43,6 @@ from .kakeya import (
     KakeyaSet,
     crt_product,
     full_set,
-    greedy_independent_lines,
     line_matrix,
     min_kakeya_search,
     power_product,

@@ -23,14 +23,9 @@ import numpy as np
 from .cyclo import (
     dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
 )
-from .errors import VerificationError
+from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard
 from .gfp import GFpMatrix, _check_product, crank, rank
-from .incidence import (
-    DEFAULT_CELL_GUARD,
-    _check_guard,
-    incidence_matrix,
-    incidence_quotient,
-)
+from .incidence import incidence_matrix, incidence_quotient
 from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
 from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
 from .rings import (
@@ -248,24 +243,26 @@ def certify_squarefree(
     and the per-factor rank-size counts is re-verified link by link.
 
     k defaults to the pivot prime and must be a positive multiple of it;
-    any other k raises ValueError.  Raises GuardExceeded before building
-    anything when the stacked family would exceed guard cells.
+    any other k, or a pivot prime that does not divide N, raises
+    ValueError, for prime N too, where the report is `certify_prime`'s.
+    Raises GuardExceeded before building anything when the stacked family
+    would exceed guard cells.
     """
     spec = S.spec
     if not spec.is_square_free:
         raise ValueError("square-free pipeline requires square-free N")
-    if spec.r == 1:
-        return certify_prime(S, guard=guard)
-    _require_valid(S)
-    n = spec.n
     p1 = pivot_prime if pivot_prime is not None else spec.primes[0]
     if p1 not in spec.primes:
         raise ValueError(f"{p1} is not a prime factor of {spec.N}")
-    pividx = spec.primes.index(p1)
     if k is None:
         k = p1
     if k < 1 or k % p1:
         raise ValueError(f"k = {k} must be a positive multiple of the pivot prime {p1}")
+    if spec.r == 1:
+        return certify_prime(S, guard=guard)
+    _require_valid(S)
+    n = spec.n
+    pividx = spec.primes.index(p1)
     m = 2 * k - k // p1
     N0 = spec.N // p1
     spec1 = spec.factor_specs()[pividx]
@@ -307,12 +304,9 @@ def certify_squarefree(
     crank_DL0 = _tensor_rows_rank(p1, [(D, v) for _, D, v in factors])
     min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(
         p1, [L.direction.rep for L in lines], rows0, N0)
-    union_bound_ok = Fraction(min_union) >= squarefree_bound(N0, n)
-
-    final_rhs = Fraction(N0 ** (n - 1)) * delta_homog
-    for pi in spec.primes:
-        if pi != p1:
-            final_rhs /= (Fraction(2) - Fraction(1, pi)) ** n
+    bound0 = squarefree_bound(N0, n)
+    union_bound_ok = Fraction(min_union) >= bound0
+    final_rhs = delta_homog * bound0 / N0
 
     report = BoundReport(
         pipeline="square-free",

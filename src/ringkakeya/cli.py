@@ -31,6 +31,7 @@ from .bounds import (
     squarefree_bound,
 )
 from .errors import (
+    DEFAULT_CELL_GUARD,
     GuardExceeded,
     RowFactorError,
     VerificationError,
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .gfp import rank
 from .incidence import (
-    DEFAULT_CELL_GUARD,
     incidence_quotient,
     mv_from_json_dict,
     mv_search,

@@ -1,5 +1,7 @@
-"""Matrices over Z[γ], γ a primitive p^k-th root of unity, and the
-rank-transfer comparison down to F_p.
+"""Matrices over Z[γ], γ a primitive p^k-th root of unity: their exact
+rank, and the zero pattern over F_p that the rank transfer compares it
+with (rank over Q(γ) >= F_p rank of the pattern when every entry is zero
+or a power of γ).
 
 An element of Z[γ] is an integer coefficient vector of length φ = φ(p^k)
 in the basis 1, γ, ..., γ^{φ-1} of Q(γ); a matrix over Z[γ] is an int64
@@ -145,19 +147,6 @@ def rank_rational(data) -> int:
 def zero_pattern(coeffs: np.ndarray, p: int) -> GFpMatrix:
     """0/1 matrix over F_p marking the non-zero entries of coeffs."""
     return GFpMatrix(p, coeffs.any(-1))
-
-
-def rank_transfer_check(coeffs: np.ndarray, p: int, k: int) -> bool:
-    """Check rank over Q(γ) >= rank over F_p of the zero pattern.
-
-    Every entry of coeffs must be zero or a power of γ (a row of
-    `reduction_matrix`).
-    """
-    powers = reduction_matrix(p, k)
-    is_power = (coeffs[..., None, :] == powers).all(-1).any(-1)
-    if not (is_power | ~coeffs.any(-1)).all():
-        raise ValueError("entry is neither zero nor a power of gamma")
-    return rank_cyclo(coeffs, p, k) >= gfp_rank(zero_pattern(coeffs, p))
 
 
 def dft_product(A, spec) -> np.ndarray:

@@ -1,12 +1,24 @@
-"""Shared exception types, and the readers that turn malformed JSON input
-into VerificationError."""
+"""Shared exception types, the size-guard policy, and the readers that
+turn malformed JSON input into VerificationError."""
 
 import json
 from contextlib import contextmanager
 
+DEFAULT_CELL_GUARD = 16_000_000
+
 
 class GuardExceeded(Exception):
     """A requested computation would exceed the configured size guard."""
+
+
+def _check_guard(what: str, rows: int, cols: int, guard: int):
+    """GuardExceeded naming what would be built when rows x cols passes
+    guard cells."""
+    if rows * cols > guard:
+        raise GuardExceeded(
+            f"{what}: {rows} x {cols} = {rows * cols} cells exceeds the "
+            f"guard of {guard}"
+        )
 
 
 class RowFactorError(ValueError):

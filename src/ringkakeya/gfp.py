@@ -3,13 +3,13 @@
 Matrices are stored as int64 numpy arrays with entries canonical in [0, p);
 residues are reduced once, when a GFpMatrix is built, and every kernel
 trusts `.a`.  One elimination kernel, `_echelon`, gives every row
-factorization and kernel for every p and every rank for odd p; through the
-F_ℓ images of `cyclo.rank_cyclo` it gives the exact ranks over Q and Q(γ)
+factorization for every p and every rank for odd p; through the F_ℓ
+images of `cyclo.rank_cyclo` it gives the exact ranks over Q and Q(γ)
 too.  `rank` forks once, for p = 2, to `_rank_gf2`, which reduces each
 row, packed to one Python-int bitmask, against an XOR basis keyed by
-leading bit; factorizations and kernels stay on `_echelon` for p = 2 as
-well.  `_echelon` uses a fixed pivot rule (first non-zero entry scanning
-columns left to right, rows top to bottom) so echelon forms and ranks are
+leading bit; factorizations stay on `_echelon` for p = 2 as well.
+`_echelon` uses a fixed pivot rule (first non-zero entry scanning columns
+left to right, rows top to bottom) so echelon forms and ranks are
 reproducible bit for bit.  It works on one copy of its input in the
 narrowest signed integer type that holds (p - 1)^2: int8 for p <= 11,
 int16 for p <= 181, int32 for p <= 46337, int64 above.  Products or
@@ -250,19 +250,3 @@ def solve_row_factor(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
         raise AssertionError("row factorization failed verification")
     return Cm
 
-
-def nullspace(M: GFpMatrix) -> GFpMatrix:
-    """Basis of the right kernel of M, one basis vector per row."""
-    p = M.p
-    E, pivots = _echelon(M.a, p)
-    # back-substitution turns the echelon form into the reduced one
-    for r, c in reversed(pivots):
-        E[:r] = (E[:r] - np.outer(E[:r, c], E[r])) % p
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(M.cols) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), M.cols), dtype=np.int64)
-    for k, fc in enumerate(free_cols):
-        basis[k, fc] = 1
-        for r, c in pivots:
-            basis[k, c] = (-int(E[r, fc])) % p
-    return GFpMatrix(p, basis)

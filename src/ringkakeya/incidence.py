@@ -21,21 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GuardExceeded, json_ints, malformed_input
+from .errors import DEFAULT_CELL_GUARD, _check_guard, json_ints, malformed_input
 from .gfp import GFpMatrix, _bitmasks, is_prime
 from .rings import RingSpec, point_index
-
-DEFAULT_CELL_GUARD = 16_000_000
-
-
-def _check_guard(what: str, rows: int, cols: int, guard: int):
-    """GuardExceeded naming what would be built when rows x cols passes
-    guard cells."""
-    if rows * cols > guard:
-        raise GuardExceeded(
-            f"{what}: {rows} x {cols} = {rows * cols} cells exceeds the "
-            f"guard of {guard}"
-        )
 
 
 def incidence_matrix(p: int, n: int, guard: int = DEFAULT_CELL_GUARD) -> GFpMatrix:
@@ -96,15 +84,10 @@ def incidence_quotient(
     return GFpMatrix(p, reps @ reps.T % q == 0)
 
 
-def hyperplane_indicator(b, spec: RingSpec) -> np.ndarray:
-    """0/1 row of [<x, b> = 0 mod N] over points in natural order."""
-    bv = np.array([c % spec.N for c in b], dtype=np.int64)
-    return (spec.points @ bv % spec.N == 0).astype(np.int64)
-
-
 def complement_indicator(b, spec: RingSpec) -> np.ndarray:
     """0/1 row of [<x, b> != 0 mod N] over points in natural order."""
-    return 1 - hyperplane_indicator(b, spec)
+    bv = np.array([c % spec.N for c in b], dtype=np.int64)
+    return (spec.points @ bv % spec.N != 0).astype(np.int64)
 
 
 def rank_formula(p: int, n: int) -> int:

@@ -1,6 +1,5 @@
 """Kakeya sets over (Z/NZ)^n: verification, constructions, the line
-matrix, greedy independent lines, an exhaustive minimum-size oracle, and
-JSON serialization.
+matrix, an exhaustive minimum-size oracle, and JSON serialization.
 
 A Kakeya set is stored as its point set plus one witness line per
 projective direction; every constructor's output passes verify().
@@ -15,10 +14,10 @@ from functools import reduce
 import numpy as np
 
 from .errors import (
-    GuardExceeded, VerificationError, json_ints, malformed_input, read_json,
+    DEFAULT_CELL_GUARD, GuardExceeded, VerificationError, _check_guard, json_ints,
+    malformed_input, read_json,
 )
 from .gfp import GFpMatrix, _bitmasks
-from .incidence import DEFAULT_CELL_GUARD, _check_guard
 from .rings import (
     Direction, Line, RingSpec, _canonical, _inverses, _least_bases, _progression,
     _radix, _residue_rows, crt_combine, enumerate_directions, point_index,
@@ -218,22 +217,6 @@ def line_matrix(S: KakeyaSet) -> GFpMatrix:
     M = np.zeros((len(idx), spec.num_points), dtype=np.int64)
     M[np.arange(len(idx))[:, None], spec.crt_order[idx]] = 1
     return GFpMatrix(spec.primes[0], M)
-
-
-def greedy_independent_lines(S: KakeyaSet) -> list[Line]:
-    """Witness lines with triangular (hence independent) indicators.
-
-    Scanning in direction order, a line is kept when it is not contained in
-    the union of the lines kept so far, which guarantees at least
-    ceil(|union of all witness lines| / N) lines.
-    """
-    chosen = []
-    covered = np.zeros(S.spec.num_points, dtype=bool)
-    for d, idx in zip(enumerate_directions(S.spec), _witness_indices(S)):
-        if not covered[idx].all():
-            chosen.append(S.witness[d])
-            covered[idx] = True
-    return chosen
 
 
 def _lines_in_direction(d: Direction, spec: RingSpec) -> list[Line]:

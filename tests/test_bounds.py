@@ -156,6 +156,19 @@ def test_certify_squarefree_prime_delegates():
     assert r.passed
 
 
+def test_certify_squarefree_prime_checks_k_and_pivot():
+    # k and the pivot prime are checked before the prime report is built
+    T = tangent_construction(7, 2)
+    for k in (5, -3, 0):
+        with pytest.raises(ValueError, match="multiple of the pivot prime 7"):
+            certify_squarefree(T, k=k)
+    with pytest.raises(ValueError, match="not a prime factor of 7"):
+        certify_squarefree(T, pivot_prime=3)
+    want = certify_prime(T).to_json_dict()
+    for k in (None, 7, 14):
+        assert certify_squarefree(T, k=k).to_json_dict() == want
+
+
 def test_certify_squarefree_random_witnesses():
     spec = RingSpec.make(6, 2)
     for seed in range(3):

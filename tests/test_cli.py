@@ -237,6 +237,19 @@ def test_certify_square_free_rejects_bad_k(tmp_path, capsys, k):
     assert len(lines) == 1 and "k = " in lines[0]
 
 
+@pytest.mark.parametrize("k", ["5", "-3"], ids=["k5", "km3"])
+def test_certify_square_free_rejects_bad_k_on_prime_n(tmp_path, capsys, k):
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", "7", "--n", "2",
+        "--method", "tangent", "--out", str(path))
+    code, out, err = run(capsys, "certify", str(path), "--pipeline",
+                         "square-free", "--k", k)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and f"k = {k} " in lines[0]
+
+
 @pytest.mark.parametrize("N,n,method,pipeline", [
     (15, 2, "tangent-product", "two-primes"),
     (7, 3, "tangent", "prime"),
@@ -331,7 +344,7 @@ def selftest_rows():
 
 
 SELFTEST_COUNTS = {"ring": 17, "gfp": 6, "cyclotomic": 20, "polyspace": 5,
-                   "incidence": 10, "kakeya": 13, "bounds": 7}
+                   "incidence": 10, "kakeya": 12, "bounds": 7}
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -11,7 +11,6 @@ from ringkakeya import (
     dft_product,
     rank,
     rank_cyclo,
-    rank_transfer_check,
     reduction_matrix,
     zero_pattern,
 )
@@ -112,7 +111,6 @@ def test_rank_transfer_hand_example():
     M = _gamma_matrix([[0, 1], [1, 2]], p, k)
     assert rank_cyclo(M, p, k) == 1
     assert rank(zero_pattern(M, p)) == 1
-    assert rank_transfer_check(M, p, k)
 
 
 def test_rank_transfer_gamma_scaled_identity():
@@ -120,18 +118,10 @@ def test_rank_transfer_gamma_scaled_identity():
     M = _gamma_matrix([[(i + 1) % 3 if i == j else -1 for j in range(3)]
                        for i in range(3)], p, k)
     assert rank_cyclo(M, p, k) == 3 == rank(zero_pattern(M, p))
-    assert rank_transfer_check(M, p, k)
 
 
 def test_dft_pattern_has_no_zeros():
     assert zero_pattern(_table(RingSpec.make(4, 1)), 2).a.all()
-
-
-def test_rank_transfer_rejects_bad_entries():
-    p, k = 2, 2
-    two = 2 * _gamma_matrix([[0]], p, k)
-    with pytest.raises(ValueError):
-        rank_transfer_check(two, p, k)
 
 
 def test_rank_transfer_random_200():

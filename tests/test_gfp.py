@@ -14,7 +14,6 @@ from ringkakeya import (
     crank,
     crt_product,
     kron,
-    nullspace,
     rank,
     rank_rational,
     solve_row_factor,
@@ -206,18 +205,6 @@ def test_matrix_shares_canonical_int64_and_reduces_the_rest():
     assert M.a.dtype == np.int64 and M == GFpMatrix.identity(2, 2)
 
 
-def test_nullspace():
-    rng = random.Random(7)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        M = rand_matrix(rng, p, 3, 5)
-        ker = nullspace(M)
-        assert ker.rows == M.cols - rank(M)
-        for v in ker.a:
-            assert not (M.a @ v % p).any()
-        assert rank(ker) == ker.rows
-
-
 def test_rank_rational():
     assert rank_rational([[1, 1], [1, 1]]) == 1
     assert rank_rational([[1, 1], [1, 2]]) == 2
@@ -330,18 +317,6 @@ def below_only_rank_oracle(a, p):
     return r
 
 
-def nullspace_oracle(a, p):
-    E, pivots, _ = reduced_echelon_oracle(a, p)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(a.shape[1]) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), a.shape[1]), dtype=np.int64)
-    for k, fc in enumerate(free_cols):
-        basis[k, fc] = 1
-        for r, c in pivots:
-            basis[k, c] = (-int(E[r, fc])) % p
-    return basis
-
-
 def row_factor_oracle(a, b, p):
     E, pivots, R = reduced_echelon_oracle(a, p)
     C = np.zeros((b.shape[0], a.shape[0]), dtype=np.int64)
@@ -372,7 +347,6 @@ def test_echelon_kernel_against_loop_oracles():
             if rng.random() < 0.5:
                 M.a[:, rng.randrange(cols)] = 0
         assert rank(M) == below_only_rank_oracle(M.a, p)
-        assert np.array_equal(nullspace(M).a, nullspace_oracle(M.a, p))
         X = rand_matrix(rng, p, rng.randrange(1, 5), rows)
         B = X @ M
         assert np.array_equal(solve_row_factor(M, B).a,

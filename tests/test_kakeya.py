@@ -33,7 +33,6 @@ from ringkakeya.kakeya import (
 )
 from ringkakeya.selftest import (
     crt_product_size,
-    greedy_lines_independent,
     power_product_size,
     tangent_within_envelope,
 )
@@ -138,11 +137,6 @@ def test_line_matrix_row_support_and_rank_size():
     M = line_matrix(T)
     assert all(row.sum() == 3 for row in M.a)
     assert rank(M) <= T.size
-
-
-def test_greedy_independent_lines():
-    assert greedy_lines_independent(full_set(RingSpec.make(3, 2)))
-    assert greedy_lines_independent(full_set(RingSpec.make(6, 1)))
 
 
 def brute_min_kakeya(spec):
