@@ -16,9 +16,10 @@ rank of the image, taken by `gfp._echelon`, is a lower bound on the rank
 over Q(γ).  It falls short only when ℓ divides the norm of a fixed
 non-zero r x r minor, r the rank, and a Hadamard bound on that norm limits
 how many primes above 2^20 can; `rank_cyclo` takes the largest image rank
-over one prime more than that, which is the rank.  Q is Q(γ) at p^k = 2,
-where γ = -1, so `rank_rational` is `rank_cyclo` on one-coefficient
-entries.  No floating point anywhere.
+over one prime more than that, which is the rank, or stops at the first
+image that reaches a caller's target, which is then a proven lower bound.
+Q is Q(γ) at p^k = 2, where γ = -1, so `rank_rational` is `rank_cyclo` on
+one-coefficient entries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -114,28 +115,27 @@ def _prime_count(coeffs: np.ndarray) -> int:
     return phi * bits // 40 + 1
 
 
-def rank_cyclo(coeffs: np.ndarray, p: int, k: int, upper: int | None = None) -> int:
+def rank_cyclo(coeffs: np.ndarray, p: int, k: int, target: int | None = None) -> int:
     """Rank over Q(γ) of the matrix whose entries are the Z[γ] coefficient
     vectors along the last axis of coeffs (shape (rows, cols, φ)).
 
     It is the largest F_ℓ rank of the images under γ ↦ ω over
-    `_prime_count` primes, returned as soon as it reaches upper, which
-    defaults to min(rows, cols).  A caller's upper that is never reached
-    is not the rank, and AssertionError is raised.
+    `_prime_count` primes, returned as soon as it reaches target, which
+    defaults to min(rows, cols).  Every image rank is a lower bound, so the
+    result is at least a caller's target exactly when the rank is, and is
+    the rank when it is below target.
     """
     m, n, _ = coeffs.shape
     if m == 0 or n == 0:
         return 0
-    target = min(m, n) if upper is None else upper
+    target = min(m, n) if target is None else target
     best = ell = 0
     # gfp.rank eliminates mod ℓ in int64, and refuses an ℓ whose products wrap
     for _ in range(_prime_count(coeffs)):
         ell, omega = split_prime(p, k, ell)
         best = max(best, gfp_rank(GFpMatrix(ell, reduce_mod(coeffs, ell, omega))))
-        if best == target:
-            return best
-    if upper is not None:
-        raise AssertionError(f"rank {best} over Q(γ) never reached upper = {upper}")
+        if best >= target:
+            break
     return best
 
 

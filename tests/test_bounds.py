@@ -1,6 +1,7 @@
 """Certificate pipelines: closed forms, soundness, and chain identities."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from ringkakeya import (
     tangent_construction,
 )
 from ringkakeya.bounds import _tensor_rows_rank
-from ringkakeya.incidence import complement_indicator
+from ringkakeya.incidence import complement_indicator, incidence_quotient
 from ringkakeya.selftest import (
     crt_product_size,
     fq_bound_values,
@@ -33,7 +34,7 @@ from ringkakeya.selftest import (
     squarefree_bound_values,
 )
 
-from conftest import random_full_witness
+from conftest import random_full_witness, random_witness_set
 
 
 def test_fq_bound_values():
@@ -224,9 +225,7 @@ def test_certify_prime_power_k1_consistency():
     S = full_set(RingSpec.make(2, 2))
     r = certify_prime_power(S)
     assert r.passed
-    # at k = 1 the direction rows span the whole incidence row space
-    assert r.quantities["direction_rows_span_full_rank"]
-    assert r.certified == 3
+    assert r.certified == r.quantities["rank_W_pk_n"] == 3
 
 
 def test_certify_prime_power_z4_squared():
@@ -235,14 +234,29 @@ def test_certify_prime_power_z4_squared():
     assert r.passed
     assert r.certified == r.quantities["rank_W_pk_n"] == 7
     assert S.size == 16 >= r.certified
-    # rows indexed by non-unit vectors are not spanned by direction rows
-    assert r.quantities["rank_pattern"] == 6
-    assert not r.quantities["direction_rows_span_full_rank"]
 
     opt, Smin = min_kakeya_search(RingSpec.make(4, 2))
     rmin = certify_prime_power(Smin)
     assert rmin.passed
     assert opt >= rmin.certified
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (25, 1), (27, 1), (8, 2), (9, 2),
+                                 (4, 3), (16, 2), (8, 3)])
+def test_certify_prime_power_proves_rank_w(q, n):
+    # the sub-progression rows at p^j·b reach every row of W, not only the
+    # direction rows, so the re-verified image rank covers rank(W)
+    spec = RingSpec.make(q, n)
+    p, k = spec.factors[0]
+    rank_w = rank(incidence_quotient(p, k, n))
+    sets = [full_set(spec)] + [random_witness_set(spec, random.Random(seed))
+                               for seed in range(3)]
+    if (q, n) == (4, 2):
+        sets.append(min_kakeya_search(spec)[1])
+    for S in sets:
+        r = certify_prime_power(S)
+        assert r.passed, r.checks
+        assert r.certified == rank_w <= r.quantities["rank_cyclo"]
 
 
 def test_monotone_consistency():
@@ -266,9 +280,9 @@ def test_prime_power_guard_refusal():
 
     with pytest.raises(GuardExceeded):
         certify_prime_power(full_set(RingSpec.make(4, 1)), guard=3)
-    # (Z/4)^2: W has 256 cells, the exponent histogram 6 lines x 4 points x 16
+    # (Z/4)^2: 10 unit-orbit rows x 4 points x 16
     with pytest.raises(GuardExceeded, match=r"^DFT exponent histogram of "
-                       r"\(Z/4\)\^2: 24 x 16 "):
+                       r"\(Z/4\)\^2: 40 x 16 "):
         certify_prime_power(full_set(RingSpec.make(4, 2)), guard=300)
 
 

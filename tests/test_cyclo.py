@@ -16,6 +16,8 @@ from ringkakeya import (
 )
 from ringkakeya.selftest import dft_full_rank, dft_line_row_formula, rank_transfer_random
 
+from conftest import random_witness_set
+
 
 def _gamma_matrix(exps, p, k):
     """Coefficient array of the matrix with entries γ^e, or 0 where e < 0."""
@@ -232,17 +234,6 @@ def test_integer_dft_rows_match_cyclo_sums(q, n):
         dft_product(2 * np.eye(q**n, dtype=np.int64), RingSpec.make(q, n))
 
 
-def _random_witness_set(spec, rng):
-    from ringkakeya import KakeyaSet, Line, enumerate_directions, line_points
-
-    witness, points = {}, set()
-    for d in enumerate_directions(spec):
-        base = tuple(rng.randrange(spec.N) for _ in range(spec.n))
-        witness[d] = Line.through(base, d, spec)
-        points.update(map(tuple, line_points(witness[d], spec).tolist()))
-    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
-
-
 def test_prime_count_outlasts_primes_that_divide_every_minor():
     from ringkakeya import rank_rational
     from ringkakeya.cyclo import split_prime
@@ -266,18 +257,17 @@ def test_prime_count_outlasts_primes_that_divide_every_minor():
 @pytest.mark.parametrize("q,n,seed", [(4, 2, 0), (4, 2, 1), (4, 2, 2), (9, 1, 0),
                                       (9, 1, 1), (2, 3, 0), (2, 3, 1), (2, 3, 2)])
 def test_rank_cyclo_against_exact_rank(q, n, seed):
-    from ringkakeya import certify_prime_power, line_matrix
+    from ringkakeya import line_matrix
 
     spec = RingSpec.make(q, n)
     p, k = spec.factors[0]
-    S = _random_witness_set(spec, random.Random(seed))
-    report = certify_prime_power(S)
-    MS = line_matrix(S)
-    coeffs = dft_product(MS.a, spec)
+    S = random_witness_set(spec, random.Random(seed))
+    coeffs = dft_product(line_matrix(S).a, spec)
     # independent oracle: the complex embedding γ = exp(2πi/q)
     gamma = np.exp(2j * np.pi * np.arange(coeffs.shape[-1]) / q)
     exact = np.linalg.matrix_rank(coeffs @ gamma, tol=1e-9)
-    assert report.quantities["rank_cyclo"] == exact == rank_cyclo(coeffs, p, k)
-    # a wrong upper bound can never be met: the search gives up loudly
-    with pytest.raises(AssertionError):
-        rank_cyclo(coeffs, p, k, upper=exact + 1)
+    assert rank_cyclo(coeffs, p, k) == exact
+    # a target above the rank is never met: every prime is tried, and the
+    # largest image rank, the rank itself, comes back
+    assert rank_cyclo(coeffs, p, k, target=exact + 1) == exact
+    assert rank_cyclo(coeffs, p, k, target=exact) == exact
