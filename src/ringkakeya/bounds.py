@@ -8,8 +8,9 @@ compute actual ranks rather than only the closed-form lower bounds, so
 each inequality is an assertion between computed numbers.
 
 `prime` and `two-primes` share one product, `_pivot_product`: over F_p,
-p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p},
-with one row identity and one guard pair; `prime` is the case N = p.
+p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p}
+on W_p's distinct non-zero columns, one per direction of (Z/p)^n, with
+one row identity and one guard; `prime` is the case N = p.
 `prime-power` multiplies sub-progressions of the witness lines, one per
 unit orbit of (Z/p^k)^n, by the character table, and certifies rank W
 with one F_p rank and one F_ℓ image that reaches it.
@@ -24,33 +25,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import dft_product, rank_cyclo, reduction_matrix
-from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard
+from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard, _json_value
 from .gfp import GFpMatrix, _check_product, crank, rank
-from .incidence import incidence_matrix, incidence_quotient
+from .incidence import incidence_quotient
 from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
 from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
 from .rings import (
     Direction, Line, RingSpec, _least_bases, enumerate_directions, point_index,
 )
-
-_SAFE_INT = 2**53
-
-
-def _json_value(v):
-    """v ready for json.dumps: integers of 53 bits or more and Fractions
-    become strings, dicts, lists and tuples are converted element-wise, and
-    anything else passes through unchanged."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v if abs(v) < _SAFE_INT else str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, dict):
-        return {k: _json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    return v
 
 
 @dataclass
@@ -111,18 +93,18 @@ def _require_valid(S: KakeyaSet):
 
 
 def _pivot_product(S: KakeyaSet, guard: int):
-    """M_S·(W_p ⊗ I_m) over F_p, p the least prime of square-free N and
-    m = N/p, with its row identity checked.
+    """M_S·(W_p ⊗ I_m) over F_p on W_p's distinct columns, p the least
+    prime of square-free N and m = N/p, with its row identity checked.
 
-    M_S's columns are CRT-major (pivot point, rest point), so W_p acts on
-    the pivot index alone: one batched product W_p^T @ M_S reshaped to
-    (directions, p^n, m^n).  Row i must be the complement-hyperplane
-    indicator H_i of the pivot component c_i of direction i, tensored with
-    the `_residual_rows` row of its witness line; AssertionError otherwise.
-    Raises GuardExceeded before building anything when the line matrix or
-    W_p would exceed guard cells.  Returns the ranks of M_S and of the
-    product, the natural indices of the c_i in (Z/p)^n, H and the residual
-    rows.
+    Column u·y of W_p equals column y (u a unit), and column 0 maps a row
+    to p times its residual row, so the direction reps ys of (Z/p)^n keep
+    the rank.  The p^n × |ys| table [<x, y> = 0] acts on the pivot index of
+    M_S's CRT-major columns: one batched product, (directions, |ys|, m^n).
+    Row i must be H_i, the complement-hyperplane row over ys of the pivot
+    component c_i of direction i, ⊗ its witness line's `_residual_rows`
+    row; AssertionError otherwise.  GuardExceeded first when the line
+    matrix, the largest array, would exceed guard cells.  Returns the ranks
+    of M_S and the product, the indices of the c_i in (Z/p)^n, H and rows.
     """
     _require_valid(S)
     spec = S.spec
@@ -130,13 +112,14 @@ def _pivot_product(S: KakeyaSet, guard: int):
     dirs = enumerate_directions(spec)
     _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
                  spec.num_points, guard)
-    W = incidence_matrix(p, n, guard=guard)
     MS = line_matrix(S)
-    _check_product(W.rows, p)
-    prod = W.a.T @ MS.a.reshape(len(dirs), W.rows, -1) % p
     spec_p = spec.factor_specs()[0]
+    ys = np.array([d.rep for d in spec_p.directions], dtype=np.int64)
+    _check_product(p**n, p)
+    table = spec_p.points @ ys.T % p == 0
+    prod = table.T @ MS.a.reshape(len(dirs), p**n, -1) % p
     comps = np.array([d.components[0] for d in dirs], dtype=np.int64)
-    H = comps @ spec_p.points.T % p != 0
+    H = comps @ ys.T % p != 0
     if spec.r == 1:  # no rest: row i is H_i alone
         rows = np.ones((len(dirs), 1), dtype=np.int64)
     else:

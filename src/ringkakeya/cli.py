@@ -5,9 +5,9 @@ mv {search,verify}, bound, selftest.  Exit codes: 0 success, 1 assertion or
 verification failure (a malformed input file included), 2 usage error (an
 unreadable path included), 3 size-guard refusal.
 
-Output is deterministic given the arguments and seed; the only exception is
-the wall-clock runtime_s column of wrank tables.  JSON integers that do not
-fit in 53 bits are emitted as decimal strings.
+Output is deterministic given the arguments and seed, but for the
+wall-clock runtime_s column of wrank tables.  All JSON goes through
+errors.write_json, integers of 53 bits or more as decimal strings.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
-import json
 import sys
 import time
+from contextlib import nullcontext
 
 from . import kakeya as kak
 from .bounds import (
-    _json_value,
     certify_prime,
     certify_prime_power,
     certify_squarefree,
@@ -36,6 +34,7 @@ from .errors import (
     RowFactorError,
     VerificationError,
     read_json,
+    write_json,
 )
 from .gfp import rank
 from .incidence import (
@@ -47,25 +46,6 @@ from .incidence import (
     rank_formula,
 )
 from .rings import RingSpec
-
-
-def _emit(data, fmt: str, out: str | None, csv_columns=None) -> None:
-    if fmt == "csv":
-        if csv_columns is None:
-            raise ValueError("csv output is only available for table commands")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_columns)
-        writer.writeheader()
-        for row in data:
-            writer.writerow({k: row.get(k, "") for k in csv_columns})
-        text = buf.getvalue()
-    else:
-        text = json.dumps(_json_value(data), indent=1, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -103,7 +83,13 @@ def cmd_wrank(args) -> int:
                         failed = True
                 row["runtime_s"] = round(time.monotonic() - t0, 4)
                 rows.append(row)
-    _emit(rows, args.format, args.out, csv_columns=WRANK_COLUMNS)
+    if args.format == "json":
+        write_json(rows, args.out)
+    else:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            writer = csv.DictWriter(fh, fieldnames=WRANK_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
     if failed:
         return 1
     return 3 if refused else 0
@@ -126,10 +112,7 @@ def cmd_kakeya_construct(args) -> int:
     if not ok:
         print("\n".join(problems), file=sys.stderr)
         return 1
-    if args.out:
-        kak.save(S, args.out)
-    else:
-        _emit(kak.to_json_dict(S), "json", None)
+    kak.save(S, args.out)
     return 0
 
 
@@ -160,10 +143,7 @@ def cmd_kakeya_power(args) -> int:
     if not ok:
         print("\n".join(problems), file=sys.stderr)
         return 1
-    if args.out:
-        kak.save(P, args.out)
-    else:
-        _emit(kak.to_json_dict(P), "json", None)
+    kak.save(P, args.out)
     return 0
 
 
@@ -181,7 +161,7 @@ def cmd_certify(args) -> int:
     # the pipeline verifies the set, so the loader does not
     S = kak.load(args.file, check=False)
     report = PIPELINES[args.pipeline](S, args)
-    _emit(report.to_json_dict(), "json", args.out)
+    write_json(report.to_json_dict(), args.out)
     return 0 if report.passed else 1
 
 
@@ -193,7 +173,7 @@ def cmd_mv_search(args) -> int:
         "target": args.target, "nodes": nodes,
         "U": [list(u) for u in fam.U], "V": [list(v) for v in fam.V],
     }
-    _emit(data, "json", args.out)
+    write_json(data, args.out)
     return 0 if fam.size >= args.target else 1
 
 
@@ -216,10 +196,10 @@ def cmd_bound(args) -> int:
     else:
         b = fq_bound(args.N, args.n)
         kind = "prime-power (finite-field shape)"
-    _emit({
+    write_json({
         "N": args.N, "n": args.n, "kind": kind,
         "lower_bound": b, "lower_bound_float": float(b),
-    }, "json", args.out)
+    }, args.out)
     return 0
 
 

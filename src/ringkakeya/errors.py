@@ -1,8 +1,10 @@
-"""Shared exception types, the size-guard policy, and the readers that
-turn malformed JSON input into VerificationError."""
+"""Shared exception types, the size-guard policy, the JSON readers that
+turn malformed input into VerificationError, and the one JSON writer."""
 
 import json
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
+from fractions import Fraction
 
 DEFAULT_CELL_GUARD = 16_000_000
 
@@ -40,6 +42,29 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise VerificationError(f"{path} is not JSON: {exc}") from None
+
+
+def _json_value(v):
+    """v ready for json.dumps: integers of 53 bits or more and Fractions
+    become strings, dicts, lists and tuples are converted element-wise, and
+    anything else passes through unchanged."""
+    if isinstance(v, int) and abs(v) >= 2**53:
+        return str(v)
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
+def write_json(data, path=None) -> None:
+    """_json_value(data) as JSON, indented by one space with sorted keys and
+    a final newline, written to path, or to stdout when path is None."""
+    text = json.dumps(_json_value(data), indent=1, sort_keys=True) + "\n"
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def json_ints(values, length: int, what: str) -> tuple[int, ...]:

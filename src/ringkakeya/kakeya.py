@@ -7,7 +7,6 @@ projective direction; every constructor's output passes verify().
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CELL_GUARD, GuardExceeded, VerificationError, _check_guard, json_ints,
-    malformed_input, read_json,
+    malformed_input, read_json, write_json,
 )
 from .gfp import GFpMatrix, _bitmasks
 from .rings import (
@@ -242,8 +241,9 @@ def min_kakeya_search(
     smaller union, so no call is made for a branch that is already cut.
     The first direction tries only its first line (the translation cut, see
     the comment below).  Instances whose total combination count exceeds
-    cap are refused.
+    cap are refused, and before them rings that fail _check_point_table.
     """
+    _check_point_table(spec)
     dirs = enumerate_directions(spec)
     candidates = [_lines_in_direction(d, spec) for d in dirs]
     combos = 1
@@ -317,7 +317,8 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
     Raises VerificationError when a key is missing, a value is not an
     integer, a coordinate list has the wrong length, a point coordinate
     lies outside [0, N), the ring is not supported, a direction is invalid
-    or (with check) the set fails verification.
+    or (with check) the set fails verification; the ring's point table
+    passes _check_point_table before any line is built.
     """
     with malformed_input("Kakeya set"):
         N, n = json_ints([data["N"], data["n"]], 2, "N and n")
@@ -330,6 +331,7 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
                     json_ints(entry["base"], n, "base"))
                    for entry in data["witness"]]
         dirs = _canonical([vec for vec, _ in entries], spec)
+        _check_point_table(spec)
         bases = _residue_rows([base for _, base in entries], spec)
         witness = _witness_lines(dirs, bases, spec)
     S = KakeyaSet(spec=spec, points=points, witness=witness)
@@ -342,10 +344,9 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
     return S
 
 
-def save(S: KakeyaSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(S), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def save(S: KakeyaSet, path=None) -> None:
+    """Write S's JSON form to path, or to stdout when path is None."""
+    write_json(to_json_dict(S), path)
 
 
 def load(path, check: bool = True) -> KakeyaSet:

@@ -287,7 +287,7 @@ def test_prime_power_guard_refusal():
 
 
 def test_json_value_big_ints():
-    from ringkakeya.bounds import _json_value
+    from ringkakeya.errors import _json_value
 
     assert _json_value(7) == 7
     assert _json_value(2**60) == str(2**60)
@@ -296,7 +296,7 @@ def test_json_value_big_ints():
 
 
 def test_json_value_recurses():
-    from ringkakeya.bounds import _json_value
+    from ringkakeya.errors import _json_value
 
     data = {"a": [2**60, (Fraction(1, 2), None)], "b": 1.5, "c": "x"}
     assert _json_value(data) == {
@@ -319,13 +319,27 @@ def test_reports_serialize():
 
 @pytest.mark.parametrize("certify,N,n,guard,message", [
     (certify_prime, 3, 2, 10, r"line matrix of \(Z/3\)\^2: 4 x 9 "),
-    (certify_prime, 3, 2, 50, r"incidence matrix W_\{3,2\}: 9 x 9 "),
     (certify_two_primes, 6, 2, 10, r"line matrix of \(Z/6\)\^2: 12 x 36 "),
     (certify_squarefree, 6, 2, 10,
      r"stacked decoding family over \(Z/6\)\^2 at k = 2: "),
-], ids=["prime-lines", "prime-W", "two-primes", "square-free"])
+], ids=["prime-lines", "two-primes", "square-free"])
 def test_guard_refusals_name_their_builder(certify, N, n, guard, message):
     from ringkakeya import GuardExceeded
 
     with pytest.raises(GuardExceeded, match="^" + message):
         certify(full_set(RingSpec.make(N, n)), guard=guard)
+
+
+@pytest.mark.parametrize("certify,N,n,cells", [
+    (certify_prime, 3, 2, 4 * 9),
+    (certify_two_primes, 6, 2, 12 * 36),
+], ids=["prime", "two-primes"])
+def test_pivot_product_guard_is_the_line_matrix(certify, N, n, cells):
+    # the product is taken on W_p's distinct columns, so neither it nor its
+    # table outgrows the line matrix: the line matrix's cells are enough
+    from ringkakeya import GuardExceeded
+
+    S = full_set(RingSpec.make(N, n))
+    assert certify(S, guard=cells).passed
+    with pytest.raises(GuardExceeded, match=rf"^line matrix of \(Z/{N}\)\^{n}: "):
+        certify(S, guard=cells - 1)

@@ -311,6 +311,53 @@ def test_construct_refusal_names_the_point_table(capsys):
                    "cells exceeds the guard of 16000000\n")
 
 
+BIG_RING = {"N": 2, "n": 40, "points": [], "witness": []}
+BIG_TABLE = ("point table of (Z/2)^40: 1099511627776 x 40 = 43980465111040 "
+             "cells exceeds the guard of 16000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kakeya", "verify"], ["certify", "--pipeline", "prime"], ["kakeya", "power"],
+], ids=["verify", "certify", "power"])
+def test_loader_refuses_a_point_table_past_the_guard(tmp_path, capsys, argv):
+    # the 2^40 directions of (Z/2)^40 are never listed
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_RING))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (3, "", BIG_TABLE)
+
+
+def test_minsearch_refuses_a_point_table_past_the_guard(capsys):
+    code, out, err = run(capsys, "kakeya", "minsearch", "--N", "2", "--n", "40")
+    assert (code, out, err) == (3, "", BIG_TABLE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kakeya", "construct", "--N", "15", "--n", "2", "--method", "tangent-product"],
+    ["kakeya", "power", "{line}", "--k", "2"],
+    ["certify", "{set}", "--pipeline", "two-primes"],
+    ["mv", "search", "--p", "2", "--k", "2", "--n", "2", "--target", "2"],
+    ["bound", "--N", "15", "--n", "2"],
+    # refused, so runtime_s is empty and the output deterministic
+    ["wrank", "--p", "2", "--k", "6", "--n", "10", "--format", "json"],
+], ids=["construct", "power", "certify", "mv-search", "bound", "wrank"])
+def test_stdout_equals_the_out_file(tmp_path, capsys, argv):
+    files = {"{set}": tmp_path / "s.json", "{line}": tmp_path / "l.json"}
+    run(capsys, "kakeya", "construct", "--N", "15", "--n", "2",
+        "--method", "tangent-product", "--out", str(files["{set}"]))
+    run(capsys, "kakeya", "construct", "--N", "15", "--n", "1",
+        "--out", str(files["{line}"]))
+    argv = [str(files.get(a, a)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+    if argv[0] == "wrank":
+        assert code == 3 and json.loads(out)[0]["extent"] == "1152921504606846976"
+    else:
+        assert code == 0
+
+
 def test_mv_search_exhausts_default_budget(capsys):
     code, out, _ = run(capsys, "mv", "search", "--p", "3", "--n", "4",
                        "--target", "6")
