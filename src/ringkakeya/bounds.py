@@ -10,7 +10,9 @@ each inequality is an assertion between computed numbers.
 `prime` and `two-primes` share one product, `_pivot_product`: over F_p,
 p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p}
 on W_p's distinct non-zero columns, one per direction of (Z/p)^n, with
-one row identity and one guard; `prime` is the case N = p.
+one row identity and one guard; `prime` is the case N = p, with rank W
+the closed form `rank_formula`.  `square-free` reads its decoders and point
+evaluations off one evaluation table of the pivot field.
 `prime-power` multiplies sub-progressions of the witness lines, one per
 unit orbit of (Z/p^k)^n, by the character table, and certifies rank W
 with one F_p rank and one F_ℓ image that reaches it.
@@ -26,10 +28,10 @@ import numpy as np
 
 from .cyclo import dft_product, rank_cyclo, reduction_matrix
 from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard, _json_value
-from .gfp import GFpMatrix, _check_product, crank, rank
-from .incidence import incidence_quotient
+from .gfp import GFpMatrix, _check_product, rank
+from .incidence import rank_formula
 from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
-from .polys import decoding_matrix, dim_homog, dim_leq, eval_matrix
+from .polys import _decoders, dim_homog, dim_leq, eval_matrix
 from .rings import (
     Direction, Line, RingSpec, _least_bases, enumerate_directions, point_index,
 )
@@ -135,7 +137,8 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
 
     `_pivot_product` with m = 1: each row of the product is the
     complement-hyperplane indicator of its direction.  Certifies |S| >= rank
-    of the product, which the rank formula pins to at least C(p+n-2, n-1).
+    of the product, which the rank formula pins to at least C(p+n-2, n-1);
+    rank_W is `rank_formula`, the k = 1 theorem that `wrank` checks.
     """
     spec = S.spec
     if not spec.is_prime:
@@ -153,7 +156,7 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
         quantities={
             "rank_MS": rank_MS,
             "rank_MS_W": rank_A,
-            "rank_W": rank(incidence_quotient(p, 1, n, guard=guard)),
+            "rank_W": rank_formula(p, n),
             "binom_p_plus_n_minus_2": binom,
         },
         checks={
@@ -223,8 +226,10 @@ def certify_squarefree(
     component of its witness line, tensored with the indicator of the CRT
     product of the other components.  The stacked rank of the family,
     divided by the number of derivative indices, lower bounds |S|; the
-    chain through the evaluation matrix (checked once per distinct decoder)
-    and the per-factor rank-size counts is re-verified link by link.
+    chain through the evaluation matrix and the per-factor rank-size counts
+    is re-verified link by link.  One `eval_matrix` table holds every point
+    evaluation D_b; each distinct pivot line's decoder is solved once and
+    checked by one batched product, and each family is one broadcast.
 
     k defaults to the pivot prime and must be a positive multiple of it;
     any other k, or a pivot prime that does not divide N, raises
@@ -238,8 +243,7 @@ def certify_squarefree(
     p1 = pivot_prime if pivot_prime is not None else spec.primes[0]
     if p1 not in spec.primes:
         raise ValueError(f"{p1} is not a prime factor of {spec.N}")
-    if k is None:
-        k = p1
+    k = p1 if k is None else k
     if k < 1 or k % p1:
         raise ValueError(f"k = {k} must be a positive multiple of the pivot prime {p1}")
     if spec.r == 1:
@@ -256,43 +260,33 @@ def certify_squarefree(
     Delta = dim_leq(n, m - 1)
     # the stacked family: dim_leq(n, k-1) decoding rows per direction, one
     # column per (pivot point, derivative index, residual point)
-    dirs = enumerate_directions(spec)
-    _check_guard(
-        f"stacked decoding family over (Z/{spec.N})^{n} at k = {k}",
-        len(dirs) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard
-    )
+    _check_guard(f"stacked decoding family over (Z/{spec.N})^{n} at k = {k}",
+                 len(spec.directions) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard)
 
+    # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
     E = eval_matrix(p1, n, spec1.points, m, d_hom)
-    point_evals = {
-        c.rep: eval_matrix(p1, n, (c.rep,), k, d_hom)
-        for c in enumerate_directions(spec1)
-    }
-
-    decoders: dict[Line, GFpMatrix] = {}
-    decode_chain = True
-    # (C, D, row0) per direction: the family members are kron(C, row0)
-    # and kron(D, row0), built one family at a time by _tensor_rows_rank
-    factors = []
+    D = E.a.reshape(p1**n, Delta, -1)[:, :dim_leq(n, k - 1)]
     lines, rows0 = _split_witnesses(S, pividx)
-    for L1, row0 in zip(lines, rows0):
-        D = point_evals[L1.direction.rep]
-        if L1 not in decoders:
-            decoders[L1] = decoding_matrix(L1, spec1, k, m)
-            if decoders[L1] @ E != D:
-                decode_chain = False
-        factors.append((decoders[L1], D, row0))
+    dir_idx = point_index([L.direction.rep for L in lines], spec1)
+    # one decoder per distinct pivot line, in order of first use
+    distinct: dict[Line, int] = {}
+    decoder = np.array([distinct.setdefault(L, len(distinct)) for L in lines])
+    Cs = _decoders(list(distinct), spec1, k, m, E)
+    _check_product(E.rows, p1)
+    decode_chain = np.array_equal(
+        Cs @ E.a % p1, D[point_index([L.direction.rep for L in distinct], spec1)])
 
-    crank_family = _tensor_rows_rank(p1, [(C, v) for C, _, v in factors])
+    crank_family = _tensor_rows_rank(p1, Cs, decoder, rows0)
     certified = math.ceil(crank_family / Delta)
-    crank_D = crank(list(point_evals.values()))
-    crank_DL0 = _tensor_rows_rank(p1, [(D, v) for _, D, v in factors])
-    min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(
-        p1, [L.direction.rep for L in lines], rows0, N0)
+    reps = [c.rep for c in enumerate_directions(spec1)]
+    crank_D = rank(GFpMatrix(p1, D[point_index(reps, spec1)].reshape(-1, E.cols)))
+    crank_DL0 = _tensor_rows_rank(p1, D, dir_idx, rows0)
+    min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(p1, dir_idx, rows0, N0)
     bound0 = squarefree_bound(N0, n)
     union_bound_ok = Fraction(min_union) >= bound0
     final_rhs = delta_homog * bound0 / N0
 
-    report = BoundReport(
+    return BoundReport(
         pipeline="square-free",
         N=spec.N,
         n=n,
@@ -323,7 +317,6 @@ def certify_squarefree(
             "soundness": certified <= S.size,
         },
     )
-    return report
 
 
 def _group_rank_sizes(p: int, pivots, rows: np.ndarray, modulus: int):
@@ -371,25 +364,22 @@ def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
             for b, c in zip(bases, comps)], _residual_rows(spec, pivot, pts)
 
 
-def _tensor_rows_rank(p: int, pairs) -> int:
-    """crank of the family kron(A, v) over (A, v) in pairs, v a 0/1 row.
+def _tensor_rows_rank(p: int, blocks: np.ndarray, which, rows: np.ndarray) -> int:
+    """crank of the family kron(blocks[which[i]], rows[i]), blocks a stack
+    of equal-shape matrices with entries in [0, p) and rows 0/1.
 
-    Column (a, y) is zero in every member unless some A is non-zero in
-    column a and some v holds y, and dropping all-zero columns leaves the
-    rank unchanged; so only those acols × ys columns are built, each member
-    written straight into one int64 array (the entries of A lie in [0, p),
-    so each product is canonical)."""
-    acols = np.flatnonzero(np.any([A.a.any(axis=0) for A, _ in pairs], axis=0))
-    ys = np.flatnonzero(np.any([v for _, v in pairs], axis=0))
-    family = np.empty(
-        (sum(A.rows for A, _ in pairs), acols.size * ys.size), dtype=np.int64
-    )
-    r = 0
-    for A, v in pairs:
-        block = family[r : r + A.rows].reshape(A.rows, acols.size, ys.size)
-        np.multiply(A.a[:, acols, None], v[ys], out=block)
-        r += A.rows
-    return rank(GFpMatrix(p, family))
+    Column (a, y) is zero in every member unless some used block is
+    non-zero in column a and some row holds y, and dropping all-zero
+    columns leaves the rank unchanged; so only those acols × ys columns are
+    built, by one broadcast into one C-ordered int64 array (a plain
+    broadcast of the indexed operands is not C-ordered, and reshaping it
+    would copy).  Each product of a residue and a bit is canonical."""
+    acols = np.flatnonzero(blocks[np.unique(which)].any(axis=(0, 1)))
+    ys = np.flatnonzero(rows.any(axis=0))
+    F, r = len(which), blocks.shape[1]
+    family = np.empty((F, r, acols.size, ys.size), dtype=np.int64)
+    np.multiply(blocks[:, :, acols][which, :, :, None], rows[:, None, None, ys], out=family)
+    return rank(GFpMatrix(p, family.reshape(F * r, acols.size * ys.size)))
 
 
 def certify_prime_power(

@@ -1,6 +1,6 @@
 """Multivariate polynomials over F_p: Hasse derivatives, vanishing
 multiplicities, the multiplicity Schwartz-Zippel check, evaluation-map
-matrices, and line decoding matrices.
+matrices, and line decoding matrices batched over one evaluation table.
 
 Monomials are exponent tuples ordered by weight then lexicographically;
 the same order is used for derivative indices, which fixes every matrix
@@ -188,13 +188,13 @@ def eval_matrix(p: int, n: int, points, m: int, degree: int) -> GFpMatrix:
     return GFpMatrix(p, vals.reshape(len(X) * len(J), len(A)))
 
 
-def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
-    """The decoding matrix of a line in F_p^n, for homogeneous degree kp-1.
+def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np.ndarray:
+    """The decoding matrices of lines in F_p^n, for homogeneous degree kp-1.
 
-    It maps evaluations of order < m at every point of F_p^n to evaluations
-    of order < k at the line's direction point: it has extents
-    dim_leq(n, k-1) x p^n * dim_leq(n, m-1), and its only non-zero columns
-    sit at tuples (x, j) with x on the line.
+    Each maps evaluations of order < m at every point of F_p^n to
+    evaluations of order < k at its line's direction point: the result has
+    extents (lines, dim_leq(n, k-1), p^n * dim_leq(n, m-1)), and a line's
+    only non-zero columns sit at tuples (x, j) with x on the line.
 
     Requires p | k; m defaults to 2k - k/p, the smallest order for which the
     underlying kernel containment is guaranteed.  With a smaller caller-
@@ -205,20 +205,30 @@ def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) ->
     p, n = spec.N, spec.n
     if k % p:
         raise ValueError(f"k = {k} must be divisible by p = {p}")
-    if m is None:
-        m = 2 * k - k // p
-    d = k * p - 1
-    pts = line_points(line, spec)
-    b = line.direction.rep
-    try:
-        C = solve_row_factor(eval_matrix(p, n, pts, m, d), eval_matrix(p, n, (b,), k, d))
-    except RowFactorError as exc:
-        raise RowFactorError(
-            f"decoding matrix for line base={line.base} direction={b} "
-            f"k={k} m={m}: {exc}"
-        ) from exc
-    width = dim_leq(n, m - 1)
-    full = GFpMatrix.zeros(p, C.rows, p**n * width)
-    cols = point_index(pts, spec)[:, None] * width + np.arange(width)
-    full.a[:, cols.ravel()] = C.a
-    return full
+    m = 2 * k - k // p if m is None else m
+    return _decoders(lines, spec, k, m, eval_matrix(p, n, spec.points, max(m, k), k * p - 1))
+
+
+def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
+    """`decoding_matrices` of one line, as a matrix."""
+    return GFpMatrix(spec.N, decoding_matrices([line], spec, k, m)[0])
+
+
+def _decoders(lines, spec: RingSpec, k: int, m: int, E: GFpMatrix) -> np.ndarray:
+    """`decoding_matrices` on E, the `eval_matrix` table of order >= m, k at
+    every point of F_p^n: one `solve_row_factor` per line, from the order-< m
+    rows of its points to the order-< k rows of its direction point."""
+    p, n = spec.N, spec.n
+    width, k_rows = dim_leq(n, m - 1), dim_leq(n, k - 1)
+    E3 = E.a.reshape(p**n, -1, E.cols)
+    out = np.zeros((len(lines), k_rows, p**n, width), dtype=np.int64)
+    for C_out, line in zip(out, lines):
+        idx, b = point_index(line_points(line, spec), spec), line.direction.rep
+        try:
+            C = solve_row_factor(GFpMatrix(p, E3[idx, :width].reshape(-1, E.cols)),
+                                 GFpMatrix(p, E3[point_index(b, spec), :k_rows]))
+        except RowFactorError as exc:
+            raise RowFactorError(f"decoding matrix for line base={line.base} "
+                                 f"direction={b} k={k} m={m}: {exc}") from exc
+        C_out[:, idx] = C.a.reshape(k_rows, len(idx), width)
+    return out.reshape(len(lines), k_rows, -1)

@@ -181,21 +181,21 @@ def test_certify_squarefree_random_witnesses():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tensor_rows_rank_matches_full_width_crank(p):
-    # members whose A have all-zero columns and whose v have zeros, so the
-    # compact family drops columns; the last trial drops every column
+    # equal-shape blocks with all-zero columns, repeated indices and a last
+    # block never used, and rows with zeros, so the compact family drops
+    # columns; the last trial drops every column
     gen = np.random.default_rng(p)
     for trial in range(30):
         cols, width = int(gen.integers(1, 7)), int(gen.integers(1, 9))
-        pairs = []
-        for _ in range(int(gen.integers(1, 5))):
-            A = gen.integers(0, p, (int(gen.integers(1, 4)), cols))
-            A[:, gen.random(cols) < 0.5] = 0
-            v = (gen.random(width) < 0.4).astype(np.int64)
-            if trial == 29:
-                v[:] = 0
-            pairs.append((GFpMatrix(p, A), v))
-        want = crank([kron(A, GFpMatrix(p, [v])) for A, v in pairs])
-        assert _tensor_rows_rank(p, pairs) == want
+        blocks = gen.integers(0, p, (int(gen.integers(2, 6)), int(gen.integers(1, 4)), cols))
+        blocks[:, :, gen.random(cols) < 0.5] = 0
+        which = gen.integers(0, len(blocks) - 1, int(gen.integers(1, 6)))
+        rows = (gen.random((len(which), width)) < 0.4).astype(np.int64)
+        if trial == 29:
+            rows[:] = 0
+        want = crank([kron(GFpMatrix(p, blocks[b]), GFpMatrix(p, [v]))
+                      for b, v in zip(which, rows)])
+        assert _tensor_rows_rank(p, blocks, which, rows) == want
 
 
 def test_certify_squarefree_crt_10_cubed():
@@ -211,6 +211,44 @@ def test_certify_squarefree_crt_10_cubed():
     assert r.quantities["crank_family"] == 609
     assert r.quantities["crank_D_tensor_L0"] == 290
     assert r.certified == 61
+
+
+# the whole square-free report of the per-direction builder that the
+# stacked tables replaced, at the default k and pivot; every check passes
+SQUAREFREE_CHECKS = [
+    "decode_then_eval", "crank_size", "crank_multiplication", "crank_tensor",
+    "stacked_point_eval_rank", "rank_size_factor", "union_is_kakeya_bound",
+    "final_inequality", "soundness",
+]
+PINNED_SQUAREFREE = {
+    (15, 2, "tangent-product"): (119, 5, "25/1", {
+        "k": 3, "m": 5, "pivot_prime": 3, "crank_family": 72,
+        "Delta_n_m_minus_1": 15, "delta_n_kp1_minus_1": 9, "crank_D": 9,
+        "crank_D_tensor_L0": 54, "min_crank_L0": 6, "final_rhs": "125/9"}),
+    (10, 3, "tangent-product"): (440, 61, "1000000/19683", {
+        "k": 2, "m": 3, "pivot_prime": 2, "crank_family": 609,
+        "Delta_n_m_minus_1": 10, "delta_n_kp1_minus_1": 10, "crank_D": 10,
+        "crank_D_tensor_L0": 290, "min_crank_L0": 29, "final_rhs": "31250/729"}),
+    (6, 3, "full"): (216, 28, "1728/125", {
+        "k": 2, "m": 3, "pivot_prime": 2, "crank_family": 273,
+        "Delta_n_m_minus_1": 10, "delta_n_kp1_minus_1": 10, "crank_D": 10,
+        "crank_D_tensor_L0": 130, "min_crank_L0": 13, "final_rhs": "486/25"}),
+}
+
+
+@pytest.mark.parametrize("ring", PINNED_SQUAREFREE, ids=lambda r: f"{r[0]}^{r[1]}-{r[2]}")
+def test_certify_squarefree_pinned_reports(ring):
+    N, n, method = ring
+    spec = RingSpec.make(N, n)
+    S = full_set(spec) if method == "full" else crt_product(
+        [tangent_construction(p, n) for p in spec.primes], spec)
+    size, certified, closed_form, quantities = PINNED_SQUAREFREE[ring]
+    assert certify_squarefree(S).to_json_dict() == {
+        "pipeline": "square-free", "N": N, "n": n, "set_size": size,
+        "certified": certified, "closed_form": closed_form,
+        "quantities": quantities, "checks": dict.fromkeys(SQUAREFREE_CHECKS, True),
+        "passed": True,
+    }
 
 
 def test_certify_prime_power_n1():

@@ -194,3 +194,15 @@ def test_two_primes_cli_on_three_primes_and_a_prime(tmp_path, capsys):
     assert main(["certify", str(path), "--pipeline", "two-primes"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+def test_prime_rank_w_is_the_closed_form_under_the_line_matrix_guard(tmp_path, capsys):
+    # rank_W is rank_formula, not a quotient build, so the 7 x 8 line
+    # matrix of the full F_2^3 set is the largest array the guard counts
+    path = tmp_path / "f8.json"
+    main(["kakeya", "construct", "--N", "2", "--n", "3", "--method", "full",
+          "--out", str(path)])
+    capsys.readouterr()
+    assert main(["certify", str(path), "--pipeline", "prime", "--guard", "56"]) == 0
+    assert json.loads(capsys.readouterr().out)["quantities"]["rank_W"] == 4
+    assert main(["certify", str(path), "--pipeline", "prime", "--guard", "55"]) == 3

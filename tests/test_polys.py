@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from ringkakeya import (
@@ -17,10 +19,13 @@ from ringkakeya import (
     enumerate_directions,
     eval_matrix,
     hasse_derivative,
+    line_points,
     multiplicity,
+    point_index,
+    solve_row_factor,
     sz_mult_check,
 )
-from ringkakeya.polys import binom_mod, deriv_indices, monomials_homog
+from ringkakeya.polys import binom_mod, decoding_matrices, deriv_indices, monomials_homog
 from ringkakeya.selftest import (
     decode_then_evaluate,
     dimension_counts,
@@ -137,8 +142,6 @@ def test_decoding_matrix_extents_and_zero_columns():
     dm = decoding_matrix(line, spec, 2)
     assert dm.a.shape == (3, 24)
     width = dim_leq(2, 2)
-    from ringkakeya import line_points, point_index
-
     on_line = set(point_index(line_points(line, spec), spec).tolist())
     for pt_idx in range(4):
         block = dm.a[:, pt_idx * width : (pt_idx + 1) * width]
@@ -191,3 +194,48 @@ def test_decoding_matrix_small_m_fails_loudly():
 
 def test_line_kernel_containment():
     assert line_kernel_containment()
+
+
+def ref_decoding_matrix(line, spec, k, m=None):
+    """The per-line decoding matrix that `decoding_matrices` replaced: one
+    `solve_row_factor` on the line's and the direction's own
+    `eval_matrix` calls, placed at the line's point columns."""
+    p, n = spec.N, spec.n
+    if m is None:
+        m = 2 * k - k // p
+    pts = line_points(line, spec)
+    C = solve_row_factor(eval_matrix(p, n, pts, m, k * p - 1),
+                         eval_matrix(p, n, (line.direction.rep,), k, k * p - 1))
+    width = dim_leq(n, m - 1)
+    full = np.zeros((C.rows, p**n * width), dtype=np.int64)
+    full[:, (point_index(pts, spec)[:, None] * width + np.arange(width)).ravel()] = C.a
+    return full
+
+
+def all_lines(spec):
+    return list(dict.fromkeys(Line.through(base, d, spec)
+                              for d in enumerate_directions(spec)
+                              for base in spec.points.tolist()))
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (5, 2, 5), (2, 2, 4)])
+def test_decoding_matrices_match_per_line_reference(p, n, k):
+    spec = RingSpec.make(p, n)
+    lines = all_lines(spec)
+    assert len(lines) == len(enumerate_directions(spec)) * p ** (n - 1)
+    got = decoding_matrices(lines, spec, k)
+    m = 2 * k - k // p
+    assert got.shape == (len(lines), dim_leq(n, k - 1), p**n * dim_leq(n, m - 1))
+    for line, C in zip(lines, got):
+        assert np.array_equal(C, ref_decoding_matrix(line, spec, k))
+    assert np.array_equal(decoding_matrix(lines[-1], spec, k).a, got[-1])
+
+
+@pytest.mark.parametrize("p,n,k,m", [(2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 3, 2), (2, 2, 4, 3)])
+def test_decoding_matrices_small_m_raises_like_reference(p, n, k, m):
+    spec = RingSpec.make(p, n)
+    line = all_lines(spec)[0]
+    with pytest.raises(RowFactorError):
+        ref_decoding_matrix(line, spec, k, m)
+    with pytest.raises(RowFactorError, match=re.escape(f"line base={line.base} ")):
+        decoding_matrices([line], spec, k, m)
