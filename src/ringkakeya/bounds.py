@@ -266,15 +266,16 @@ def certify_squarefree(
     # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
     E = eval_matrix(p1, n, spec1.points, m, d_hom)
     D = E.a.reshape(p1**n, Delta, -1)[:, :dim_leq(n, k - 1)]
-    lines, rows0 = _split_witnesses(S, pividx)
-    dir_idx = point_index([L.direction.rep for L in lines], spec1)
+    pivot_lines, rows0 = _split_witnesses(S, pividx)
+    dir_idx = point_index([rep for _, rep in pivot_lines], spec1)
     # one decoder per distinct pivot line, in order of first use
-    distinct: dict[Line, int] = {}
-    decoder = np.array([distinct.setdefault(L, len(distinct)) for L in lines])
-    Cs = _decoders(list(distinct), spec1, k, m, E)
+    distinct: dict[tuple, int] = {}
+    decoder = np.array([distinct.setdefault(line, len(distinct)) for line in pivot_lines])
+    Cs = _decoders([Line(base=b, direction=Direction(rep=c, components=(c,)))
+                    for b, c in distinct], spec1, k, m, E)
     _check_product(E.rows, p1)
     decode_chain = np.array_equal(
-        Cs @ E.a % p1, D[point_index([L.direction.rep for L in distinct], spec1)])
+        Cs @ E.a % p1, D[point_index([rep for _, rep in distinct], spec1)])
 
     crank_family = _tensor_rows_rank(p1, Cs, decoder, rows0)
     certified = math.ceil(crank_family / Delta)
@@ -351,17 +352,16 @@ def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
-    """The pivot lines and the `_residual_rows` of the witness lines, one
-    per direction in enumeration order: a witness line reduced mod the
-    pivot prime is its pivot component line, based at its point of least
-    index."""
+    """The pivot lines, as (base, rep) pairs of Python-int tuples, and the
+    `_residual_rows` of the witness lines, one per direction in enumeration
+    order: a witness line reduced mod the pivot prime is its pivot
+    component line, based at its point of least index."""
     spec = S.spec
     spec_p = spec.factor_specs()[pivot]
     comps = [d.components[pivot] for d in enumerate_directions(spec)]
     pts = spec.points[_witness_indices(S)]
-    bases = _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist()
-    return [Line(base=tuple(b), direction=Direction(rep=c, components=(c,)))
-            for b, c in zip(bases, comps)], _residual_rows(spec, pivot, pts)
+    bases = map(tuple, _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist())
+    return list(zip(bases, comps)), _residual_rows(spec, pivot, pts)
 
 
 def _tensor_rows_rank(p: int, blocks: np.ndarray, which, rows: np.ndarray) -> int:

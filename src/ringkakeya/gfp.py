@@ -2,12 +2,14 @@
 
 Matrices are stored as int64 numpy arrays with entries canonical in [0, p);
 residues are reduced once, when a GFpMatrix is built, and every kernel
-trusts `.a`.  One elimination kernel, `_echelon`, gives every row
-factorization for every p and every rank for odd p; through the F_ℓ
-images of `cyclo.rank_cyclo` it gives the exact ranks over Q and Q(γ)
-too.  `rank` forks once, for p = 2, to `_rank_gf2`, which reduces each
-row, packed to one Python-int bitmask, against an XOR basis keyed by
-leading bit; factorizations stay on `_echelon` for p = 2 as well.
+trusts `.a`.  `rank` takes one of three paths by p.  For p = 2,
+`_rank_gf2` reduces each row, packed to one Python-int bitmask, against
+an XOR basis keyed by leading bit.  For 3 <= p <= 11, the primes whose
+elimination fits int8, `_rank_packed` does the same with one byte per
+entry, adding rows field-wise mod p on whole Python ints.  For p >= 13
+the rank is the pivot count of `_echelon`, the one elimination kernel,
+which also gives every row factorization for every p and, through the
+F_ℓ images of `cyclo.rank_cyclo`, the exact ranks over Q and Q(γ).
 `_echelon` uses a fixed pivot rule (first non-zero entry scanning columns
 left to right, rows top to bottom) so echelon forms and ranks are
 reproducible bit for bit.  It works on one copy of its input in the
@@ -187,11 +189,61 @@ def _rank_gf2(a: np.ndarray) -> int:
     return len(basis)
 
 
+def _rank_packed(a: np.ndarray, p: int) -> int:
+    """Rank over F_p, 3 <= p <= 11, of a: the size of a basis of its rows
+    packed one byte per entry, the odd-p analogue of `_rank_gf2`.
+
+    Each row is one Python int, entry j in byte j.  A row joins the basis
+    under its leading field (its highest non-zero byte) when no basis row
+    has that leading field, together with its p multiples indexed by
+    their leading coefficients.  Otherwise, α its leading coefficient, it
+    is replaced by its sum with the multiple of coefficient p − α, which
+    clears that field, until it is zero or its leading field is new.
+    Basis rows have distinct leading fields, so they are independent, and
+    every row is a combination of basis rows, so they span the rows.
+
+    The field-wise sum mod p needs no loop over fields: entries are below
+    p, so a sum of two is at most 2p − 2 <= 20, and adding 128 − p to a
+    field sets its bit 7 exactly when the field is at least p; p is then
+    taken off those fields.  No step carries into the next byte.
+    """
+    width = a.shape[1]
+    ones = int.from_bytes(b"\x01" * width, "little")
+    high, guard = ones << 7, (128 - p) * ones
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + guard) & high) >> 7) * p
+
+    packed = a.astype(np.uint8).tobytes()
+    basis: dict[int, list[int]] = {}
+    for i in range(a.shape[0]):
+        x = int.from_bytes(packed[i * width:(i + 1) * width], "little")
+        while x:
+            top = (x.bit_length() - 1) >> 3
+            alpha = x >> (top << 3)
+            mult = basis.get(top)
+            if mult is None:
+                # the multiple c·x has leading coefficient c·α mod p
+                mult, cx = [0] * p, x
+                for c in range(1, p):
+                    mult[c * alpha % p] = cx
+                    cx = add(cx, x)
+                basis[top] = mult
+                break
+            x = add(x, mult[p - alpha])
+    return len(basis)
+
+
 def rank(M: GFpMatrix) -> int:
-    """Rank over F_p: an XOR basis of bitmask rows for p = 2, otherwise
-    the number of pivots of the echelon form."""
+    """Rank over F_p by one of three paths: an XOR basis of bitmask rows
+    for p = 2 (`_rank_gf2`), a basis of byte-packed rows for the odd p
+    whose elimination fits int8, 3 <= p <= 11 (`_rank_packed`), and the
+    number of pivots of `_echelon`'s echelon form for p >= 13."""
     if M.p == 2:
         return _rank_gf2(M.a)
+    if _work_type(M.p) is np.int8:
+        return _rank_packed(M.a, M.p)
     return len(_echelon(M.a, M.p)[1])
 
 

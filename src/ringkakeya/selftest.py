@@ -1,7 +1,7 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 77 checks (ring 17, gfp 6, cyclotomic 20, polyspace 5,
+pytest run the same 78 checks (ring 17, gfp 7, cyclotomic 20, polyspace 5,
 incidence 10, kakeya 12, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances
@@ -26,7 +26,7 @@ from .bounds import (
 from .cyclo import (
     dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
 )
-from .gfp import GFpMatrix, _echelon, _rank_gf2, crank, kron, rank
+from .gfp import GFpMatrix, _echelon, _rank_gf2, _rank_packed, crank, kron, rank
 from .incidence import (
     complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
 )
@@ -188,11 +188,43 @@ def gf2_packed_rank_matches_echelon(rng: random.Random) -> bool:
     return True
 
 
+def odd_p_rank_cases(gen: np.random.Generator, p: int, cols: int) -> list[np.ndarray]:
+    """Matrices over F_p of width cols: empty, all-zero, random with zero
+    and duplicate rows, low-rank products, and rows whose leading (last
+    non-zero) entry is p − 1, with fewer rows than columns and with more."""
+    cases = [np.zeros((0, cols), dtype=np.int64), np.zeros((3, cols), dtype=np.int64)]
+    for rows in (max(cols // 2, 1), cols + 5):
+        full = gen.integers(0, p, (rows, cols))
+        full[::3] = 0
+        inner = int(gen.integers(1, 5))
+        top = gen.integers(0, cols, rows)
+        lead = full * (np.arange(cols) < top[:, None])
+        lead[np.arange(rows), top] = p - 1
+        cases += [
+            np.vstack([full, full[::-1], full[:2]]),
+            gen.integers(0, p, (rows, inner)) @ gen.integers(0, p, (inner, cols)) % p,
+            lead,
+            np.vstack([lead, lead]),
+        ]
+    return cases
+
+
+def packed_rank_matches_echelon(rng: random.Random) -> bool:
+    """The byte-packed rank equals the echelon pivot count at p = 3, 5, 7
+    and 11 on `odd_p_rank_cases` at column counts on each side of the byte
+    and word boundaries."""
+    gen = np.random.default_rng(rng.randrange(2**32))
+    return all(_rank_packed(a, p) == len(_echelon(a, p)[1])
+               for p in (3, 5, 7, 11) for cols in (1, 7, 8, 9, 63, 64, 65)
+               for a in odd_p_rank_cases(gen, p, cols))
+
+
 def suite_gfp(seed: int = 0):
     rng = random.Random(seed)
     return [(check.__name__, check(rng)) for check in (
         rank_product_bound, kron_mixed_product, crank_multiplication_bound,
         crank_tensor_bound, rank_paths_agree, gf2_packed_rank_matches_echelon,
+        packed_rank_matches_echelon,
     )]
 
 

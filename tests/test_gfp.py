@@ -1,6 +1,7 @@
 """Exact linear algebra over F_p."""
 
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ringkakeya import (
     GFpMatrix,
     RingSpec,
     RowFactorError,
+    certify_prime,
     certify_squarefree,
     certify_two_primes,
     crank,
@@ -19,12 +21,14 @@ from ringkakeya import (
     solve_row_factor,
     tangent_construction,
 )
-from ringkakeya import bounds
-from ringkakeya.gfp import _echelon, _rank_gf2, is_prime
+from ringkakeya import bounds, gfp
+from ringkakeya.gfp import _echelon, _rank_gf2, _rank_packed, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
     gf2_packed_rank_matches_echelon,
     kron_mixed_product,
+    odd_p_rank_cases,
+    packed_rank_matches_echelon,
     rank_paths_agree,
     rank_product_bound,
 )
@@ -139,6 +143,77 @@ def test_gf2_rank_matches_echelon_at_word_boundary_leading_bits(tops):
         a[np.arange(140) > top[:, None]] = 0
         a[np.arange(rows), top] = 1
         assert _rank_gf2(a) == _echelon_rank_gf2(a)
+
+
+@pytest.fixture
+def deadline():
+    """Fail within 20 s instead of hanging: a packed reduction whose sum
+    mod p or whose multiple is wrong never clears the leading field."""
+    def expire(signum, frame):
+        raise TimeoutError("the packed rank did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_packed_rank_matches_echelon(deadline):
+    assert packed_rank_matches_echelon(random.Random(19))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_packed_rank_matches_echelon_and_oracle(deadline, p, cols):
+    gen = np.random.default_rng(p * 1000 + cols)
+    for a in odd_p_rank_cases(gen, p, cols):
+        want = len(_echelon(a, p)[1])
+        assert _rank_packed(a, p) == below_only_rank_oracle(a, p) == want
+
+
+def test_odd_p_rank_matches_echelon_on_certificate_matrices(monkeypatch, deadline):
+    # every odd-p matrix that the prime certificate on tangent 7^3 and the
+    # two-primes and square-free certificates on the CRT tangent products
+    # over (Z/15)^2 and (Z/21)^2 rank: among them the 57 x 343 line matrix
+    # and the (144, 357) square-free family
+    seen = []
+
+    def recording_rank(M):
+        if M.p != 2:
+            seen.append((M.p, M.a))
+        return rank(M)
+
+    monkeypatch.setattr(bounds, "rank", recording_rank)
+    certify_prime(tangent_construction(7, 3))
+    for N, (p, q) in ((15, (3, 5)), (21, (3, 7))):
+        S = crt_product([tangent_construction(p, 2), tangent_construction(q, 2)],
+                        RingSpec.make(N, 2))
+        certify_two_primes(S)
+        certify_squarefree(S)
+    assert {(7, (57, 343)), (3, (144, 357))} <= {(p, a.shape) for p, a in seen}
+    for p, a in seen:
+        assert _rank_packed(a, p) == len(_echelon(a, p)[1])
+
+
+def test_rank_paths_by_characteristic(monkeypatch):
+    # p = 2 takes the XOR basis, 3 <= p <= 11 the packed basis, p >= 13
+    # the echelon kernel
+    calls = []
+
+    def spy(name):
+        kernel = getattr(gfp, name)
+
+        def recording(*args):
+            calls.append(name)
+            return kernel(*args)
+        return recording
+
+    for name in ("_rank_gf2", "_rank_packed", "_echelon"):
+        monkeypatch.setattr(gfp, name, spy(name))
+    for p in (2, 3, 11, 13, 17):
+        assert rank(GFpMatrix.identity(p, 3)) == 3
+    assert calls == ["_rank_gf2", "_rank_packed", "_rank_packed", "_echelon", "_echelon"]
 
 
 def test_kron_examples():

@@ -105,14 +105,14 @@ def ref_certify_two_primes(S):
         incidence_matrix(p, n).a,
     ).reshape(len(dirs), -1))
     lines, ind_q = _split_witnesses(S, 0)
-    comps = np.array([L.direction.rep for L in lines], dtype=np.int64)
+    comps = np.array([rep for _, rep in lines], dtype=np.int64)
     hyper = comps @ spec_p.points.T % p != 0
     row_identity = np.array_equal(
         prod.a, (hyper[:, :, None] * ind_q[:, None, :]).reshape(len(dirs), -1)
     )
     q_lines = {}
-    for L, row in zip(lines, ind_q):
-        q_lines.setdefault(L.direction.rep, []).append(row)
+    for (_, rep), row in zip(lines, ind_q):
+        q_lines.setdefault(rep, []).append(row)
     certified, rank_MS = rank(prod), rank(MS)
     dim_V = rank(GFpMatrix(p, hyper[np.unique(comps, axis=0, return_index=True)[1]]))
     min_rank_B, _, rank_size_per_c = ref_group_rank_sizes(p, q_lines, q)

@@ -349,8 +349,8 @@ def test_residual_rows_match_kron_of_indicators(N, n):
         for pivot in range(spec.r):
             got = list(zip(*_split_witnesses(S, pivot)))
             want = ref_split_witnesses(S, pivot)
-            assert [L for L, _ in got] == [L for L, _ in want]
-            assert _python_ints(L for L, _ in got)
+            assert [L for L, _ in got] == [(L.base, L.direction.rep) for L, _ in want]
+            assert all(map(_is_int_tuple, (v for L, _ in got for v in L)))
             for (_, row), (_, ref_row) in zip(got, want):
                 assert np.array_equal(row, ref_row)
 
