@@ -28,9 +28,11 @@ import numpy as np
 
 from .cyclo import dft_product, rank_cyclo, reduction_matrix
 from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard, _json_value
-from .gfp import GFpMatrix, _check_product, rank
+from .gfp import (
+    GFpMatrix, PackedRows, _check_float_product, _check_product, _pack_rows, _packs, rank,
+)
 from .incidence import rank_formula
-from .kakeya import KakeyaSet, _witness_indices, line_matrix, verify
+from .kakeya import KakeyaSet, _line_matrix, _verify
 from .polys import _decoders, dim_homog, dim_leq, eval_matrix
 from .rings import (
     Direction, Line, RingSpec, _least_bases, enumerate_directions, point_index,
@@ -86,12 +88,15 @@ def squarefree_bound(N: int, n: int) -> Fraction:
     return Fraction(N**n) / denom
 
 
-def _require_valid(S: KakeyaSet):
-    ok, problems = verify(S)
-    if not ok:
+def _require_valid(S: KakeyaSet) -> np.ndarray:
+    """The `_witness_indices` of S, computed once by its verification;
+    VerificationError when S fails it."""
+    problems, idx = _verify(S)
+    if problems:
         raise VerificationError(
             f"input fails Kakeya set verification: {problems[:3]}"
         )
+    return idx
 
 
 def _pivot_product(S: KakeyaSet, guard: int):
@@ -101,31 +106,33 @@ def _pivot_product(S: KakeyaSet, guard: int):
     Column u·y of W_p equals column y (u a unit), and column 0 maps a row
     to p times its residual row, so the direction reps ys of (Z/p)^n keep
     the rank.  The p^n × |ys| table [<x, y> = 0] acts on the pivot index of
-    M_S's CRT-major columns: one batched product, (directions, |ys|, m^n).
+    M_S's CRT-major columns: one batched product, (directions, |ys|, m^n),
+    in float64, exact since its entries are 0/1 and its sums at most p^n.
     Row i must be H_i, the complement-hyperplane row over ys of the pivot
     component c_i of direction i, ⊗ its witness line's `_residual_rows`
     row; AssertionError otherwise.  GuardExceeded first when the line
     matrix, the largest array, would exceed guard cells.  Returns the ranks
     of M_S and the product, the indices of the c_i in (Z/p)^n, H and rows.
     """
-    _require_valid(S)
+    idx = _require_valid(S)
     spec = S.spec
     p, n = spec.primes[0], spec.n
     dirs = enumerate_directions(spec)
     _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
                  spec.num_points, guard)
-    MS = line_matrix(S)
+    MS = _line_matrix(spec, idx)
     spec_p = spec.factor_specs()[0]
     ys = np.array([d.rep for d in spec_p.directions], dtype=np.int64)
-    _check_product(p**n, p)
-    table = spec_p.points @ ys.T % p == 0
-    prod = table.T @ MS.a.reshape(len(dirs), p**n, -1) % p
+    _check_float_product(p**n)
+    table = (spec_p.points @ ys.T % p == 0).astype(np.float64)
+    prod = (table.T @ MS.a.reshape(len(dirs), p**n, -1).astype(np.float64)
+            ).astype(np.int64) % p
     comps = np.array([d.components[0] for d in dirs], dtype=np.int64)
     H = comps @ ys.T % p != 0
     if spec.r == 1:  # no rest: row i is H_i alone
         rows = np.ones((len(dirs), 1), dtype=np.int64)
     else:
-        rows = _residual_rows(spec, 0, spec.points[_witness_indices(S)])
+        rows = _residual_rows(spec, 0, spec.points[idx])
     if not np.array_equal(prod, H[:, :, None] * rows[:, None, :]):
         raise AssertionError("pivot row identity failed (internal bug)")
     return (rank(MS), rank(GFpMatrix(p, prod.reshape(len(dirs), -1))),
@@ -248,7 +255,7 @@ def certify_squarefree(
         raise ValueError(f"k = {k} must be a positive multiple of the pivot prime {p1}")
     if spec.r == 1:
         return certify_prime(S, guard=guard)
-    _require_valid(S)
+    idx = _require_valid(S)
     n = spec.n
     pividx = spec.primes.index(p1)
     m = 2 * k - k // p1
@@ -266,7 +273,7 @@ def certify_squarefree(
     # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
     E = eval_matrix(p1, n, spec1.points, m, d_hom)
     D = E.a.reshape(p1**n, Delta, -1)[:, :dim_leq(n, k - 1)]
-    pivot_lines, rows0 = _split_witnesses(S, pividx)
+    pivot_lines, rows0 = _split_witnesses(spec, pividx, idx)
     dir_idx = point_index([rep for _, rep in pivot_lines], spec1)
     # one decoder per distinct pivot line, in order of first use
     distinct: dict[tuple, int] = {}
@@ -351,15 +358,15 @@ def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _split_witnesses(S: KakeyaSet, pivot: int) -> tuple[list, np.ndarray]:
+def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray) -> tuple[list, np.ndarray]:
     """The pivot lines, as (base, rep) pairs of Python-int tuples, and the
     `_residual_rows` of the witness lines, one per direction in enumeration
-    order: a witness line reduced mod the pivot prime is its pivot
-    component line, based at its point of least index."""
-    spec = S.spec
+    order, idx their `_witness_indices`: a witness line reduced mod the
+    pivot prime is its pivot component line, based at its point of least
+    index."""
     spec_p = spec.factor_specs()[pivot]
     comps = [d.components[pivot] for d in enumerate_directions(spec)]
-    pts = spec.points[_witness_indices(S)]
+    pts = spec.points[idx]
     bases = map(tuple, _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist())
     return list(zip(bases, comps)), _residual_rows(spec, pivot, pts)
 
@@ -370,13 +377,28 @@ def _tensor_rows_rank(p: int, blocks: np.ndarray, which, rows: np.ndarray) -> in
 
     Column (a, y) is zero in every member unless some used block is
     non-zero in column a and some row holds y, and dropping all-zero
-    columns leaves the rank unchanged; so only those acols × ys columns are
-    built, by one broadcast into one C-ordered int64 array (a plain
+    columns leaves the rank unchanged; so only those acols × ys columns
+    are kept.  Where `rank` packs rows over F_p, each member row is built
+    straight as its packed Python int, spread(a)·pack(y): spread(a) packs
+    the block row a with entry j moved to field j·|ys| (kron(a, e_0)), and
+    pack(y) packs the residual row over ys.  The product holds a_j·y_t in
+    field j·|ys| + t, t < |ys|: one term per field, a residue times a bit,
+    so no field carries.  spread is taken once per used block row and pack
+    once per residual row, so no int64 family is built.  For p >= 13 the
+    family is one C-ordered int64 array, written by one broadcast (a plain
     broadcast of the indexed operands is not C-ordered, and reshaping it
-    would copy).  Each product of a residue and a bit is canonical."""
-    acols = np.flatnonzero(blocks[np.unique(which)].any(axis=(0, 1)))
+    would copy)."""
+    used, slot = np.unique(which, return_inverse=True)
+    acols = np.flatnonzero(blocks[used].any(axis=(0, 1)))
     ys = np.flatnonzero(rows.any(axis=0))
     F, r = len(which), blocks.shape[1]
+    if _packs(p):
+        used_rows = blocks[used][:, :, acols].reshape(used.size * r, acols.size)
+        spread = _pack_rows(np.kron(used_rows, np.arange(ys.size) == 0), p)
+        ints = [spread[u * r + i] * y
+                for u, y in zip(slot.tolist(), _pack_rows(rows[:, ys], p))
+                for i in range(r)]
+        return rank(PackedRows(p, acols.size * ys.size, ints))
     family = np.empty((F, r, acols.size, ys.size), dtype=np.int64)
     np.multiply(blocks[:, :, acols][which, :, :, None], rows[:, None, None, ys], out=family)
     return rank(GFpMatrix(p, family.reshape(F * r, acols.size * ys.size)))
@@ -402,7 +424,7 @@ def certify_prime_power(
     spec = S.spec
     if not spec.is_prime_power:
         raise ValueError("prime-power pipeline requires N = p^k")
-    _require_valid(S)
+    witness = _require_valid(S)
     p, kk = spec.factors[0]
     q, n, pts = spec.N, spec.n, spec.points
     reps = np.array([d.rep for d in enumerate_directions(spec)], dtype=np.int64)
@@ -413,7 +435,7 @@ def certify_prime_power(
     # array: W's orbit rows have q^n cells each, q times fewer
     _check_guard(f"DFT exponent histogram of (Z/{q})^{n}", len(x) * q,
                  spec.num_points, guard)
-    idx = _witness_indices(S)[d]
+    idx = witness[d]
     # row p^j·b: the points a + t·b of b's witness line at t in p^j·Z/q
     rows, t = np.nonzero(np.arange(q) % p ** js[:, None] == 0)
     M = np.zeros((len(x), spec.num_points), dtype=np.int64)

@@ -6,10 +6,16 @@ trusts `.a`.  `rank` takes one of three paths by p.  For p = 2,
 `_rank_gf2` reduces each row, packed to one Python-int bitmask, against
 an XOR basis keyed by leading bit.  For 3 <= p <= 11, the primes whose
 elimination fits int8, `_rank_packed` does the same with one byte per
-entry, adding rows field-wise mod p on whole Python ints.  For p >= 13
-the rank is the pivot count of `_echelon`, the one elimination kernel,
-which also gives every row factorization for every p and, through the
-F_ℓ images of `cyclo.rank_cyclo`, the exact ranks over Q and Q(γ).
+entry, adding rows field-wise mod p on whole Python ints.  Both row
+loops also take rows that were never an array, as `PackedRows`: a
+Kronecker row kron(a, y), y a 0/1 row of width s, packs to
+spread(a)·pack(y), where spread(a) puts entry j of a in field j·s.  The
+product is the sum of a_j·y_t in field j·s + t over t < s, one term per
+field, each below p, so no field carries into the next and no int64
+family needs to be built.  For p >= 13 the rank is the pivot count of
+`_echelon`, the one elimination kernel, which also gives every row
+factorization for every p and, through the F_ℓ images of
+`cyclo.rank_cyclo`, the exact ranks over Q and Q(γ).
 `_echelon` uses a fixed pivot rule (first non-zero entry scanning columns
 left to right, rows top to bottom) so echelon forms and ranks are
 reproducible bit for bit.  It works on one copy of its input in the
@@ -21,6 +27,7 @@ eliminations whose int64 arithmetic could wrap raise OverflowError.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +113,15 @@ def _check_product(inner: int, p: int):
         )
 
 
+def _check_float_product(inner: int):
+    """OverflowError where a float64 product of 0/1 matrices with this inner
+    dimension could round: each sum is at most inner, exact below 2^53."""
+    if inner >= 2**53:
+        raise OverflowError(
+            f"a 0/1 product with inner dimension {inner} can round in float64"
+        )
+
+
 def _work_type(p: int):
     """The narrowest signed integer type that holds (p - 1)^2.
 
@@ -168,17 +184,40 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _rank_gf2(a: np.ndarray) -> int:
-    """Rank over GF(2) of a: the size of an XOR basis of its rows.
+def _pack_rows(a: np.ndarray, p: int) -> list[int]:
+    """Each row of a, entries in [0, p) with p = 2 or 3 <= p <= 11, as one
+    Python int: entry j in bit j for p = 2 (`_bitmasks`), in byte j else."""
+    if p == 2:
+        return _bitmasks(a)
+    width = a.shape[1]
+    packed = a.astype(np.uint8).tobytes()
+    return [int.from_bytes(packed[i * width:(i + 1) * width], "little")
+            for i in range(a.shape[0])]
 
-    Each row, as a `_bitmasks` Python int, is XORed with the basis row of
-    its leading bit until it is zero or its leading bit is new, and then
-    joins the basis under that bit.  Basis rows have distinct leading bits,
-    so they are independent, and every row is a sum of basis rows, so they
-    span the rows.
+
+class PackedRows(NamedTuple):
+    """The rows of a matrix over F_p, p = 2 or 3 <= p <= 11, as
+    `_pack_rows` packs them; `rank` takes them as it takes a GFpMatrix."""
+
+    p: int
+    cols: int
+    ints: list[int]
+
+    @property
+    def rows(self) -> int:
+        return len(self.ints)
+
+
+def _gf2_basis_size(rows) -> int:
+    """Rank over GF(2) of the bitmask rows: the size of an XOR basis.
+
+    Each row is XORed with the basis row of its leading bit until it is
+    zero or its leading bit is new, and then joins the basis under that
+    bit.  Basis rows have distinct leading bits, so they are independent,
+    and every row is a sum of basis rows, so they span the rows.
     """
     basis: dict[int, int] = {}
-    for x in _bitmasks(a):
+    for x in rows:
         while x:
             top = x.bit_length()
             b = basis.get(top)
@@ -189,25 +228,25 @@ def _rank_gf2(a: np.ndarray) -> int:
     return len(basis)
 
 
-def _rank_packed(a: np.ndarray, p: int) -> int:
-    """Rank over F_p, 3 <= p <= 11, of a: the size of a basis of its rows
-    packed one byte per entry, the odd-p analogue of `_rank_gf2`.
+def _packed_basis_size(rows, width: int, p: int) -> int:
+    """Rank over F_p, 3 <= p <= 11, of the rows packed one byte per entry
+    (width entries each): the size of a basis, the odd-p analogue of
+    `_gf2_basis_size`.
 
-    Each row is one Python int, entry j in byte j.  A row joins the basis
-    under its leading field (its highest non-zero byte) when no basis row
-    has that leading field, together with its p multiples indexed by
-    their leading coefficients.  Otherwise, α its leading coefficient, it
-    is replaced by its sum with the multiple of coefficient p − α, which
-    clears that field, until it is zero or its leading field is new.
-    Basis rows have distinct leading fields, so they are independent, and
-    every row is a combination of basis rows, so they span the rows.
+    A row joins the basis under its leading field (its highest non-zero
+    byte) when no basis row has that leading field, together with its p
+    multiples indexed by their leading coefficients.  Otherwise, α its
+    leading coefficient, it is replaced by its sum with the multiple of
+    coefficient p − α, which clears that field, until it is zero or its
+    leading field is new.  Basis rows have distinct leading fields, so they
+    are independent, and every row is a combination of basis rows, so they
+    span the rows.
 
     The field-wise sum mod p needs no loop over fields: entries are below
     p, so a sum of two is at most 2p − 2 <= 20, and adding 128 − p to a
     field sets its bit 7 exactly when the field is at least p; p is then
     taken off those fields.  No step carries into the next byte.
     """
-    width = a.shape[1]
     ones = int.from_bytes(b"\x01" * width, "little")
     high, guard = ones << 7, (128 - p) * ones
 
@@ -215,10 +254,8 @@ def _rank_packed(a: np.ndarray, p: int) -> int:
         s = x + y
         return s - (((s + guard) & high) >> 7) * p
 
-    packed = a.astype(np.uint8).tobytes()
     basis: dict[int, list[int]] = {}
-    for i in range(a.shape[0]):
-        x = int.from_bytes(packed[i * width:(i + 1) * width], "little")
+    for x in rows:
         while x:
             top = (x.bit_length() - 1) >> 3
             alpha = x >> (top << 3)
@@ -235,14 +272,36 @@ def _rank_packed(a: np.ndarray, p: int) -> int:
     return len(basis)
 
 
-def rank(M: GFpMatrix) -> int:
+def _rank_gf2(a: np.ndarray) -> int:
+    """Rank over GF(2) of a, by `_gf2_basis_size` on its `_bitmasks`."""
+    return _gf2_basis_size(_bitmasks(a))
+
+
+def _rank_packed(a: np.ndarray, p: int) -> int:
+    """Rank over F_p, 3 <= p <= 11, of a, by `_packed_basis_size` on its
+    rows packed one byte per entry."""
+    return _packed_basis_size(_pack_rows(a, p), a.shape[1], p)
+
+
+def _packs(p: int) -> bool:
+    """Whether `rank` takes packed rows over F_p: p = 2, or an odd p whose
+    elimination fits int8, 3 <= p <= 11."""
+    return p == 2 or _work_type(p) is np.int8
+
+
+def rank(M: GFpMatrix | PackedRows) -> int:
     """Rank over F_p by one of three paths: an XOR basis of bitmask rows
     for p = 2 (`_rank_gf2`), a basis of byte-packed rows for the odd p
     whose elimination fits int8, 3 <= p <= 11 (`_rank_packed`), and the
-    number of pivots of `_echelon`'s echelon form for p >= 13."""
+    number of pivots of `_echelon`'s echelon form for p >= 13.  PackedRows,
+    already packed, go straight to the basis of their p."""
+    if isinstance(M, PackedRows):
+        if M.p == 2:
+            return _gf2_basis_size(M.ints)
+        return _packed_basis_size(M.ints, M.cols, M.p)
     if M.p == 2:
         return _rank_gf2(M.a)
-    if _work_type(M.p) is np.int8:
+    if _packs(M.p):
         return _rank_packed(M.a, M.p)
     return len(_echelon(M.a, M.p)[1])
 

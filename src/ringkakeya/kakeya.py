@@ -45,6 +45,14 @@ def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
     Returns (ok, problems); problems names each missing or broken direction,
     in direction order.
     """
+    problems, _ = _verify(S)
+    return not problems, problems
+
+
+def _verify(S: KakeyaSet) -> tuple[list[str], np.ndarray]:
+    """verify's problems, and the `_witness_indices` of the directions whose
+    witness line points in them, in enumeration order: of every direction
+    when there is no problem."""
     spec = S.spec
     dirs = enumerate_directions(spec)
     problems, keys = {}, []
@@ -63,7 +71,7 @@ def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
         missing = tuple(spec.points[idx[r, inside[r].argmin()]].tolist())
         problems[keys[r]] = (f"direction {dirs[keys[r]].rep}: line point "
                              f"{missing} not in the set")
-    return not problems, [problems[i] for i in sorted(problems)]
+    return [problems[i] for i in sorted(problems)], idx
 
 
 def _int_rows(vectors, n: int) -> np.ndarray:
@@ -211,8 +219,12 @@ def line_matrix(S: KakeyaSet) -> GFpMatrix:
     """0/1 matrix over F_p, p the least prime of N, with one row per
     direction (enumeration order), the row being the witness-line indicator
     in CRT-major point column order."""
-    spec = S.spec
-    idx = _witness_indices(S)
+    return _line_matrix(S.spec, _witness_indices(S))
+
+
+def _line_matrix(spec: RingSpec, idx: np.ndarray) -> GFpMatrix:
+    """line_matrix of the lines whose (lines, N) natural point indices are
+    idx."""
     M = np.zeros((len(idx), spec.num_points), dtype=np.int64)
     M[np.arange(len(idx))[:, None], spec.crt_order[idx]] = 1
     return GFpMatrix(spec.primes[0], M)

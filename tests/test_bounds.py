@@ -25,7 +25,9 @@ from ringkakeya import (
     squarefree_bound,
     tangent_construction,
 )
+from ringkakeya import bounds, gfp
 from ringkakeya.bounds import _tensor_rows_rank
+from ringkakeya.gfp import PackedRows, _echelon
 from ringkakeya.incidence import complement_indicator, incidence_quotient
 from ringkakeya.selftest import (
     crt_product_size,
@@ -179,11 +181,24 @@ def test_certify_squarefree_random_witnesses():
         assert r.certified <= S.size
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_tensor_rows_rank_matches_full_width_crank(p):
+def _check_tensor_rows_rank(p, blocks, which, rows):
+    members = [kron(GFpMatrix(p, blocks[b]), GFpMatrix(p, [v])) for b, v in zip(which, rows)]
+    want = len(_echelon(np.vstack([m.a for m in members]), p)[1])
+    assert _tensor_rows_rank(p, blocks, which, rows) == crank(members) == want
+
+
+# kept widths |acols|·|ys| of 7 to 129 fields, on each side of 8, 64 and 128
+FULL_WIDTHS = [(1, 7), (2, 4), (3, 3), (1, 9), (7, 9), (8, 8), (5, 13), (3, 21),
+               (9, 15), (8, 16), (4, 32), (11, 12), (1, 129), (129, 1), (13, 10)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tensor_rows_rank_matches_full_width_crank(p, deadline):
     # equal-shape blocks with all-zero columns, repeated indices and a last
     # block never used, and rows with zeros, so the compact family drops
-    # columns; the last trial drops every column
+    # columns; trial 28 zeroes a used block, and the last trial drops every
+    # column.  Then FULL_WIDTHS, where every column is kept.  A packed row
+    # whose fields carried would loop in the rank, so the deadline applies
     gen = np.random.default_rng(p)
     for trial in range(30):
         cols, width = int(gen.integers(1, 7)), int(gen.integers(1, 9))
@@ -191,11 +206,52 @@ def test_tensor_rows_rank_matches_full_width_crank(p):
         blocks[:, :, gen.random(cols) < 0.5] = 0
         which = gen.integers(0, len(blocks) - 1, int(gen.integers(1, 6)))
         rows = (gen.random((len(which), width)) < 0.4).astype(np.int64)
+        if trial == 28:
+            blocks[which[0]] = 0
         if trial == 29:
             rows[:] = 0
-        want = crank([kron(GFpMatrix(p, blocks[b]), GFpMatrix(p, [v]))
-                      for b, v in zip(which, rows)])
-        assert _tensor_rows_rank(p, blocks, which, rows) == want
+        _check_tensor_rows_rank(p, blocks, which, rows)
+    for cols, width in FULL_WIDTHS:
+        blocks = gen.integers(0, p, (4, 3, cols)) * (gen.random((4, 3, cols)) < 0.5)
+        which = gen.integers(0, 4, 12)
+        blocks[which[0], 0] = 1
+        rows = (gen.random((12, width)) < 0.3).astype(np.int64)
+        rows[0] = 1
+        _check_tensor_rows_rank(p, blocks, which, rows)
+
+
+@pytest.mark.parametrize("p,packed", [(11, True), (13, False)])
+def test_tensor_rows_rank_builds_int64_family_only_above_11(monkeypatch, p, packed):
+    # p = 11 hands rank its packed rows; p = 13 has no packed path, so the
+    # family is one int64 array, which rank takes to _echelon
+    seen, echelons = [], []
+    real_echelon = gfp._echelon
+
+    def recording_rank(M):
+        seen.append(M)
+        return rank(M)
+
+    def recording_echelon(a, q, track=False):
+        echelons.append(a.shape)
+        return real_echelon(a, q, track)
+
+    monkeypatch.setattr(bounds, "rank", recording_rank)
+    monkeypatch.setattr(gfp, "_echelon", recording_echelon)
+    gen = np.random.default_rng(p)
+    blocks = gen.integers(0, p, (3, 2, 5))
+    which = np.array([0, 2, 2, 0])
+    rows = (gen.random((4, 6)) < 0.5).astype(np.int64)
+    rows[0] = 1
+    _tensor_rows_rank(p, blocks, which, rows)
+    (M,) = seen
+    if packed:
+        assert isinstance(M, PackedRows) and (M.rows, M.cols) == (8, 30)
+        assert echelons == []
+    else:
+        assert isinstance(M, GFpMatrix) and M.a.dtype == np.int64
+        assert M.a.shape == (8, 30) and echelons == [(8, 30)]
+    monkeypatch.undo()
+    _check_tensor_rows_rank(p, blocks, which, rows)
 
 
 def test_certify_squarefree_crt_10_cubed():

@@ -185,14 +185,15 @@ def test_certify_verifies_the_set_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s.json"
     run(capsys, "kakeya", "construct", "--N", "4", "--n", "2", "--out", str(path))
     calls = []
-    real = kak.verify
+    real = kak._verify
 
     def counting(S):
         calls.append(S)
         return real(S)
 
-    monkeypatch.setattr(kak, "verify", counting)
-    monkeypatch.setattr(bounds, "verify", counting)
+    # verify and the certificates' _require_valid both verify through _verify
+    monkeypatch.setattr(kak, "_verify", counting)
+    monkeypatch.setattr(bounds, "_verify", counting)
     code, _, _ = run(capsys, "certify", str(path), "--pipeline", "prime-power")
     assert code == 0
     assert len(calls) == 1

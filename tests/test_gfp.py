@@ -1,7 +1,6 @@
 """Exact linear algebra over F_p."""
 
 import random
-import signal
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from ringkakeya import (
     tangent_construction,
 )
 from ringkakeya import bounds, gfp
-from ringkakeya.gfp import _echelon, _rank_gf2, _rank_packed, is_prime
+from ringkakeya.gfp import PackedRows, _echelon, _rank_gf2, _rank_packed, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
     gf2_packed_rank_matches_echelon,
@@ -102,25 +101,41 @@ def _echelon_rank_gf2(a):
     return len(_echelon(a, 2)[1])
 
 
+def _dense(M):
+    """M's int64 entries: M.a of a GFpMatrix, or PackedRows unpacked field
+    by field (to_bytes raises OverflowError on a row wider than M.cols)."""
+    if not isinstance(M, PackedRows):
+        return M.a
+    if M.p == 2:
+        size = -(-M.cols // 8)
+        rows = [np.unpackbits(np.frombuffer(x.to_bytes(size, "little"), np.uint8),
+                              bitorder="little")[:M.cols] for x in M.ints]
+    else:
+        rows = [np.frombuffer(x.to_bytes(M.cols, "little"), np.uint8) for x in M.ints]
+    return np.array(rows, dtype=np.int64).reshape(M.rows, M.cols)
+
+
 def test_gf2_rank_matches_echelon_on_certificate_matrices(monkeypatch):
     # every GF(2) matrix the crt-10^3 certificates rank: the square-free
     # family (868 x 1155), its D ⊗ L0 family (868 x 550), the two-primes
-    # product (217 x 1000) and the small V and q-line groups
+    # product (217 x 1000) and the small V and q-line groups; the families
+    # arrive as PackedRows, and the rank taken on them is checked
     seen = []
 
     def recording_rank(M):
+        got = rank(M)
         if M.p == 2:
-            seen.append(M.a)
-        return rank(M)
+            seen.append((_dense(M), got))
+        return got
 
     monkeypatch.setattr(bounds, "rank", recording_rank)
     spec = RingSpec.make(10, 3)
     S = crt_product([tangent_construction(2, 3), tangent_construction(5, 3)], spec)
     certify_squarefree(S)
     certify_two_primes(S)
-    assert {(868, 1155), (868, 550), (217, 1000)} <= {a.shape for a in seen}
-    for a in seen:
-        assert _rank_gf2(a) == _echelon_rank_gf2(a)
+    assert {(868, 1155), (868, 550), (217, 1000)} <= {a.shape for a, _ in seen}
+    for a, got in seen:
+        assert got == _rank_gf2(a) == _echelon_rank_gf2(a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -145,20 +160,6 @@ def test_gf2_rank_matches_echelon_at_word_boundary_leading_bits(tops):
         assert _rank_gf2(a) == _echelon_rank_gf2(a)
 
 
-@pytest.fixture
-def deadline():
-    """Fail within 20 s instead of hanging: a packed reduction whose sum
-    mod p or whose multiple is wrong never clears the leading field."""
-    def expire(signum, frame):
-        raise TimeoutError("the packed rank did not terminate")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 20)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 def test_packed_rank_matches_echelon(deadline):
     assert packed_rank_matches_echelon(random.Random(19))
 
@@ -176,13 +177,14 @@ def test_odd_p_rank_matches_echelon_on_certificate_matrices(monkeypatch, deadlin
     # every odd-p matrix that the prime certificate on tangent 7^3 and the
     # two-primes and square-free certificates on the CRT tangent products
     # over (Z/15)^2 and (Z/21)^2 rank: among them the 57 x 343 line matrix
-    # and the (144, 357) square-free family
+    # and the (144, 357) square-free family, which arrives as PackedRows
     seen = []
 
     def recording_rank(M):
+        got = rank(M)
         if M.p != 2:
-            seen.append((M.p, M.a))
-        return rank(M)
+            seen.append((M.p, _dense(M), got))
+        return got
 
     monkeypatch.setattr(bounds, "rank", recording_rank)
     certify_prime(tangent_construction(7, 3))
@@ -191,9 +193,9 @@ def test_odd_p_rank_matches_echelon_on_certificate_matrices(monkeypatch, deadlin
                         RingSpec.make(N, 2))
         certify_two_primes(S)
         certify_squarefree(S)
-    assert {(7, (57, 343)), (3, (144, 357))} <= {(p, a.shape) for p, a in seen}
-    for p, a in seen:
-        assert _rank_packed(a, p) == len(_echelon(a, p)[1])
+    assert {(7, (57, 343)), (3, (144, 357))} <= {(p, a.shape) for p, a, _ in seen}
+    for p, a, got in seen:
+        assert got == _rank_packed(a, p) == len(_echelon(a, p)[1])
 
 
 def test_rank_paths_by_characteristic(monkeypatch):

@@ -35,6 +35,7 @@ from ringkakeya.bounds import (
     _group_rank_sizes, _require_valid, _split_witnesses, fq_bound, squarefree_bound,
 )
 from ringkakeya.cli import main
+from ringkakeya.kakeya import _witness_indices
 from ringkakeya.rings import enumerate_directions
 
 from conftest import random_full_witness
@@ -104,7 +105,7 @@ def ref_certify_two_primes(S):
         "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n),
         incidence_matrix(p, n).a,
     ).reshape(len(dirs), -1))
-    lines, ind_q = _split_witnesses(S, 0)
+    lines, ind_q = _split_witnesses(spec, 0, _witness_indices(S))
     comps = np.array([rep for _, rep in lines], dtype=np.int64)
     hyper = comps @ spec_p.points.T % p != 0
     row_identity = np.array_equal(

@@ -39,7 +39,9 @@ from ringkakeya import (
 from ringkakeya.bounds import _split_witnesses
 from ringkakeya.cli import main
 from ringkakeya.errors import VerificationError
-from ringkakeya.kakeya import _lines_in_direction, from_json_dict, to_json_dict
+from ringkakeya.kakeya import (
+    _lines_in_direction, _witness_indices, from_json_dict, to_json_dict,
+)
 
 from conftest import random_full_witness
 
@@ -347,7 +349,7 @@ def test_residual_rows_match_kron_of_indicators(N, n):
     for seed in (1, 2):
         S = random_full_witness(spec, seed)
         for pivot in range(spec.r):
-            got = list(zip(*_split_witnesses(S, pivot)))
+            got = list(zip(*_split_witnesses(spec, pivot, _witness_indices(S))))
             want = ref_split_witnesses(S, pivot)
             assert [L for L, _ in got] == [(L.base, L.direction.rep) for L, _ in want]
             assert all(map(_is_int_tuple, (v for L, _ in got for v in L)))
