@@ -4,7 +4,8 @@ ranks, and machine-checkable lower-bound certificates.
 
 The names below are what the certificates, the CLI and the selftest run,
 plus the reference machinery the tests compare against (`GFpPoly`,
-`hasse_derivative`, `multiplicity`, `sz_mult_check`)."""
+`hasse_derivative`, `multiplicity`, `sz_mult_check`).  `rank` is the one
+rank over F_p; a family of matrices is ranked stacked."""
 
 from .bounds import (
     BoundReport,
@@ -25,7 +26,6 @@ from .cyclo import (
 from .errors import GuardExceeded, RowFactorError
 from .gfp import (
     GFpMatrix,
-    crank,
     kron,
     rank,
     solve_row_factor,

@@ -2,21 +2,24 @@
 
 Matrices are stored as int64 numpy arrays with entries canonical in [0, p);
 residues are reduced once, when a GFpMatrix is built, and every kernel
-trusts `.a`.  `rank` takes one of three paths by p.  For p = 2,
-`_rank_gf2` reduces each row, packed to one Python-int bitmask, against
-an XOR basis keyed by leading bit.  For 3 <= p <= 11, the primes whose
-elimination fits int8, `_rank_packed` does the same with one byte per
-entry, adding rows field-wise mod p on whole Python ints.  Both row
-loops also take rows that were never an array, as `PackedRows`: a
-Kronecker row kron(a, y), y a 0/1 row of width s, packs to
-spread(a)·pack(y), where spread(a) puts entry j of a in field j·s.  The
-product is the sum of a_j·y_t in field j·s + t over t < s, one term per
-field, each below p, so no field carries into the next and no int64
-family needs to be built.  For p >= 13 the rank is the pivot count of
-`_echelon`, the one elimination kernel, which also gives every row
-factorization for every p and, through the F_ℓ images of
-`cyclo.rank_cyclo`, the exact ranks over Q and Q(γ).
-`_echelon` uses a fixed pivot rule (first non-zero entry scanning columns
+trusts `.a`.  `rank` is the one way to take a rank over F_p, and it picks
+one of three kernels by p.  For p >= 13 the rank is the pivot count of
+`_echelon`.  For p = 2 and for 3 <= p <= 11, the primes whose elimination
+fits int8, the rows are packed to Python ints, one bit (p = 2) or one byte
+per entry, and reduced against a basis keyed by leading field:
+`_gf2_basis_size` XORs bitmasks, `_packed_basis_size` adds field-wise mod p
+on whole ints.  The p = 2 loop stays apart because XOR needs no table of
+multiples: one shared loop with XOR as its sum ranked the GF(2) matrices of
+the crt-10^3 certificates and the rank-tables W matrices 2.6 times slower
+(1.81 → 4.73 ms on an Intel Xeon).  `rank` also takes rows that were never
+an array, as `PackedRows`: a Kronecker row kron(a, y), y a 0/1 row of width
+s, packs to spread(a)·pack(y), where spread(a) puts entry j of a in field
+j·s.  The product is the sum of a_j·y_t in field j·s + t over t < s, one
+term per field, each below p, so no field carries into the next and no
+int64 family needs to be built.
+`_echelon`, the one elimination kernel, also gives every row factorization
+and, through the F_ℓ images of `cyclo.rank_cyclo`, the exact ranks over Q
+and Q(γ).  It uses a fixed pivot rule (first non-zero entry scanning columns
 left to right, rows top to bottom) so echelon forms and ranks are
 reproducible bit for bit.  It works on one copy of its input in the
 narrowest signed integer type that holds (p - 1)^2: int8 for p <= 11,
@@ -70,10 +73,6 @@ class GFpMatrix:
     @classmethod
     def identity(cls, p: int, size: int) -> "GFpMatrix":
         return cls(p, np.eye(size, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "GFpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -272,17 +271,6 @@ def _packed_basis_size(rows, width: int, p: int) -> int:
     return len(basis)
 
 
-def _rank_gf2(a: np.ndarray) -> int:
-    """Rank over GF(2) of a, by `_gf2_basis_size` on its `_bitmasks`."""
-    return _gf2_basis_size(_bitmasks(a))
-
-
-def _rank_packed(a: np.ndarray, p: int) -> int:
-    """Rank over F_p, 3 <= p <= 11, of a, by `_packed_basis_size` on its
-    rows packed one byte per entry."""
-    return _packed_basis_size(_pack_rows(a, p), a.shape[1], p)
-
-
 def _packs(p: int) -> bool:
     """Whether `rank` takes packed rows over F_p: p = 2, or an odd p whose
     elimination fits int8, 3 <= p <= 11."""
@@ -290,20 +278,20 @@ def _packs(p: int) -> bool:
 
 
 def rank(M: GFpMatrix | PackedRows) -> int:
-    """Rank over F_p by one of three paths: an XOR basis of bitmask rows
-    for p = 2 (`_rank_gf2`), a basis of byte-packed rows for the odd p
-    whose elimination fits int8, 3 <= p <= 11 (`_rank_packed`), and the
-    number of pivots of `_echelon`'s echelon form for p >= 13.  PackedRows,
-    already packed, go straight to the basis of their p."""
-    if isinstance(M, PackedRows):
-        if M.p == 2:
-            return _gf2_basis_size(M.ints)
-        return _packed_basis_size(M.ints, M.cols, M.p)
+    """Rank over F_p: the one entry point, which picks the kernel by p.
+
+    For p >= 13 it is the number of pivots of `_echelon`.  Otherwise a
+    GFpMatrix is packed by `_pack_rows`, and the packed rows, these or
+    PackedRows as given, go to `_gf2_basis_size` at p = 2 and to
+    `_packed_basis_size` at 3 <= p <= 11.
+    """
+    if not _packs(M.p):
+        return len(_echelon(M.a, M.p)[1])
+    if isinstance(M, GFpMatrix):
+        M = PackedRows(M.p, M.cols, _pack_rows(M.a, M.p))
     if M.p == 2:
-        return _rank_gf2(M.a)
-    if _packs(M.p):
-        return _rank_packed(M.a, M.p)
-    return len(_echelon(M.a, M.p)[1])
+        return _gf2_basis_size(M.ints)
+    return _packed_basis_size(M.ints, M.cols, M.p)
 
 
 def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
@@ -311,22 +299,6 @@ def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
     if A.p != B.p:
         raise ValueError("characteristic mismatch")
     return GFpMatrix(A.p, np.kron(A.a, B.a) % A.p)
-
-
-def crank(members) -> int:
-    """Rank of the vertical concatenation of a family of equal-width
-    matrices sharing p: the dimension of the span of all member rows."""
-    members = list(members)
-    if not members:
-        raise ValueError("empty family")
-    p = members[0].p
-    cols = members[0].cols
-    for m in members:
-        if m.p != p:
-            raise ValueError("characteristic mismatch in family")
-        if m.cols != cols:
-            raise ValueError("column count mismatch in family")
-    return rank(GFpMatrix(p, np.vstack([m.a for m in members])))
 
 
 def solve_row_factor(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:

@@ -12,7 +12,6 @@ from ringkakeya import (
     certify_prime,
     certify_squarefree,
     certify_two_primes,
-    crank,
     crt_product,
     kron,
     rank,
@@ -21,13 +20,12 @@ from ringkakeya import (
     tangent_construction,
 )
 from ringkakeya import bounds, gfp
-from ringkakeya.gfp import PackedRows, _echelon, _rank_gf2, _rank_packed, is_prime
+from ringkakeya.gfp import PackedRows, _echelon, _pack_rows, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
-    gf2_packed_rank_matches_echelon,
     kron_mixed_product,
-    odd_p_rank_cases,
     packed_rank_matches_echelon,
+    rank_cases,
     rank_paths_agree,
     rank_product_bound,
 )
@@ -66,7 +64,7 @@ def span_size_rank(M):
 
 def test_rank_examples():
     assert rank(GFpMatrix.identity(5, 3)) == 3
-    assert rank(GFpMatrix.zeros(7, 3, 4)) == 0
+    assert rank(GFpMatrix(7, np.zeros((3, 4)))) == 0
     M = GFpMatrix(2, [[1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]])
     assert rank(M) == 3
 
@@ -83,18 +81,14 @@ def test_rank_transpose_and_paths_agree():
     assert rank_paths_agree(random.Random(1))
 
 
-def test_gf2_packed_rank_matches_echelon():
-    assert gf2_packed_rank_matches_echelon(random.Random(17))
-
-
 @pytest.mark.parametrize("rows,cols", [(300, 1000), (1000, 300), (640, 641)])
 def test_gf2_packed_rank_matches_echelon_large(rows, cols):
     gen = np.random.default_rng(rows + cols)
     full = gen.integers(0, 2, (rows, cols))
     low = gen.integers(0, 2, (rows, 150)) @ gen.integers(0, 2, (150, cols)) % 2
     for a in (full, low):
-        assert _rank_gf2(a) == len(_echelon(a, 2)[1])
-    assert _rank_gf2(low) <= 150
+        assert rank(GFpMatrix(2, a)) == len(_echelon(a, 2)[1])
+    assert rank(GFpMatrix(2, low)) <= 150
 
 
 def _echelon_rank_gf2(a):
@@ -135,7 +129,7 @@ def test_gf2_rank_matches_echelon_on_certificate_matrices(monkeypatch):
     certify_two_primes(S)
     assert {(868, 1155), (868, 550), (217, 1000)} <= {a.shape for a, _ in seen}
     for a, got in seen:
-        assert got == _rank_gf2(a) == _echelon_rank_gf2(a)
+        assert got == rank(GFpMatrix(2, a)) == _echelon_rank_gf2(a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -144,7 +138,7 @@ def test_gf2_rank_matches_echelon_on_sparse_kron_family(seed):
     gen = np.random.default_rng(seed)
     a = np.vstack([np.kron(gen.random((4, 12)) < 0.2, gen.random((1, 40)) < 0.1)
                    for _ in range(120)]).astype(np.int64)
-    assert _rank_gf2(a) == _echelon_rank_gf2(a)
+    assert rank(GFpMatrix(2, a)) == _echelon_rank_gf2(a)
 
 
 @pytest.mark.parametrize("tops", [[62], [63], [64], [65], [126], [127], [128],
@@ -157,20 +151,31 @@ def test_gf2_rank_matches_echelon_at_word_boundary_leading_bits(tops):
         top = gen.choice(tops, rows)
         a[np.arange(140) > top[:, None]] = 0
         a[np.arange(rows), top] = 1
-        assert _rank_gf2(a) == _echelon_rank_gf2(a)
+        assert rank(GFpMatrix(2, a)) == _echelon_rank_gf2(a)
 
 
 def test_packed_rank_matches_echelon(deadline):
     assert packed_rank_matches_echelon(random.Random(19))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_packed_rows_rank_like_their_matrix(deadline, p):
+    # rank takes PackedRows as it takes the GFpMatrix they pack, on the
+    # selftest's cases, 0-row and 0-column shapes among them
+    gen = np.random.default_rng(p)
+    for cols in (1, 7, 8, 9, 63, 64, 65, 129):
+        for a in rank_cases(gen, p, cols):
+            packed = PackedRows(p, a.shape[1], _pack_rows(a, p))
+            assert rank(packed) == rank(GFpMatrix(p, a))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
 def test_packed_rank_matches_echelon_and_oracle(deadline, p, cols):
     gen = np.random.default_rng(p * 1000 + cols)
-    for a in odd_p_rank_cases(gen, p, cols):
+    for a in rank_cases(gen, p, cols):
         want = len(_echelon(a, p)[1])
-        assert _rank_packed(a, p) == below_only_rank_oracle(a, p) == want
+        assert rank(GFpMatrix(p, a)) == below_only_rank_oracle(a, p) == want
 
 
 def test_odd_p_rank_matches_echelon_on_certificate_matrices(monkeypatch, deadline):
@@ -195,7 +200,7 @@ def test_odd_p_rank_matches_echelon_on_certificate_matrices(monkeypatch, deadlin
         certify_squarefree(S)
     assert {(7, (57, 343)), (3, (144, 357))} <= {(p, a.shape) for p, a, _ in seen}
     for p, a, got in seen:
-        assert got == _rank_packed(a, p) == len(_echelon(a, p)[1])
+        assert got == rank(GFpMatrix(p, a)) == len(_echelon(a, p)[1])
 
 
 def test_rank_paths_by_characteristic(monkeypatch):
@@ -211,11 +216,12 @@ def test_rank_paths_by_characteristic(monkeypatch):
             return kernel(*args)
         return recording
 
-    for name in ("_rank_gf2", "_rank_packed", "_echelon"):
+    for name in ("_gf2_basis_size", "_packed_basis_size", "_echelon"):
         monkeypatch.setattr(gfp, name, spy(name))
     for p in (2, 3, 11, 13, 17):
         assert rank(GFpMatrix.identity(p, 3)) == 3
-    assert calls == ["_rank_gf2", "_rank_packed", "_rank_packed", "_echelon", "_echelon"]
+    assert calls == ["_gf2_basis_size", "_packed_basis_size", "_packed_basis_size",
+                     "_echelon", "_echelon"]
 
 
 def test_kron_examples():
@@ -228,14 +234,6 @@ def test_kron_examples():
 
 def test_kron_mixed_product_identity():
     assert kron_mixed_product(random.Random(2))
-
-
-def test_crank_examples():
-    I2 = GFpMatrix.identity(3, 2)
-    assert crank([I2, I2]) == 2
-    assert crank([GFpMatrix(2, [[1, 0]]), GFpMatrix(2, [[0, 1]])]) == 2
-    with pytest.raises(ValueError):
-        crank([GFpMatrix.identity(2, 2), GFpMatrix.identity(2, 3)])
 
 
 def test_crank_multiplication_bound():

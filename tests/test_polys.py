@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ringkakeya import (
+    GFpMatrix,
     GFpPoly,
     Line,
     RingSpec,
     RowFactorError,
-    crank,
     decoding_matrix,
     dim_homog,
     dim_leq,
@@ -22,6 +22,7 @@ from ringkakeya import (
     line_points,
     multiplicity,
     point_index,
+    rank,
     solve_row_factor,
     sz_mult_check,
 )
@@ -132,7 +133,8 @@ def test_stacked_point_evaluations_injective():
     # homogeneous cubics over F_2 in two variables
     spec = RingSpec.make(2, 2)
     mats = [eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)]
-    assert crank(mats) == dim_homog(2, 3) == 4
+    stacked = GFpMatrix(2, np.vstack([M.a for M in mats]))
+    assert rank(stacked) == dim_homog(2, 3) == 4
 
 
 def test_decoding_matrix_extents_and_zero_columns():
