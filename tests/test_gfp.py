@@ -158,6 +158,16 @@ def test_packed_rank_matches_echelon(deadline):
     assert packed_rank_matches_echelon(random.Random(19))
 
 
+def test_gf2_packed_rank_matches_echelon(deadline):
+    # the XOR basis at p = 2 against the echelon pivot count and the
+    # below-only oracle, at widths on each side of the byte and word boundaries
+    gen = np.random.default_rng(17)
+    for cols in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
+        for a in rank_cases(gen, 2, cols):
+            want = len(_echelon(a, 2)[1])
+            assert rank(GFpMatrix(2, a)) == below_only_rank_oracle(a, 2) == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_packed_rows_rank_like_their_matrix(deadline, p):
     # rank takes PackedRows as it takes the GFpMatrix they pack, on the
