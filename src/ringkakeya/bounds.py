@@ -126,7 +126,7 @@ def _pivot_product(S: KakeyaSet, guard: int):
     _check_float_product(p**n)
     table = (spec_p.points @ ys.T % p == 0).astype(np.float64)
     prod = (table.T @ MS.a.reshape(len(dirs), p**n, -1).astype(np.float64)
-            ).astype(np.int64) % p
+            ).astype(np.min_scalar_type(p**n)) % p
     comps = np.array([d.components[0] for d in dirs], dtype=np.int64)
     H = comps @ ys.T % p != 0
     if spec.r == 1:  # no rest: row i is H_i alone

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import gcd, prod
 
 import numpy as np
 
@@ -85,11 +86,6 @@ def _indicator(points, spec: RingSpec) -> np.ndarray:
     return ind
 
 
-def _line_indices(bases, reps, spec: RingSpec) -> np.ndarray:
-    """(lines, N) natural indices of the points base + t*rep of each line."""
-    return point_index(_progression(bases, reps, spec.N), spec)
-
-
 def _witness_bases(S: KakeyaSet, dirs) -> np.ndarray:
     """(len(dirs), n) bases of the witness lines of dirs; ValueError naming
     the first of dirs without a witness line."""
@@ -104,7 +100,7 @@ def _witness_indices(S: KakeyaSet, dirs=None) -> np.ndarray:
     (default: all, in enumeration order); ValueError as _witness_bases."""
     dirs = enumerate_directions(S.spec) if dirs is None else dirs
     reps = _int_rows((d.rep for d in dirs), S.spec.n)
-    return _line_indices(_witness_bases(S, dirs), reps, S.spec)
+    return point_index(_progression(_witness_bases(S, dirs), reps, S.spec.N), S.spec)
 
 
 def _witness_lines(dirs, bases, spec: RingSpec) -> dict:
@@ -239,6 +235,28 @@ def _lines_in_direction(d: Direction, spec: RingSpec) -> list[Line]:
     return [Line(base=tuple(b), direction=d) for b in bases]
 
 
+def _orbit_cuts(spec: RingSpec, reps: np.ndarray) -> tuple[np.ndarray, list]:
+    """The line table, (directions, N^n, N) natural indices with row [k, x]
+    the line x + t*reps[k], and per direction the ascending base (own least
+    point) indices of the lines to try: the least of each orbit of the maps
+    that fix the lines kept so far, until a direction keeps two or more.
+    The maps that fix {t*reps[0]} are u*x + s*reps[0], one row per (u, s)."""
+    table = point_index(_progression(spec.points, reps[:, None], spec.N), spec)
+    least = table.min(axis=2)
+    every = [np.flatnonzero(row == np.arange(spec.num_points)) for row in least]
+    kept, k = [every[0][:1]], 1
+    if len(every) > 1:  # phi(N)*N*N^n cells, no more than the line table
+        units = np.array([u for u in range(1, spec.N) if gcd(u, spec.N) == 1])
+        scaled = point_index(units[:, None, None] * spec.points % spec.N, spec)
+        maps = table[0][scaled].transpose(0, 2, 1).reshape(-1, spec.num_points)
+    while k < len(every) and len(kept[-1]) == 1:
+        b = every[k]
+        kept.append(b[(least[k][maps[:, b]] >= b).all(axis=0)])
+        maps = maps[least[k][maps[:, kept[-1][0]]] == kept[-1][0]]
+        k += 1
+    return table, kept + every[k:]
+
+
 def min_kakeya_search(
     spec: RingSpec, cap: int = MINSEARCH_COMBO_GUARD
 ) -> tuple[int, KakeyaSet]:
@@ -251,29 +269,25 @@ def min_kakeya_search(
     A child is entered only while its union is smaller than the best found,
     and the last direction is scanned in a flat loop that keeps a strictly
     smaller union, so no call is made for a branch that is already cut.
-    The first direction tries only its first line (the translation cut, see
-    the comment below).  Instances whose total combination count exceeds
-    cap are refused, and before them rings that fail _check_point_table.
+    A map g(x) = u*x + v, u a unit, keeps directions and union sizes, so
+    if g fixed the lines chosen before some depth and sent the first
+    optimum's line there to one of smaller index, the image would be an
+    earlier optimum: each depth keeps the least line of each such orbit
+    (_orbit_cuts; [1, 1, 2, q, ...] lines on F_q^2).  Before any line is
+    built, _check_point_table, the line table's cell guard and the cap on
+    combinations of N^(n-1) lines per direction may refuse, in that order.
     """
     _check_point_table(spec)
+    directions = prod((q**spec.n - (q // p)**spec.n) // (q - q // p)
+                      for p, q in zip(spec.primes, spec.factor_moduli))
+    _check_guard(f"line table of (Z/{spec.N})^{spec.n}", directions * spec.num_points,
+                 spec.N * spec.n, DEFAULT_CELL_GUARD)
+    if (spec.N ** (spec.n - 1)) ** directions > cap:  # the table guard keeps it small
+        raise GuardExceeded(f"minimum search over {spec.N}^{spec.n} needs more "
+                            f"than {cap} witness combinations")
     dirs = enumerate_directions(spec)
-    candidates = [_lines_in_direction(d, spec) for d in dirs]
-    combos = 1
-    for c in candidates:
-        combos *= len(c)
-        if combos > cap:
-            raise GuardExceeded(
-                f"minimum search over {spec.N}^{spec.n} needs more than "
-                f"{cap} witness combinations"
-            )
-    masks = [_index_masks(_line_indices(_int_rows([c.base for c in cands], spec.n),
-                                        d.rep, spec), spec.num_points)
-             for d, cands in zip(dirs, candidates)]
-    # A translate of a Kakeya set has the same size and maps each direction's
-    # lines onto lines of that direction, and every line of the first
-    # direction is a translate of its first line.  So some optimum uses
-    # candidates[0][0], and the first optimum in scan order is among those.
-    masks[0] = masks[0][:1]
+    table, bases = _orbit_cuts(spec, _int_rows((d.rep for d in dirs), spec.n))
+    masks = [_index_masks(t[b], spec.num_points) for t, b in zip(table, bases)]
     best_size, best_choice = spec.num_points + 1, None
     last = len(dirs) - 1
 
@@ -291,9 +305,9 @@ def min_kakeya_search(
                 dfs(idx + 1, child, choice + [ci])
 
     dfs(0, 0, [])
-    bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
-    idx = _line_indices(bases, _int_rows((d.rep for d in dirs), spec.n), spec)
-    S = _assemble(spec, spec.points[np.unique(idx)], bases)
+    chosen = np.array([b[ci] for b, ci in zip(bases, best_choice)])
+    idx = table[np.arange(len(dirs)), chosen]
+    S = _assemble(spec, spec.points[np.unique(idx)], spec.points[chosen])
     ok, problems = verify(S)
     if not ok:
         raise AssertionError(f"search produced an invalid set: {problems[:3]}")

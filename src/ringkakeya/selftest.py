@@ -1,8 +1,8 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 77 checks (ring 17, gfp 6, cyclotomic 20, polyspace 5,
-incidence 10, kakeya 12, bounds 7): `tests/test_cli.py::test_selftest_suite`
+pytest run the same 78 checks (ring 17, gfp 6, cyclotomic 20, polyspace 5,
+incidence 10, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances
 takes a `random.Random`; a check over one space or set takes it as
@@ -31,7 +31,8 @@ from .incidence import (
     complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
 )
 from .kakeya import (
-    crt_product, full_set, line_matrix, power_product, tangent_construction, verify,
+    crt_product, full_set, line_matrix, min_kakeya_search, power_product,
+    tangent_construction, verify,
 )
 from .polys import (
     GFpPoly, decoding_matrix, deriv_indices, dim_homog, dim_leq,
@@ -471,7 +472,10 @@ def suite_kakeya(seed: int = 0):
          for p, n in [(3, 2), (5, 2), (7, 2), (3, 3), (11, 2), (13, 2), (5, 3),
                       (7, 3), (11, 3), (13, 3)]]
         + [("crt_product_size", crt_product_size()),
-           ("power_product_size", all(map(power_product_size, power_bases)))]
+           ("power_product_size", all(map(power_product_size, power_bases))),
+           ("blokhuis_mazzocca_minima",  # Blokhuis and Mazzocca 2008
+            all(min_kakeya_search(RingSpec.make(q, 2))[0]
+                == q * (q + 1) // 2 + (q - 1) // 2 for q in (3, 5, 7)))]
     )
 
 

@@ -333,6 +333,22 @@ def test_minsearch_refuses_a_point_table_past_the_guard(capsys):
     assert (code, out, err) == (3, "", BIG_TABLE)
 
 
+def test_minsearch_refuses_its_line_table_before_building_it(capsys):
+    # (Z/2)^12 fits the point table, but its 4095 x 4096 x 2 lines do not;
+    # with the combination cap lifted, the table guard refuses first
+    tracemalloc.start()
+    try:
+        code = main(["kakeya", "minsearch", "--N", "2", "--n", "12",
+                     "--guard", "1" + "0" * 100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "") and peak < 2**20
+    assert out.err == ("line table of (Z/2)^12: 16773120 x 24 = 402554880 "
+                       "cells exceeds the guard of 16000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["kakeya", "construct", "--N", "15", "--n", "2", "--method", "tangent-product"],
     ["kakeya", "power", "{line}", "--k", "2"],
@@ -392,7 +408,7 @@ def selftest_rows():
 
 
 SELFTEST_COUNTS = {"ring": 17, "gfp": 6, "cyclotomic": 20, "polyspace": 5,
-                   "incidence": 10, "kakeya": 12, "bounds": 7}
+                   "incidence": 10, "kakeya": 13, "bounds": 7}
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -1,6 +1,7 @@
 """Kakeya set constructions, the line matrix, and the minimum-size oracle."""
 
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ringkakeya import (
     line_matrix,
     line_points,
     min_kakeya_search,
+    point_index,
     rank,
     tangent_construction,
     verify,
@@ -24,13 +26,14 @@ from ringkakeya.kakeya import (
     _assemble,
     _index_masks,
     _int_rows,
-    _line_indices,
     _lines_in_direction,
+    _orbit_cuts,
     from_json_dict,
     load,
     save,
     to_json_dict,
 )
+from ringkakeya import kakeya as kak
 from ringkakeya.selftest import (
     crt_product_size,
     power_product_size,
@@ -200,9 +203,8 @@ def reference_min_kakeya_search(spec, cap=MINSEARCH_COMBO_GUARD):
         combos *= len(c)
         if combos > cap:
             raise GuardExceeded("too many combinations")
-    masks = [_index_masks(_line_indices(_int_rows([c.base for c in cands], spec.n),
-                                        d.rep, spec), spec.num_points)
-             for d, cands in zip(dirs, candidates)]
+    masks = [_index_masks(point_index([line_points(c, spec) for c in cands], spec),
+                          spec.num_points) for cands in candidates]
     best_size = spec.num_points + 1
     best_choice = None
 
@@ -219,7 +221,8 @@ def reference_min_kakeya_search(spec, cap=MINSEARCH_COMBO_GUARD):
 
     dfs(1, masks[0][0], [0])
     bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
-    idx = _line_indices(bases, _int_rows((d.rep for d in dirs), spec.n), spec)
+    idx = point_index([line_points(cands[ci], spec)
+                       for cands, ci in zip(candidates, best_choice)], spec)
     return best_size, _assemble(spec, spec.points[np.unique(idx)], bases)
 
 
@@ -251,7 +254,7 @@ def test_min_search_matches_reference_dfs(N, n):
     assert (size, to_json_dict(S)) == (want[0], to_json_dict(want[1]))
 
 
-@pytest.mark.parametrize("N,n", [(6, 2), (8, 2)])
+@pytest.mark.parametrize("N,n", [(6, 2), (8, 2), (3, 3), (2, 4)])
 def test_min_search_matches_reference_dfs_without_cap(N, n):
     spec = RingSpec.make(N, n)
     with pytest.raises(GuardExceeded):
@@ -259,6 +262,86 @@ def test_min_search_matches_reference_dfs_without_cap(N, n):
     size, S = min_kakeya_search(spec, cap=10**100)
     want = reference_min_kakeya_search(spec, cap=10**100)
     assert (size, to_json_dict(S)) == (want[0], to_json_dict(want[1]))
+
+
+def test_min_search_cap_refuses_before_any_line(monkeypatch):
+    # the N^(n-1) lines per direction are counted, not listed
+    def no_lines(*args):
+        raise AssertionError("a line was listed")
+
+    monkeypatch.setattr(kak, "_progression", no_lines)
+    monkeypatch.setattr(kak, "_least_bases", no_lines)
+    with pytest.raises(GuardExceeded) as exc:
+        min_kakeya_search(RingSpec.make(6, 2))
+    assert str(exc.value) == ("minimum search over 6^2 needs more than "
+                              f"{MINSEARCH_COMBO_GUARD} witness combinations")
+
+
+def _cuts(spec):
+    return _orbit_cuts(spec, _int_rows((d.rep for d in enumerate_directions(spec)), spec.n))
+
+
+@pytest.mark.parametrize("N,n", _small_rings())
+def test_line_table_matches_lines_in_direction(N, n):
+    spec = RingSpec.make(N, n)
+    table = _cuts(spec)[0]
+    assert table.shape == (len(enumerate_directions(spec)), N**n, N)
+    for d, rows in zip(enumerate_directions(spec), table):
+        lines = _lines_in_direction(d, spec)
+        bases = np.flatnonzero(rows.min(axis=1) == np.arange(N**n))
+        assert bases.tolist() == [int(point_index(l.base, spec)) for l in lines]
+        assert np.array_equal(rows[bases], point_index(
+            np.array([line_points(l, spec) for l in lines]), spec))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_orbit_cuts_keep_1_1_2_q_over_fq2(q):
+    spec = RingSpec.make(q, 2)
+    kept = [len(b) for b in _cuts(spec)[1]]
+    assert kept == [1, 1, 2] + [q] * (q - 2)
+
+
+def brute_orbit_cuts(spec):
+    """Kept line indices per direction, by applying every map u*x + v to
+    every line as a point set: each depth keeps the lines least in their
+    orbit under the maps fixing every line kept before, until a depth keeps
+    two or more, and every later depth keeps all."""
+    N = spec.N
+    maps = [(u, v) for u in range(1, N) if gcd(u, N) == 1
+            for v in product(range(N), repeat=spec.n)]
+
+    def image(g, line):
+        u, v = g
+        return frozenset(tuple((u * c + w) % N for c, w in zip(pt, v)) for pt in line)
+
+    kept = []
+    for d in enumerate_directions(spec):
+        lines = [frozenset(map(tuple, line_points(l, spec).tolist()))
+                 for l in _lines_in_direction(d, spec)]
+        if kept and len(kept[-1]) > 1:
+            kept.append(list(range(len(lines))))
+            continue
+        kept.append([i for i, line in enumerate(lines)
+                     if all(lines.index(image(g, line)) >= i for g in maps)])
+        fixed = lines[kept[-1][0]]
+        maps = [g for g in maps if image(g, fixed) == fixed]
+    return kept
+
+
+@pytest.mark.parametrize("N,n", _small_rings())
+def test_orbit_cuts_keep_least_lines_of_orbits(N, n):
+    spec = RingSpec.make(N, n)
+    table, bases = _cuts(spec)
+    every = [np.flatnonzero(rows.min(axis=1) == np.arange(N**n)) for rows in table]
+    kept = [np.searchsorted(e, b).tolist() for e, b in zip(every, bases)]
+    assert kept == brute_orbit_cuts(spec)
+
+
+@pytest.mark.parametrize("N,n", [(3, 3), (2, 4)])
+def test_orbit_cuts_stop_where_direction_1_keeps_several(N, n):
+    spec = RingSpec.make(N, n)
+    kept = [len(b) for b in _cuts(spec)[1]]
+    assert kept[0] == 1 and kept[1] > 1 and kept[2:] == [N ** (n - 1)] * (len(kept) - 2)
 
 
 def test_min_search_deterministic_and_guarded():
