@@ -24,7 +24,12 @@ def _check_guard(what: str, rows: int, cols: int, guard: int):
 
 
 class RowFactorError(ValueError):
-    """A row of the target matrix is not in the row space of the source."""
+    """A row of a target matrix is not in the row space of its source;
+    `member` is the failing pair's index in a stack of pairs."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 class VerificationError(ValueError):

@@ -17,11 +17,13 @@ s, packs to spread(a)·pack(y), where spread(a) puts entry j of a in field
 j·s.  The product is the sum of a_j·y_t in field j·s + t over t < s, one
 term per field, each below p, so no field carries into the next and no
 int64 family needs to be built.
-`_echelon`, the one elimination kernel, also gives every row factorization
-and, through the F_ℓ images of `cyclo.rank_cyclo`, the exact ranks over Q
-and Q(γ).  It uses a fixed pivot rule (first non-zero entry scanning columns
-left to right, rows top to bottom) so echelon forms and ranks are
-reproducible bit for bit.  It works on one copy of its input in the
+`_echelon`, the rank-only elimination kernel, also gives, through the F_ℓ
+images of `cyclo.rank_cyclo`, the exact ranks over Q and Q(γ).  Every row
+factorization goes through `_row_factors`, which eliminates a stack of
+(source, target) pairs column by column at once; `solve_row_factor` is its
+one-pair case.  Both use one fixed pivot rule (first non-zero entry
+scanning columns left to right, rows top to bottom) so echelon forms,
+ranks and factors are reproducible bit for bit, and both work in the
 narrowest signed integer type that holds (p - 1)^2: int8 for p <= 11,
 int16 for p <= 181, int32 for p <= 46337, int64 above.  Products or
 eliminations whose int64 arithmetic could wrap raise OverflowError.
@@ -133,18 +135,15 @@ def _work_type(p: int):
     raise OverflowError(f"elimination over F_{p} can wrap int64")
 
 
-def _echelon(a: np.ndarray, p: int, track: bool = False):
+def _echelon(a: np.ndarray, p: int):
     """Row echelon form mod p with unit pivots, of a with entries in [0, p).
 
-    Returns (E, pivots) or (E, pivots, R) with R @ a = E when track is set;
-    E and R are in the working type `_work_type(p)`.  pivots is a list of
-    (row, col) pairs in elimination order.  Each pivot clears its column in
-    the rows below it only; rows above are untouched.
+    Returns (E, pivots), E in the working type `_work_type(p)` and pivots a
+    list of (row, col) pairs in elimination order.  Each pivot clears its
+    column in the rows below it only; rows above are untouched.
     """
-    t = _work_type(p)
-    E = a.astype(t, order="C")
+    E = a.astype(_work_type(p), order="C")
     m, n = E.shape
-    R = np.eye(m, dtype=t) if track else None
     pivots = []
     r = 0
     for c in range(n):
@@ -156,24 +155,65 @@ def _echelon(a: np.ndarray, p: int, track: bool = False):
         piv = r + int(nz[0])
         if piv != r:
             E[[r, piv]] = E[[piv, r]]
-            if track:
-                R[[r, piv]] = R[[piv, r]]
-        inv = pow(int(E[r, c]), -1, p)
-        E[r, c:] = E[r, c:] * inv % p
-        if track:
-            R[r] = R[r] * inv % p
+        E[r, c:] = E[r, c:] * pow(int(E[r, c]), -1, p) % p
         below = r + 1 + E[r + 1 :, c].nonzero()[0]
         if below.size:
             # fancy indexing copies the multipliers before E changes
             f = E[below, c]
             E[below, c:] = (E[below, c:] - f[:, None] * E[r, c:]) % p
-            if track:
-                R[below] = (R[below] - f[:, None] * R[r]) % p
         pivots.append((r, c))
         r += 1
-    if track:
-        return E, pivots, R
     return E, pivots
+
+
+def _row_factors(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """C, int64 (L, k, m), with C[i] @ A[i] = B[i] mod p for the int64
+    stacks A, (L, m, n), and B, (L, k, n), entries in [0, p).
+
+    Every member's [A | I_m ; B | 0] is eliminated at once, column by
+    column, by `_echelon`'s rule with pivots from A's rows, so B's rows end
+    as [residual | -C], C fixed by the pivot rows.  A step updates only the
+    rows non-zero in its column in some member, and only columns >= c.  A
+    non-zero residual raises RowFactorError naming the member; C is
+    re-verified.
+    """
+    L, m, n = A.shape
+    t = _work_type(p)
+    S = np.zeros((L, m + B.shape[1], n + m), dtype=t)
+    S[:, :m, :n], S[:, m:, :n] = A, B
+    S[:, np.arange(m), n + np.arange(m)] = 1
+    # below[i, j]: row j of member i is a B row or an A row no pivot took
+    below = np.ones(S.shape[:2], dtype=bool)
+    r = np.zeros(L, dtype=np.intp)
+    for c in range(n):
+        col = S[:, :, c]
+        cand = (col[:, :m] != 0) & below[:, :m]
+        live = cand.any(axis=1).nonzero()[0]
+        if not live.size:
+            continue
+        top, piv = r[live], cand[live].argmax(axis=1)
+        P = S[live, piv, c:]
+        lead = P[:, 0].tolist()
+        if any(v != 1 for v in lead):
+            inv = {v: pow(v, -1, p) for v in set(lead)}
+            P = P * np.array([inv[v] for v in lead], dtype=t)[:, None] % p
+        S[live, piv, c:] = S[live, top, c:]
+        S[live, top, c:] = P
+        below[live, top] = False
+        f = col[live] * below[live]
+        hit = f.any(axis=0).nonzero()[0]
+        block = (live[:, None], hit, slice(c, None))
+        S[block] = (S[block] - f[:, hit, None] * P[:, None]) % p
+        r[live] += 1
+    bad = np.argwhere(S[:, m:, :n].any(axis=2)).tolist()
+    if bad:
+        i, j = bad[0]
+        raise RowFactorError(f"row {j} of target {i} is not in the row space of source {i}", i)
+    C = -S[:, m:, n:].astype(np.int64) % p
+    _check_product(m, p)
+    if not np.array_equal(C @ A % p, B):
+        raise AssertionError("row factorization failed verification")
+    return C
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -302,34 +342,10 @@ def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
 
 
 def solve_row_factor(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
-    """Return C with C @ A = B, or raise RowFactorError.
-
-    Requires every row of B to lie in the row space of A.  The product is
-    re-verified before returning.
-    """
+    """Return C with C @ A = B, or raise RowFactorError: `_row_factors` on
+    one pair.  Requires every row of B to lie in the row space of A."""
     if A.p != B.p:
         raise ValueError("characteristic mismatch")
     if A.cols != B.cols:
         raise ValueError("column count mismatch")
-    p = A.p
-    E, pivots, R = _echelon(A.a, p, track=True)
-    # reduce every row of B against the pivots at once; row i of coeff
-    # holds the multiple of each pivot row taken off row i of the residual
-    residual = B.a.astype(E.dtype)
-    coeff = np.zeros((B.rows, A.rows), dtype=np.int64)
-    for r, c in pivots:
-        hit = np.flatnonzero(residual[:, c])
-        if hit.size:
-            f = residual[hit, c]
-            coeff[hit, r] = f
-            residual[hit, c:] = (residual[hit, c:] - np.outer(f, E[r, c:])) % p
-    bad = np.flatnonzero(residual.any(axis=1))
-    if bad.size:
-        raise RowFactorError(
-            f"row {bad[0]} of the target is not in the row space of the source"
-        )
-    Cm = GFpMatrix(p, coeff @ R % p)
-    if Cm @ A != B:
-        raise AssertionError("row factorization failed verification")
-    return Cm
-
+    return GFpMatrix(A.p, _row_factors(A.a[None], B.a[None], A.p)[0])

@@ -16,9 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import RowFactorError
-from .gfp import GFpMatrix, solve_row_factor
-from .rings import Line, RingSpec, line_points, point_index
+from .errors import DEFAULT_CELL_GUARD, RowFactorError, _check_guard
+from .gfp import GFpMatrix, _row_factors
+from .rings import Line, RingSpec, _progression, point_index
 
 
 def dim_homog(n: int, d: int) -> int:
@@ -199,6 +199,7 @@ def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np
     Requires p | k; m defaults to 2k - k/p, the smallest order for which the
     underlying kernel containment is guaranteed.  With a smaller caller-
     supplied m, failure of the containment surfaces as RowFactorError.
+    The output and its elimination stack are checked against the guard first.
     """
     if not spec.is_prime:
         raise ValueError("decoding matrices are defined over prime fields")
@@ -206,6 +207,11 @@ def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np
     if k % p:
         raise ValueError(f"k = {k} must be divisible by p = {p}")
     m = 2 * k - k // p if m is None else m
+    L, width, k_rows = len(lines), dim_leq(n, m - 1), dim_leq(n, k - 1)
+    what = f"decoding_matrices {{}} of {L} lines over F_{p}^{n} at k = {k}"
+    _check_guard(what.format("output"), L * k_rows, p**n * width, DEFAULT_CELL_GUARD)
+    _check_guard(what.format("elimination stack"), L * (p * width + k_rows),
+                 dim_homog(n, k * p - 1) + p * width, DEFAULT_CELL_GUARD)
     return _decoders(lines, spec, k, m, eval_matrix(p, n, spec.points, max(m, k), k * p - 1))
 
 
@@ -216,19 +222,23 @@ def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) ->
 
 def _decoders(lines, spec: RingSpec, k: int, m: int, E: GFpMatrix) -> np.ndarray:
     """`decoding_matrices` on E, the `eval_matrix` table of order >= m, k at
-    every point of F_p^n: one `solve_row_factor` per line, from the order-< m
-    rows of its points to the order-< k rows of its direction point."""
+    every point of F_p^n: one `_row_factors` stack with a member per line,
+    from the order-< m rows of its points to the order-< k rows of its
+    direction point."""
     p, n = spec.N, spec.n
     width, k_rows = dim_leq(n, m - 1), dim_leq(n, k - 1)
     E3 = E.a.reshape(p**n, -1, E.cols)
-    out = np.zeros((len(lines), k_rows, p**n, width), dtype=np.int64)
-    for C_out, line in zip(out, lines):
-        idx, b = point_index(line_points(line, spec), spec), line.direction.rep
-        try:
-            C = solve_row_factor(GFpMatrix(p, E3[idx, :width].reshape(-1, E.cols)),
-                                 GFpMatrix(p, E3[point_index(b, spec), :k_rows]))
-        except RowFactorError as exc:
-            raise RowFactorError(f"decoding matrix for line base={line.base} "
-                                 f"direction={b} k={k} m={m}: {exc}") from exc
-        C_out[:, idx] = C.a.reshape(k_rows, len(idx), width)
-    return out.reshape(len(lines), k_rows, -1)
+    bases = np.array([line.base for line in lines], dtype=np.int64).reshape(-1, n)
+    reps = np.array([line.direction.rep for line in lines], dtype=np.int64).reshape(-1, n)
+    idx = point_index(_progression(bases, reps, p), spec)
+    try:
+        C = _row_factors(E3[idx, :width].reshape(len(idx), p * width, E.cols),
+                         E3[point_index(reps, spec), :k_rows], p)
+    except RowFactorError as exc:
+        line = lines[exc.member]
+        raise RowFactorError(f"decoding matrix for line base={line.base} "
+                             f"direction={line.direction.rep} k={k} m={m}: {exc}") from exc
+    out = np.zeros((len(idx), k_rows, p**n, width), dtype=np.int64)
+    out[np.arange(len(idx))[:, None], :, idx] = (
+        C.reshape(len(idx), k_rows, p, width).transpose(0, 2, 1, 3))
+    return out.reshape(len(idx), k_rows, p**n * width)

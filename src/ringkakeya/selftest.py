@@ -26,7 +26,7 @@ from .bounds import (
 from .cyclo import (
     dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
 )
-from .gfp import GFpMatrix, _echelon, kron, rank
+from .gfp import GFpMatrix, _echelon, _row_factors, kron, rank
 from .incidence import (
     complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
 )
@@ -206,11 +206,28 @@ def packed_rank_matches_echelon(rng: random.Random) -> bool:
                for a in rank_cases(gen, p, cols))
 
 
+def row_factors_match_per_pair(rng: random.Random) -> bool:
+    """`_row_factors` on stacks of 2 to 6 pairs of ranks from 0 up gives each
+    member its own pair's factor, at the primes on each side of the int8,
+    int16 and int32 working types."""
+    gen = np.random.default_rng(rng.randrange(2**32))
+    for p, _ in product((2, 3, 11, 13, 181, 191, 46337, 46349), range(8)):
+        L, m, n, k = gen.integers((2, 0, 1, 0), (7, 9, 9, 5)).tolist()
+        A = np.stack([gen.integers(0, p, (m, r)) @ gen.integers(0, p, (r, n)) % p
+                      for r in gen.integers(0, min(m, n) + 1, L)])
+        B = np.stack([gen.integers(0, p, (k, m)) @ a % p for a in A])
+        if not all(np.array_equal(c, _row_factors(A[i:i + 1], B[i:i + 1], p)[0])
+                   for i, c in enumerate(_row_factors(A, B, p))):
+            return False
+    return True
+
+
 def suite_gfp(seed: int = 0):
     rng = random.Random(seed)
     return [(check.__name__, check(rng)) for check in (
         rank_product_bound, kron_mixed_product, crank_multiplication_bound,
         crank_tensor_bound, rank_paths_agree, packed_rank_matches_echelon,
+        row_factors_match_per_pair,
     )]
 
 

@@ -231,9 +231,9 @@ def test_tensor_rows_rank_builds_int64_family_only_above_11(monkeypatch, p, pack
         seen.append(M)
         return rank(M)
 
-    def recording_echelon(a, q, track=False):
+    def recording_echelon(a, q):
         echelons.append(a.shape)
-        return real_echelon(a, q, track)
+        return real_echelon(a, q)
 
     monkeypatch.setattr(bounds, "rank", recording_rank)
     monkeypatch.setattr(gfp, "_echelon", recording_echelon)

@@ -407,7 +407,7 @@ def selftest_rows():
     return run_suites()
 
 
-SELFTEST_COUNTS = {"ring": 17, "gfp": 6, "cyclotomic": 20, "polyspace": 5,
+SELFTEST_COUNTS = {"ring": 17, "gfp": 7, "cyclotomic": 20, "polyspace": 5,
                    "incidence": 10, "kakeya": 13, "bounds": 7}
 
 

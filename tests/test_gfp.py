@@ -28,7 +28,10 @@ from ringkakeya.selftest import (
     rank_cases,
     rank_paths_agree,
     rank_product_bound,
+    row_factors_match_per_pair,
 )
+
+from conftest import reduced_echelon_oracle, row_factor_oracle
 
 
 def rand_matrix(rng, p, rows, cols):
@@ -158,6 +161,10 @@ def test_packed_rank_matches_echelon(deadline):
     assert packed_rank_matches_echelon(random.Random(19))
 
 
+def test_row_factors_match_per_pair():
+    assert row_factors_match_per_pair(random.Random(23))
+
+
 def test_gf2_packed_rank_matches_echelon(deadline):
     # the XOR basis at p = 2 against the echelon pivot count and the
     # below-only oracle, at widths on each side of the byte and word boundaries
@@ -263,6 +270,13 @@ def test_solve_row_factor_examples():
     assert C == GFpMatrix(2, [[1, 1]])
     with pytest.raises(RowFactorError):
         solve_row_factor(GFpMatrix(2, [[1, 0]]), GFpMatrix(2, [[0, 1]]))
+    # a 0-row source factors a zero target, a 0-row target has a 0-row factor
+    assert solve_row_factor(GFpMatrix(5, np.zeros((0, 3))),
+                            GFpMatrix(5, np.zeros((2, 3)))).a.shape == (2, 0)
+    assert solve_row_factor(GFpMatrix(5, np.ones((4, 3))),
+                            GFpMatrix(5, np.zeros((0, 3)))).a.shape == (0, 4)
+    with pytest.raises(RowFactorError):
+        solve_row_factor(GFpMatrix(5, np.zeros((0, 3))), GFpMatrix(5, np.ones((2, 3))))
 
 
 def test_solve_row_factor_random():
@@ -355,35 +369,8 @@ def test_overflow_refused():
     assert rank(GFpMatrix(p, [[1, 2], [3, 4]])) == 2
 
 
-# Loop oracles for the echelon kernel: a reduced echelon form with a row
-# scan per pivot, and a below-only rank elimination.
-
-def reduced_echelon_oracle(a, p):
-    E = a % p
-    m, n = E.shape
-    R = np.eye(m, dtype=np.int64)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if E[i, c]), None)
-        if piv is None:
-            continue
-        E[[r, piv]] = E[[piv, r]]
-        R[[r, piv]] = R[[piv, r]]
-        inv = pow(int(E[r, c]), -1, p)
-        E[r] = E[r] * inv % p
-        R[r] = R[r] * inv % p
-        for i in range(m):
-            if i != r and E[i, c]:
-                f = int(E[i, c])
-                E[i] = (E[i] - f * E[r]) % p
-                R[i] = (R[i] - f * R[r]) % p
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    return E, pivots, R
-
+# A below-only rank elimination with a row scan per pivot, the loop
+# oracle for the echelon kernel's rank; the row factor oracle is in conftest.
 
 def below_only_rank_oracle(a, p):
     A = a % p
@@ -400,22 +387,6 @@ def below_only_rank_oracle(a, p):
         if r == m:
             break
     return r
-
-
-def row_factor_oracle(a, b, p):
-    E, pivots, R = reduced_echelon_oracle(a, p)
-    C = np.zeros((b.shape[0], a.shape[0]), dtype=np.int64)
-    for i in range(b.shape[0]):
-        residual = b[i].copy()
-        coeff = np.zeros(a.shape[0], dtype=np.int64)
-        for r, c in pivots:
-            f = int(residual[c])
-            if f:
-                coeff[r] = f
-                residual = (residual - f * E[r]) % p
-        assert not residual.any()
-        C[i] = coeff @ R % p
-    return C
 
 
 def test_echelon_kernel_against_loop_oracles():
@@ -436,3 +407,40 @@ def test_echelon_kernel_against_loop_oracles():
         B = X @ M
         assert np.array_equal(solve_row_factor(M, B).a,
                               row_factor_oracle(M.a, B.a, p))
+    # stacks of 2 to 6 members at every working-type boundary prime: members
+    # of different rank, wide members that reach full row rank before their
+    # last column, all-zero members and 0-row stacks
+    seen = set()
+    for p in (2, 11, 13, 181, 191, 46337, 46349, 1048609):
+        def rand(r, c):
+            return np.array([[rng.randrange(p) for _ in range(c)] for _ in range(r)],
+                            dtype=np.int64).reshape(r, c)
+
+        for _ in range(40):
+            L, rows, cols = rng.randrange(2, 7), rng.randrange(0, 7), rng.randrange(1, 9)
+            k = rng.randrange(0, 4)
+            A = np.stack([rand(rows, inner) @ rand(inner, cols) % p for inner in
+                          (rng.randrange(min(rows, cols) + 1) for _ in range(L))])
+            B = np.stack([rand(k, rows) @ a % p for a in A])
+            C = gfp._row_factors(A, B, p)
+            assert C.shape == (L, k, rows) and C.dtype == np.int64
+            for a, b, c in zip(A, B, C):
+                assert np.array_equal(c, row_factor_oracle(a, b, p))
+                pivots = reduced_echelon_oracle(a, p)[1]
+                if rows and len(pivots) == rows and pivots[-1][1] < cols - 1:
+                    seen.add("full row rank early")
+                if rows and not a.any():
+                    seen.add("zero member")
+            if not rows:
+                seen.add("0-row stack")
+            if len({below_only_rank_oracle(a, p) for a in A}) > 1:
+                seen.add("ranks differ")
+        # the middle member of five has a target row outside its row space
+        A = np.stack([rand(3, 4) for _ in range(5)])
+        A[2, :, 1:] = 0
+        B = np.stack([rand(2, 3) @ a % p for a in A])
+        B[2, 1, 1] = 1
+        with pytest.raises(RowFactorError, match="row 1 of target 2 ") as exc:
+            gfp._row_factors(A, B, p)
+        assert exc.value.member == 2
+    assert seen == {"full row rank early", "zero member", "0-row stack", "ranks differ"}

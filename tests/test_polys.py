@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from ringkakeya import (
     multiplicity,
     point_index,
     rank,
-    solve_row_factor,
     sz_mult_check,
 )
+from ringkakeya.errors import DEFAULT_CELL_GUARD, GuardExceeded
 from ringkakeya.polys import binom_mod, decoding_matrices, deriv_indices, monomials_homog
 from ringkakeya.selftest import (
     decode_then_evaluate,
@@ -34,6 +35,8 @@ from ringkakeya.selftest import (
     line_kernel_containment,
     sz_multiplicity_sweep,
 )
+
+from conftest import row_factor_oracle
 
 
 def test_dimension_formulas():
@@ -199,18 +202,18 @@ def test_line_kernel_containment():
 
 
 def ref_decoding_matrix(line, spec, k, m=None):
-    """The per-line decoding matrix that `decoding_matrices` replaced: one
-    `solve_row_factor` on the line's and the direction's own
+    """The per-line decoding matrix that `decoding_matrices` replaced: the
+    loop oracle's row factorization of the line's and the direction's own
     `eval_matrix` calls, placed at the line's point columns."""
     p, n = spec.N, spec.n
     if m is None:
         m = 2 * k - k // p
     pts = line_points(line, spec)
-    C = solve_row_factor(eval_matrix(p, n, pts, m, k * p - 1),
-                         eval_matrix(p, n, (line.direction.rep,), k, k * p - 1))
+    C = row_factor_oracle(eval_matrix(p, n, pts, m, k * p - 1).a,
+                          eval_matrix(p, n, (line.direction.rep,), k, k * p - 1).a, p)
     width = dim_leq(n, m - 1)
-    full = np.zeros((C.rows, p**n * width), dtype=np.int64)
-    full[:, (point_index(pts, spec)[:, None] * width + np.arange(width)).ravel()] = C.a
+    full = np.zeros((len(C), p**n * width), dtype=np.int64)
+    full[:, (point_index(pts, spec)[:, None] * width + np.arange(width)).ravel()] = C
     return full
 
 
@@ -231,6 +234,8 @@ def test_decoding_matrices_match_per_line_reference(p, n, k):
     for line, C in zip(lines, got):
         assert np.array_equal(C, ref_decoding_matrix(line, spec, k))
     assert np.array_equal(decoding_matrix(lines[-1], spec, k).a, got[-1])
+    none = decoding_matrices([], spec, k)
+    assert none.shape == (0,) + got.shape[1:] and none.dtype == np.int64
 
 
 @pytest.mark.parametrize("p,n,k,m", [(2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 3, 2), (2, 2, 4, 3)])
@@ -241,3 +246,22 @@ def test_decoding_matrices_small_m_raises_like_reference(p, n, k, m):
         ref_decoding_matrix(line, spec, k, m)
     with pytest.raises(RowFactorError, match=re.escape(f"line base={line.base} ")):
         decoding_matrices([line], spec, k, m)
+
+
+def test_decoding_matrices_refused_before_anything_is_built():
+    # over F_2^3 at k = 16 one line's output is 816 x 20800 cells; over F_2^2
+    # at k = 40 the output, 820 x 7320, fits, and the elimination stack,
+    # 4480 x 3740, does not
+    tracemalloc.start()
+    try:
+        for n, k, what in [(3, 16, "output"), (2, 40, "elimination stack")]:
+            spec = RingSpec.make(2, n)
+            line = all_lines(spec)[0]
+            with pytest.raises(GuardExceeded, match=f"decoding_matrices {what} of 1 lines "
+                               f"over F_2\\^{n} at k = {k}: .* exceeds the guard of "
+                               f"{DEFAULT_CELL_GUARD}"):
+                decoding_matrices([line], spec, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
