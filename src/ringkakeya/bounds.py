@@ -34,9 +34,7 @@ from .gfp import (
 from .incidence import rank_formula
 from .kakeya import KakeyaSet, _line_matrix, _verify
 from .polys import _decoders, dim_homog, dim_leq, eval_matrix
-from .rings import (
-    Direction, Line, RingSpec, _least_bases, enumerate_directions, point_index,
-)
+from .rings import Direction, Line, RingSpec, _least_bases, point_index
 
 
 @dataclass
@@ -116,26 +114,24 @@ def _pivot_product(S: KakeyaSet, guard: int):
     """
     idx = _require_valid(S)
     spec = S.spec
-    p, n = spec.primes[0], spec.n
-    dirs = enumerate_directions(spec)
-    _check_guard(f"line matrix of (Z/{spec.N})^{n}", len(dirs),
-                 spec.num_points, guard)
+    p, n, D = spec.primes[0], spec.n, len(idx)
+    _check_guard(f"line matrix of (Z/{spec.N})^{n}", D, spec.num_points, guard)
     MS = _line_matrix(spec, idx)
     spec_p = spec.factor_specs()[0]
-    ys = np.array([d.rep for d in spec_p.directions], dtype=np.int64)
+    ys = spec_p.dir_reps
     _check_float_product(p**n)
     table = (spec_p.points @ ys.T % p == 0).astype(np.float64)
-    prod = (table.T @ MS.a.reshape(len(dirs), p**n, -1).astype(np.float64)
+    prod = (table.T @ MS.a.reshape(D, p**n, -1).astype(np.float64)
             ).astype(np.min_scalar_type(p**n)) % p
-    comps = np.array([d.components[0] for d in dirs], dtype=np.int64)
+    comps = spec.dir_components[0]
     H = comps @ ys.T % p != 0
     if spec.r == 1:  # no rest: row i is H_i alone
-        rows = np.ones((len(dirs), 1), dtype=np.int64)
+        rows = np.ones((D, 1), dtype=np.int64)
     else:
         rows = _residual_rows(spec, 0, spec.points[idx])
     if not np.array_equal(prod, H[:, :, None] * rows[:, None, :]):
         raise AssertionError("pivot row identity failed (internal bug)")
-    return (rank(MS), rank(GFpMatrix(p, prod.reshape(len(dirs), -1))),
+    return (rank(MS), rank(GFpMatrix(p, prod.reshape(D, -1))),
             point_index(comps, spec_p), H, rows)
 
 
@@ -268,7 +264,7 @@ def certify_squarefree(
     # the stacked family: dim_leq(n, k-1) decoding rows per direction, one
     # column per (pivot point, derivative index, residual point)
     _check_guard(f"stacked decoding family over (Z/{spec.N})^{n} at k = {k}",
-                 len(spec.directions) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard)
+                 len(spec.dir_reps) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard)
 
     # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
     E = eval_matrix(p1, n, spec1.points, m, d_hom)
@@ -286,8 +282,7 @@ def certify_squarefree(
 
     crank_family = _tensor_rows_rank(p1, Cs, decoder, rows0)
     certified = math.ceil(crank_family / Delta)
-    reps = [c.rep for c in enumerate_directions(spec1)]
-    crank_D = rank(GFpMatrix(p1, D[point_index(reps, spec1)].reshape(-1, E.cols)))
+    crank_D = rank(GFpMatrix(p1, D[point_index(spec1.dir_reps, spec1)].reshape(-1, E.cols)))
     crank_DL0 = _tensor_rows_rank(p1, D, dir_idx, rows0)
     min_crank_L0, min_union, rank_size_factor = _group_rank_sizes(p1, dir_idx, rows0, N0)
     bound0 = squarefree_bound(N0, n)
@@ -365,10 +360,11 @@ def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray) -> tuple[list,
     pivot prime is its pivot component line, based at its point of least
     index."""
     spec_p = spec.factor_specs()[pivot]
-    comps = [d.components[pivot] for d in enumerate_directions(spec)]
+    comps = spec.dir_components[pivot]
     pts = spec.points[idx]
-    bases = map(tuple, _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist())
-    return list(zip(bases, comps)), _residual_rows(spec, pivot, pts)
+    bases = _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist()
+    return (list(zip(map(tuple, bases), map(tuple, comps.tolist()))),
+            _residual_rows(spec, pivot, pts))
 
 
 def _tensor_rows_rank(p: int, blocks: np.ndarray, which, rows: np.ndarray) -> int:
@@ -427,7 +423,7 @@ def certify_prime_power(
     witness = _require_valid(S)
     p, kk = spec.factors[0]
     q, n, pts = spec.N, spec.n, spec.points
-    reps = np.array([d.rep for d in enumerate_directions(spec)], dtype=np.int64)
+    reps = spec.dir_reps
     x, first = np.unique(np.concatenate([p**j * reps % q for j in range(kk + 1)]),
                          axis=0, return_index=True)
     js, d = np.divmod(first, len(reps))

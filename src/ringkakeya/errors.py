@@ -5,8 +5,10 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from itertools import chain
 
 DEFAULT_CELL_GUARD = 16_000_000
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 
 
 class GuardExceeded(Exception):
@@ -66,10 +68,14 @@ def _json_value(v):
 
 def write_json(data, path=None) -> None:
     """_json_value(data) as JSON, indented by one space with sorted keys and
-    a final newline, written to path, or to stdout when path is None."""
-    text = json.dumps(_json_value(data), indent=1, sort_keys=True) + "\n"
+    a final newline, written to path, or to stdout when path is None.  Data
+    is converted whole only where its first dump, Fractions converted on the
+    way, shows 16 digits in a row: an integer that may have 53 bits."""
+    text = json.dumps(data, indent=1, sort_keys=True, default=_json_value)
+    if b"0" * 16 in text.encode().translate(_ZERO_DIGITS):  # |v| >= 2^53
+        text = json.dumps(_json_value(data), indent=1, sort_keys=True)
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def json_ints(values, length: int, what: str) -> tuple[int, ...]:
@@ -84,6 +90,12 @@ def json_ints(values, length: int, what: str) -> tuple[int, ...]:
             f"{what} {values!r} is not a list of {length} integers"
         )
     return tuple(values)
+
+
+def _int_lists(rows: list, length: int) -> bool:
+    """Whether json_ints takes every one of rows, in three whole-list passes."""
+    return (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {length}
+            and set(map(type, chain.from_iterable(rows))) <= {int})
 
 
 @contextmanager

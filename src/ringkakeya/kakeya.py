@@ -1,43 +1,79 @@
 """Kakeya sets over (Z/NZ)^n: verification, constructions, the line
 matrix, an exhaustive minimum-size oracle, and JSON serialization.
 
-A Kakeya set is stored as its point set plus one witness line per
-projective direction; every constructor's output passes verify().
+A Kakeya set is held as int64 tables: its points, and one witness line per
+projective direction, given by the line's least point; every constructor
+fills the tables directly and its output passes verify().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from math import gcd, prod
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import (
-    DEFAULT_CELL_GUARD, GuardExceeded, VerificationError, _check_guard, json_ints,
-    malformed_input, read_json, write_json,
+    DEFAULT_CELL_GUARD, GuardExceeded, VerificationError, _check_guard, _int_lists,
+    json_ints, malformed_input, read_json, write_json,
 )
 from .gfp import GFpMatrix, _bitmasks
 from .rings import (
-    Direction, Line, RingSpec, _canonical, _inverses, _least_bases, _progression,
-    _radix, _residue_rows, crt_combine, enumerate_directions, point_index,
+    Direction, Line, RingSpec, _canonical, _inverses, _least_bases,
+    _progression, _radix, _residue_rows, crt_combine, point_index,
 )
 
 MINSEARCH_COMBO_GUARD = 20_000_000
 
 
-@dataclass
 class KakeyaSet:
-    """A point set over (Z/NZ)^n with a witness line per direction; points
-    are tuples of ints in [0, N)."""
+    """A point set over (Z/NZ)^n with a witness line per direction, held as
+    tables: `_points`, the (m, n) int64 points, unique and in natural
+    (lexicographic) order, and per direction in enumeration order `_has`,
+    whether it has a witness line, and `_bases`, that line's least point.
+    KakeyaSet(spec, points, witness) takes tuples and {Direction: Line},
+    keeping in `_strays` the directions of lines that point elsewhere; the
+    views `points` and `witness` give them back, built when first read."""
 
-    spec: RingSpec
-    points: frozenset
-    witness: dict
+    def __init__(self, spec: RingSpec, points, witness):
+        dirs = spec.directions
+        rows = spec.dir_index[point_index(_int_rows((d.rep for d in witness), spec.n),
+                                          spec)].tolist()
+        lines = {i: line for i, line in zip(rows, witness.values()) if i >= 0}
+        self.spec, self._points = spec, _unique_rows(_int_rows(points, spec.n), spec)
+        self._has = np.isin(np.arange(len(dirs)), list(lines))
+        self._bases = np.zeros_like(spec.dir_reps)
+        self._bases[list(lines)] = _int_rows((line.base for line in lines.values()), spec.n)
+        self._strays = {i: line.direction for i, line in lines.items()
+                        if line.direction != dirs[i]}
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self._points)
+
+    @cached_property
+    def points(self) -> frozenset:
+        return frozenset(map(tuple, self._points.tolist()))
+
+    @cached_property
+    def witness(self) -> MappingProxyType:
+        dirs, rows = self.spec.directions, np.flatnonzero(self._has).tolist()
+        return MappingProxyType({
+            dirs[i]: Line(base=tuple(b), direction=self._strays.get(i, dirs[i]))
+            for i, b in zip(rows, self._bases[rows].tolist())})
+
+
+def _assemble(spec: RingSpec, points: np.ndarray, bases: np.ndarray,
+              has: np.ndarray | None = None) -> KakeyaSet:
+    """The set of points, (m, n) rows unique and in natural order, with a
+    witness line through its least point, the matching row of bases, in
+    each direction that the mask has marks (default: in every one)."""
+    S = KakeyaSet.__new__(KakeyaSet)
+    S.spec, S._points, S._bases, S._strays = spec, points, bases, {}
+    S._has = np.ones(len(bases), dtype=bool) if has is None else has
+    return S
 
 
 def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
@@ -54,67 +90,62 @@ def _verify(S: KakeyaSet) -> tuple[list[str], np.ndarray]:
     """verify's problems, and the `_witness_indices` of the directions whose
     witness line points in them, in enumeration order: of every direction
     when there is no problem."""
-    spec = S.spec
-    dirs = enumerate_directions(spec)
-    problems, keys = {}, []
-    for i, d in enumerate(dirs):
-        line = S.witness.get(d)
-        if line is None:
-            problems[i] = f"direction {d.rep}: no witness line"
-        elif line.direction != d:
-            problems[i] = f"direction {d.rep}: witness line points in {line.direction.rep}"
-        else:
-            keys.append(i)
-    in_set = _indicator(S.points, spec)
-    idx = _witness_indices(S, [dirs[i] for i in keys])
-    inside = in_set[idx]
+    spec, reps = S.spec, S.spec.dir_reps
+    good = S._has.copy()
+    good[list(S._strays)] = False
+    keys = np.flatnonzero(good)
+    pts = _progression(S._bases[keys], reps[keys], spec.N)
+    idx = point_index(pts, spec)
+    inside = _indicator(S._points, spec)[idx]
+    problems = {i: f"direction {_rep(reps, i)}: no witness line"
+                for i in np.flatnonzero(~S._has).tolist()}
+    problems.update({i: f"direction {_rep(reps, i)}: witness line points in {d.rep}"
+                     for i, d in S._strays.items()})
     for r in np.flatnonzero(~inside.all(axis=1)).tolist():
-        missing = tuple(spec.points[idx[r, inside[r].argmin()]].tolist())
-        problems[keys[r]] = (f"direction {dirs[keys[r]].rep}: line point "
-                             f"{missing} not in the set")
+        problems[keys[r]] = (f"direction {_rep(reps, keys[r])}: line point "
+                             f"{_rep(pts[r], inside[r].argmin())} not in the set")
     return [problems[i] for i in sorted(problems)], idx
+
+
+def _rep(rows: np.ndarray, i) -> tuple:
+    """Row i as a tuple of Python ints."""
+    return tuple(rows[i].tolist())
 
 
 def _int_rows(vectors, n: int) -> np.ndarray:
     return np.array(list(vectors), dtype=np.int64).reshape(-1, n)
 
 
-def _indicator(points, spec: RingSpec) -> np.ndarray:
-    """Boolean indicator, in natural order, of a collection of points."""
+def _unique_rows(rows: np.ndarray, spec: RingSpec) -> np.ndarray:
+    """The distinct points among rows, in natural-index order."""
+    keys = point_index(rows, spec)
+    if (keys[1:] > keys[:-1]).all():  # as `to_json_dict` writes them
+        return rows
+    return rows[np.unique(keys, return_index=True)[1]]
+
+
+def _indicator(points: np.ndarray, spec: RingSpec) -> np.ndarray:
+    """Boolean indicator, in natural order, of an (m, n) table of points."""
     ind = np.zeros(spec.num_points, dtype=bool)
-    ind[point_index(_int_rows(points, spec.n), spec)] = True
+    ind[point_index(points, spec)] = True
     return ind
 
 
-def _witness_bases(S: KakeyaSet, dirs) -> np.ndarray:
-    """(len(dirs), n) bases of the witness lines of dirs; ValueError naming
-    the first of dirs without a witness line."""
-    try:
-        return _int_rows([S.witness[d].base for d in dirs], S.spec.n)
-    except KeyError as exc:
-        raise ValueError(f"direction {exc.args[0].rep} has no witness line") from None
+def _witness_bases(S: KakeyaSet, rows=slice(None)) -> np.ndarray:
+    """The witness-line bases of the directions at rows of dir_reps (default:
+    all); ValueError naming the first of them without a witness line."""
+    has = S._has[rows]
+    if not has.all():
+        rep = _rep(S.spec.dir_reps[rows], int(has.argmin()))
+        raise ValueError(f"direction {rep} has no witness line")
+    return S._bases[rows]
 
 
-def _witness_indices(S: KakeyaSet, dirs=None) -> np.ndarray:
-    """(directions, N) natural indices of the witness-line points of dirs
-    (default: all, in enumeration order); ValueError as _witness_bases."""
-    dirs = enumerate_directions(S.spec) if dirs is None else dirs
-    reps = _int_rows((d.rep for d in dirs), S.spec.n)
-    return point_index(_progression(_witness_bases(S, dirs), reps, S.spec.N), S.spec)
-
-
-def _witness_lines(dirs, bases, spec: RingSpec) -> dict:
-    """{d: its line through the matching row of bases}; a later duplicate
-    of a direction replaces the earlier line."""
-    least = _least_bases(bases, _int_rows((d.rep for d in dirs), spec.n), spec).tolist()
-    return {d: Line(base=tuple(b), direction=d) for d, b in zip(dirs, least)}
-
-
-def _assemble(spec: RingSpec, points: np.ndarray, bases: np.ndarray) -> KakeyaSet:
-    """The set of the rows of points, witnessed in each direction (in
-    enumeration order) by its line through the matching row of bases."""
-    return KakeyaSet(spec=spec, points=frozenset(map(tuple, points.tolist())),
-                     witness=_witness_lines(enumerate_directions(spec), bases, spec))
+def _witness_indices(S: KakeyaSet) -> np.ndarray:
+    """(directions, N) natural indices of the witness-line points, in
+    enumeration order; ValueError as _witness_bases."""
+    spec = S.spec
+    return point_index(_progression(_witness_bases(S), spec.dir_reps, spec.N), spec)
 
 
 def _check_point_table(spec: RingSpec) -> None:
@@ -126,8 +157,9 @@ def _check_point_table(spec: RingSpec) -> None:
 
 
 def full_set(spec: RingSpec) -> KakeyaSet:
-    """All of R^n, witnessed by the line through the origin per direction."""
-    return _assemble(spec, spec.points, np.zeros(spec.n, dtype=np.int64))
+    """All of R^n, witnessed by the line through the origin per direction:
+    the origin is the least point of every line through it."""
+    return _assemble(spec, spec.points, np.zeros_like(spec.dir_reps))
 
 
 def tangent_construction(p: int, n: int) -> KakeyaSet:
@@ -149,12 +181,12 @@ def tangent_construction(p: int, n: int) -> KakeyaSet:
     member = np.any([(x[:, j + 1:] == 0).all(axis=1)
                      & square[(x[:, j, None] ** 2 - x[:, :j]) % p].all(axis=1)
                      for j in range(n)], axis=0)
-    reps = _int_rows((d.rep for d in enumerate_directions(spec)), n)
+    reps = spec.dir_reps
     last = n - 1 - (reps[:, ::-1] != 0).argmax(axis=1)
     b = reps * _inverses(reps[np.arange(len(reps)), last], p)[:, None] % p
     bases = np.where(np.arange(n) < last[:, None],
                      -(b * b % p) * pow(4, -1, p) % p, 0)
-    return _assemble(spec, x[member], bases)
+    return _assemble(spec, x[member], _least_bases(bases, reps, spec))
 
 
 def crt_product(sets, spec: RingSpec) -> KakeyaSet:
@@ -173,12 +205,12 @@ def crt_product(sets, spec: RingSpec) -> KakeyaSet:
             raise ValueError(
                 f"component set over {S.spec.N} does not match factor {fs.N}"
             )
-    inside = reduce(np.kron, [_indicator(S.points, fs) for S, fs in zip(sets, fspecs)])
-    combos = np.unravel_index(np.arange(len(enumerate_directions(spec))),
-                              [len(enumerate_directions(fs)) for fs in fspecs])
-    bases = crt_combine([_witness_bases(S, enumerate_directions(fs))[js]
-                         for S, fs, js in zip(sets, fspecs, combos)], spec)
-    return _assemble(spec, spec.points[inside[spec.crt_order]], bases)
+    inside = reduce(np.kron, [_indicator(S._points, fs) for S, fs in zip(sets, fspecs)])
+    combos = np.unravel_index(np.arange(len(spec.dir_reps)),
+                              [len(fs.dir_reps) for fs in fspecs])
+    bases = crt_combine([_witness_bases(S)[js] for S, js in zip(sets, combos)], spec)
+    return _assemble(spec, spec.points[inside[spec.crt_order]],
+                     _least_bases(bases, spec.dir_reps, spec))
 
 
 def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
@@ -199,16 +231,15 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
     spec, n = S.spec, S.spec.n
     big = RingSpec.make(spec.N, t * n)
     _check_point_table(big)
-    pts = _int_rows(S.points, n)
+    pts = S._points
     points = pts[np.indices((len(pts),) * t).reshape(t, -1).T].reshape(-1, t * n)
-    dirs = enumerate_directions(big)
     blocks = []
-    for i, fs in enumerate(spec.factor_specs()):
-        comps = _int_rows([d.components[i] for d in dirs], t * n).reshape(-1, t, n)
-        blocks.append(np.where(comps.any(axis=2, keepdims=True), comps,
-                               enumerate_directions(fs)[0].rep))
-    block_dirs = _canonical(crt_combine(blocks, spec).reshape(-1, n), spec)
-    return _assemble(big, points, _witness_bases(S, block_dirs).reshape(-1, t * n))
+    for comps, fs in zip(big.dir_components, spec.factor_specs()):
+        comps = comps.reshape(-1, t, n)
+        blocks.append(np.where(comps.any(axis=2, keepdims=True), comps, fs.dir_reps[0]))
+    block_reps = _canonical(crt_combine(blocks, spec).reshape(-1, n), spec)
+    bases = _witness_bases(S, spec.dir_index[point_index(block_reps, spec)])
+    return _assemble(big, points, _least_bases(bases.reshape(-1, t * n), big.dir_reps, big))
 
 
 def line_matrix(S: KakeyaSet) -> GFpMatrix:
@@ -285,11 +316,10 @@ def min_kakeya_search(
     if (spec.N ** (spec.n - 1)) ** directions > cap:  # the table guard keeps it small
         raise GuardExceeded(f"minimum search over {spec.N}^{spec.n} needs more "
                             f"than {cap} witness combinations")
-    dirs = enumerate_directions(spec)
-    table, bases = _orbit_cuts(spec, _int_rows((d.rep for d in dirs), spec.n))
+    table, bases = _orbit_cuts(spec, spec.dir_reps)
     masks = [_index_masks(t[b], spec.num_points) for t, b in zip(table, bases)]
     best_size, best_choice = spec.num_points + 1, None
-    last = len(dirs) - 1
+    last = len(masks) - 1
 
     def dfs(idx, union, choice):
         nonlocal best_size, best_choice
@@ -306,7 +336,7 @@ def min_kakeya_search(
 
     dfs(0, 0, [])
     chosen = np.array([b[ci] for b, ci in zip(bases, best_choice)])
-    idx = table[np.arange(len(dirs)), chosen]
+    idx = table[np.arange(len(masks)), chosen]
     S = _assemble(spec, spec.points[np.unique(idx)], spec.points[chosen])
     ok, problems = verify(S)
     if not ok:
@@ -324,16 +354,13 @@ def _index_masks(idx: np.ndarray, size: int) -> list[int]:
 
 def to_json_dict(S: KakeyaSet) -> dict:
     """Serializable form: sorted points plus (direction, base) witnesses."""
-    dirs = enumerate_directions(S.spec)
+    has = S._has
     return {
         "N": S.spec.N,
         "n": S.spec.n,
-        "points": [list(pt) for pt in sorted(S.points)],
-        "witness": [
-            {"dir": list(d.rep), "base": list(S.witness[d].base)}
-            for d in dirs
-            if d in S.witness
-        ],
+        "points": S._points.tolist(),
+        "witness": [{"dir": d, "base": b} for d, b
+                    in zip(S.spec.dir_reps[has].tolist(), S._bases[has].tolist())],
     }
 
 
@@ -344,23 +371,41 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
     integer, a coordinate list has the wrong length, a point coordinate
     lies outside [0, N), the ring is not supported, a direction is invalid
     or (with check) the set fails verification; the ring's point table
-    passes _check_point_table before any line is built.
+    passes _check_point_table before any line is built.  Each list is
+    checked whole, and only a refused one is walked entry by entry, to name
+    its first bad entry.  A later witness of a direction replaces an
+    earlier one.
     """
     with malformed_input("Kakeya set"):
         N, n = json_ints([data["N"], data["n"]], 2, "N and n")
         spec = RingSpec.make(N, n)
-        points = frozenset(json_ints(pt, n, "point") for pt in data["points"])
-        outside = [pt for pt in points if not all(0 <= c < N for c in pt)]
-        if outside:
-            raise ValueError(f"point {list(min(outside))} lies outside [0, {N})^{n}")
-        entries = [(json_ints(entry["dir"], n, "direction"),
-                    json_ints(entry["base"], n, "base"))
-                   for entry in data["witness"]]
-        dirs = _canonical([vec for vec, _ in entries], spec)
+        rows = list(data["points"])
+        if not _int_lists(rows, n):
+            for pt in rows:
+                json_ints(pt, n, "point")
+        coords = list(chain.from_iterable(rows))
+        if coords and not 0 <= min(coords) <= max(coords) < N:
+            least = min(pt for pt in rows if not all(0 <= c < N for c in pt))
+            raise ValueError(f"point {least} lies outside [0, {N})^{n}")
+        entries = list(data["witness"])
+        try:
+            vecs, bases = [e["dir"] for e in entries], [e["base"] for e in entries]
+            ok = _int_lists(vecs, n) and _int_lists(bases, n)
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            for entry in entries:
+                json_ints(entry["dir"], n, "direction")
+                json_ints(entry["base"], n, "base")
+        reps = _canonical(vecs, spec)
         _check_point_table(spec)
-        bases = _residue_rows([base for _, base in entries], spec)
-        witness = _witness_lines(dirs, bases, spec)
-    S = KakeyaSet(spec=spec, points=points, witness=witness)
+        # per direction, its last entry
+        last = np.full(len(spec.dir_reps), -1)
+        np.maximum.at(last, spec.dir_index[point_index(reps, spec)], np.arange(len(reps)))
+        has, last = last >= 0, last[last >= 0]
+        table = np.zeros_like(spec.dir_reps)
+        table[has] = _least_bases(_residue_rows(bases, spec)[last], reps[last], spec)
+    S = _assemble(spec, _unique_rows(_int_rows(rows, n), spec), table, has)
     if check:
         ok, problems = verify(S)
         if not ok:

@@ -2,10 +2,12 @@
 
 Points are rows of int64 arrays with entries in [0, N).  Each RingSpec
 builds, once, the read-only table `points` of all N^n points, the
-read-only permutation `crt_order` and the tuple `directions`.  Directions
-and lines are small frozen dataclasses whose fields are tuples of Python
-ints in canonical form, so they can be used as dictionary keys and written
-to JSON.
+read-only permutation `crt_order` and the direction table: `dir_reps`,
+one canonical representative per row in enumeration order, its per-factor
+`dir_components`, and `dir_index`, the row of each canonical rep by its
+point index.  `directions` is the same table as small frozen dataclasses
+whose fields are tuples of Python ints; `Direction` and `Line` objects are
+for callers that want one vector or line at a time.
 
 Three array rules, one row per vector or line, serve every caller:
 `_canonical` (behind `Direction.from_vector`) scales a vector, modulo each
@@ -146,21 +148,41 @@ class RingSpec:
         return _read_only(order)
 
     @cached_property
-    def directions(self) -> tuple["Direction", ...]:
-        """All projective directions, in the order of enumerate_directions."""
+    def dir_components(self) -> tuple[np.ndarray, ...]:
+        """Per factor, the (D, n) canonical components of `dir_reps`, in
+        enumeration order: for a single factor, lexicographic; for several,
+        the Cartesian product of the factor lists, first factor most
+        significant."""
         if self.is_prime_power:
             # canonical: the first unit coordinate is 1; where there is no
             # unit coordinate argmax picks coordinate 0, a non-unit
             unit = self.points % self.primes[0] != 0
             lead = self.points[np.arange(self.num_points), unit.argmax(axis=1)]
-            reps = map(tuple, self.points[lead == 1].tolist())
-            return tuple(Direction(rep=v, components=(v,)) for v in reps)
-        factor_dirs = [fs.directions for fs in self.factor_specs()]
-        combos = np.indices([len(fd) for fd in factor_dirs]).reshape(self.r, -1)
-        comps = [[fd[j].rep for j in js] for fd, js in zip(factor_dirs, combos.tolist())]
-        reps = crt_combine([np.array(c, dtype=np.int64) for c in comps], self)
+            return (_read_only(self.points[lead == 1]),)
+        tables = [fs.dir_reps for fs in self.factor_specs()]
+        combos = np.indices([len(t) for t in tables]).reshape(self.r, -1)
+        return tuple(_read_only(t[js]) for t, js in zip(tables, combos))
+
+    @cached_property
+    def dir_reps(self) -> np.ndarray:
+        """The (D, n) canonical representatives of all projective
+        directions, the CRT of their components."""
+        return _read_only(crt_combine(self.dir_components, self))
+
+    @cached_property
+    def dir_index(self) -> np.ndarray:
+        """dir_index[point_index(v)] is the dir_reps row of v, -1 where v is
+        no canonical rep."""
+        lookup = np.full(self.num_points, -1, dtype=np.int64)
+        lookup[point_index(self.dir_reps, self)] = np.arange(len(self.dir_reps))
+        return _read_only(lookup)
+
+    @cached_property
+    def directions(self) -> tuple["Direction", ...]:
+        """All projective directions, in the order of enumerate_directions."""
+        comps = [map(tuple, c.tolist()) for c in self.dir_components]
         return tuple(Direction(rep=tuple(rep), components=cs)
-                     for rep, cs in zip(reps.tolist(), zip(*comps)))
+                     for rep, cs in zip(self.dir_reps.tolist(), zip(*comps)))
 
     @cached_property
     def _idempotents(self) -> tuple[int, ...]:
@@ -200,7 +222,11 @@ def crt_combine(residues, spec: RingSpec):
 
 def _residue_rows(rows, spec: RingSpec) -> np.ndarray:
     """Rows of integers of any size reduced mod N, as an (m, n) int64 array."""
-    return (np.array(rows, dtype=object) % spec.N).astype(np.int64).reshape(-1, spec.n)
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:  # reduce as Python ints
+        a = np.array(rows, dtype=object)
+    return (a % spec.N).astype(np.int64, copy=False).reshape(-1, spec.n)
 
 
 def _inverses(units: np.ndarray, q: int) -> np.ndarray:
@@ -231,10 +257,10 @@ def _least_bases(bases, reps, spec: RingSpec) -> np.ndarray:
     return pts[np.arange(len(pts)), point_index(pts, spec).argmin(axis=1)]
 
 
-def _canonical(vectors, spec: RingSpec) -> list["Direction"]:
-    """The canonical Direction of each of a sequence of integer vectors:
-    modulo each factor modulus q = p^e the vector is scaled so that its
-    first unit coordinate is 1, and the CRT joins the components into rep.
+def _canonical(vectors, spec: RingSpec) -> np.ndarray:
+    """The canonical rep of each of a sequence of integer vectors, an (m, n)
+    array: modulo each factor modulus q = p^e the vector is scaled so that
+    its first unit coordinate is 1, and the CRT joins the components.
     ValueError names the first vector, as given, with no unit coordinate
     modulo some q, and the first such q."""
     spec._idempotents  # OverflowError before any arithmetic
@@ -250,12 +276,8 @@ def _canonical(vectors, spec: RingSpec) -> list["Direction"]:
         raise ValueError(
             f"vector {tuple(vectors[i])} is not a valid direction modulo {q}"
         )
-    comps = [r * _inverses(lead, q)[:, None] % q
-             for r, lead, q in zip(residues, leads, spec.factor_moduli)]
-    reps = crt_combine(comps, spec).tolist()
-    components = zip(*[map(tuple, c.tolist()) for c in comps])
-    return [Direction(rep=tuple(rep), components=cs)
-            for rep, cs in zip(reps, components)]
+    return crt_combine([r * _inverses(lead, q)[:, None] % q
+                        for r, lead, q in zip(residues, leads, spec.factor_moduli)], spec)
 
 
 @dataclass(frozen=True)
@@ -272,7 +294,9 @@ class Direction:
 
     @classmethod
     def from_vector(cls, vec, spec: RingSpec) -> "Direction":
-        return _canonical([vec], spec)[0]
+        rep = _canonical([vec], spec)[0].tolist()
+        return cls(rep=tuple(rep), components=tuple(
+            tuple(c % q for c in rep) for q in spec.factor_moduli))
 
 
 @dataclass(frozen=True)
@@ -290,13 +314,8 @@ class Line:
 
 
 def enumerate_directions(spec: RingSpec) -> tuple[Direction, ...]:
-    """All projective directions of R^n, deterministically ordered; built
-    once per spec (`spec.directions`).
-
-    Single-factor N: canonical representatives in lexicographic order.
-    Square-free N with several factors: Cartesian product of the per-factor
-    lists, first factor most significant.
-    """
+    """All projective directions of R^n in the order of `spec.dir_reps`;
+    built once per spec (`spec.directions`)."""
     return spec.directions
 
 

@@ -480,6 +480,22 @@ MALFORMED_SETS = {
                        '[{"dir": [0, 0], "base": [0, 0]}]}',
                        "not a valid direction"),
     "point-outside": (_tangent_with_outside_points(), "lies outside [0, 3)^2"),
+    # the loader checks each list whole; a refused list names its first bad
+    # point in file order, or the least point outside the range
+    "bool": ('{"N": 3, "n": 2, "points": [[0, 0], [1, true], [0.5, 0]], '
+             '"witness": []}',
+             "malformed Kakeya set: point [1, True] is not a list of 2 integers"),
+    "string": ('{"N": 3, "n": 2, "points": [[0, 0], [2, "1"], [1, true]], '
+               '"witness": []}',
+               "malformed Kakeya set: point [2, '1'] is not a list of 2 integers"),
+    "short": ('{"N": 3, "n": 2, "points": [[0, 0], [1], [2, 2, 2]], "witness": []}',
+              "malformed Kakeya set: point [1] is not a list of 2 integers"),
+    "huge": ('{"N": 3, "n": 2, "points": [[0, 0], [2, %d], [1, %d]], "witness": []}'
+             % (2**70, 2**70 + 1),
+             f"malformed Kakeya set: point [1, {2**70 + 1}] lies outside [0, 3)^2"),
+    "minus-one": ('{"N": 3, "n": 2, "points": [[0, 0], [2, -1], [1, -1]], '
+                  '"witness": []}',
+                  "malformed Kakeya set: point [1, -1] lies outside [0, 3)^2"),
 }
 MALFORMED_FAMILIES = {
     "empty": ("{}", "missing key 'p'"),

@@ -36,7 +36,7 @@ from ringkakeya import (
     tangent_construction,
     verify,
 )
-from ringkakeya.bounds import _split_witnesses
+from ringkakeya.bounds import _require_valid, _split_witnesses
 from ringkakeya.cli import main
 from ringkakeya.errors import VerificationError
 from ringkakeya.kakeya import (
@@ -369,8 +369,8 @@ def test_verify_problems_match_reference(N, n):
             assert (ok, problems) == ref_verify(broken)
 
 
-def test_constructed_and_loaded_lines_hold_python_ints():
-    sets = [
+def _entry_sets():
+    return [
         full_set(RingSpec.make(4, 2)),
         tangent_construction(5, 2),
         tangent_construction(3, 3),
@@ -383,12 +383,31 @@ def test_constructed_and_loaded_lines_hold_python_ints():
         power_product(random_full_witness(RingSpec.make(10, 1), 1), 3),
         power_product(_tangent_product(6, 2), 2),
     ]
-    for S in sets:
+
+
+def test_constructed_and_loaded_lines_hold_python_ints():
+    for S in _entry_sets():
         loaded = from_json_dict(to_json_dict(S))
         for T in (S, loaded):
             assert _python_ints(T.witness.values())
             assert all(_is_int_tuple(d.rep) for d in T.witness)
             assert all(map(_is_int_tuple, T.points))
+
+
+def test_entry_paths_agree():
+    # a set comes in from a constructor, from objects or from a file
+    for S in _entry_sets():
+        paths = [S, KakeyaSet(S.spec, S.points, S.witness),
+                 from_json_dict(to_json_dict(S))]
+        idx = _witness_indices(S)
+        for T in paths:
+            assert np.array_equal(_require_valid(T), idx)
+            assert verify(T) == (True, [])
+            assert to_json_dict(T) == to_json_dict(S)
+            assert T.size == S.size and T.points == S.points
+            assert T.witness == S.witness
+        for broken in _broken_sets(S):
+            assert verify(broken) == ref_verify(broken)
 
 
 def test_point_tables_refuse_int64_overflow(tmp_path, capsys):
@@ -496,6 +515,29 @@ def test_loader_matches_per_witness_loop(N, n, unit):
     assert loaded.witness == ref_load_witness(data) == S.witness
     assert to_json_dict(loaded) == to_json_dict(S)
     assert _python_ints(loaded.witness.values())
+
+
+def test_loader_reduces_large_entries_and_takes_the_last_witness():
+    S = _tangent_product(6, 2)
+    data = to_json_dict(S)
+    # 3·2^70 is 0 mod 6: the loader reduces past int64 as Python ints
+    shift = 3 * 2**70
+    shifted = dict(data, witness=[{"dir": [c + shift for c in w["dir"]],
+                                   "base": [c - shift for c in w["base"]]}
+                                  for w in data["witness"]])
+    assert to_json_dict(from_json_dict(shifted)) == data
+    # a repeated point counts once
+    repeated = dict(data, points=data["points"] + data["points"][:3])
+    assert from_json_dict(repeated).size == S.size
+    # a later entry for a direction replaces an earlier one
+    d = S.spec.directions[1]
+    off = [(c + 1) % 6 for c in S.witness[d].base]
+    entry = {"dir": list(d.rep), "base": off}
+    later = from_json_dict(dict(data, witness=data["witness"] + [entry]), check=False)
+    assert later.witness[d] == ref_line_through(tuple(off), d, S.spec)
+    assert verify(later) == ref_verify(later) and not verify(later)[0]
+    earlier = from_json_dict(dict(data, witness=[entry] + data["witness"]))
+    assert to_json_dict(earlier) == data
 
 
 def test_loader_names_the_invalid_direction():
