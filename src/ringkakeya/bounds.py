@@ -34,7 +34,7 @@ from .gfp import (
 from .incidence import rank_formula
 from .kakeya import KakeyaSet, _line_matrix, _verify
 from .polys import _decoders, dim_homog, dim_leq, eval_matrix
-from .rings import Direction, Line, RingSpec, _least_bases, point_index
+from .rings import RingSpec, _least_bases, point_index
 
 
 @dataclass
@@ -231,8 +231,9 @@ def certify_squarefree(
     divided by the number of derivative indices, lower bounds |S|; the
     chain through the evaluation matrix and the per-factor rank-size counts
     is re-verified link by link.  One `eval_matrix` table holds every point
-    evaluation D_b; each distinct pivot line's decoder is solved once and
-    checked by one batched product, and each family is one broadcast.
+    evaluation D_b; each distinct pivot line, found by one integer
+    `np.unique` of (base, rep) keys, has its decoder solved once and checked
+    by one batched product, and each family is one broadcast.
 
     k defaults to the pivot prime and must be a positive multiple of it;
     any other k, or a pivot prime that does not divide N, raises
@@ -269,16 +270,14 @@ def certify_squarefree(
     # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
     E = eval_matrix(p1, n, spec1.points, m, d_hom)
     D = E.a.reshape(p1**n, Delta, -1)[:, :dim_leq(n, k - 1)]
-    pivot_lines, rows0 = _split_witnesses(spec, pividx, idx)
-    dir_idx = point_index([rep for _, rep in pivot_lines], spec1)
-    # one decoder per distinct pivot line, in order of first use
-    distinct: dict[tuple, int] = {}
-    decoder = np.array([distinct.setdefault(line, len(distinct)) for line in pivot_lines])
-    Cs = _decoders([Line(base=b, direction=Direction(rep=c, components=(c,)))
-                    for b, c in distinct], spec1, k, m, E)
+    bases, reps, rows0 = _split_witnesses(spec, pividx, idx)
+    dir_idx = point_index(reps, spec1)
+    # one decoder per distinct pivot line, in order of (base, rep) index
+    _, first, decoder = np.unique(point_index(bases, spec1) * p1**n + dir_idx,
+                                  return_index=True, return_inverse=True)
+    Cs = _decoders(bases[first], reps[first], spec1, k, m, E)
     _check_product(E.rows, p1)
-    decode_chain = np.array_equal(
-        Cs @ E.a % p1, D[point_index([rep for _, rep in distinct], spec1)])
+    decode_chain = np.array_equal(Cs @ E.a % p1, D[dir_idx[first]])
 
     crank_family = _tensor_rows_rank(p1, Cs, decoder, rows0)
     certified = math.ceil(crank_family / Delta)
@@ -353,8 +352,8 @@ def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray) -> tuple[list, np.ndarray]:
-    """The pivot lines, as (base, rep) pairs of Python-int tuples, and the
+def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray):
+    """The pivot lines, as (D, n) tables of bases and reps, and the
     `_residual_rows` of the witness lines, one per direction in enumeration
     order, idx their `_witness_indices`: a witness line reduced mod the
     pivot prime is its pivot component line, based at its point of least
@@ -362,8 +361,7 @@ def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray) -> tuple[list,
     spec_p = spec.factor_specs()[pivot]
     comps = spec.dir_components[pivot]
     pts = spec.points[idx]
-    bases = _least_bases(pts[:, 0] % spec_p.N, comps, spec_p).tolist()
-    return (list(zip(map(tuple, bases), map(tuple, comps.tolist()))),
+    return (_least_bases(pts[:, 0] % spec_p.N, comps, spec_p), comps,
             _residual_rows(spec, pivot, pts))
 
 

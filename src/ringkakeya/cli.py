@@ -96,8 +96,8 @@ def cmd_wrank(args) -> int:
 
 
 def cmd_kakeya_construct(args) -> int:
+    kak._check_point_table(args.N, args.n)
     spec = RingSpec.make(args.N, args.n)
-    kak._check_point_table(spec)
     if args.method == "full":
         S = kak.full_set(spec)
     elif args.method == "tangent":
@@ -128,6 +128,7 @@ def cmd_kakeya_verify(args) -> int:
 
 
 def cmd_kakeya_minsearch(args) -> int:
+    kak._check_point_table(args.N, args.n)
     spec = RingSpec.make(args.N, args.n)
     optimum, S = kak.min_kakeya_search(spec, cap=args.guard)
     print(f"minimum Kakeya size over ({args.N})^{args.n}: {optimum}")

@@ -135,16 +135,14 @@ def _work_type(p: int):
     raise OverflowError(f"elimination over F_{p} can wrap int64")
 
 
-def _echelon(a: np.ndarray, p: int):
-    """Row echelon form mod p with unit pivots, of a with entries in [0, p).
-
-    Returns (E, pivots), E in the working type `_work_type(p)` and pivots a
-    list of (row, col) pairs in elimination order.  Each pivot clears its
-    column in the rows below it only; rows above are untouched.
+def _echelon(a: np.ndarray, p: int) -> int:
+    """Rank mod p of a, entries in [0, p): the pivot count of its row
+    echelon form with unit pivots, reduced in a copy of the working type
+    `_work_type(p)`.  Each pivot clears its column in the rows below it
+    only; rows above are untouched.
     """
     E = a.astype(_work_type(p), order="C")
     m, n = E.shape
-    pivots = []
     r = 0
     for c in range(n):
         if r == m:
@@ -161,9 +159,8 @@ def _echelon(a: np.ndarray, p: int):
             # fancy indexing copies the multipliers before E changes
             f = E[below, c]
             E[below, c:] = (E[below, c:] - f[:, None] * E[r, c:]) % p
-        pivots.append((r, c))
         r += 1
-    return E, pivots
+    return r
 
 
 def _row_factors(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -326,7 +323,7 @@ def rank(M: GFpMatrix | PackedRows) -> int:
     `_packed_basis_size` at 3 <= p <= 11.
     """
     if not _packs(M.p):
-        return len(_echelon(M.a, M.p)[1])
+        return _echelon(M.a, M.p)
     if isinstance(M, GFpMatrix):
         M = PackedRows(M.p, M.cols, _pack_rows(M.a, M.p))
     if M.p == 2:

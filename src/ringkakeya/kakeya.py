@@ -2,8 +2,9 @@
 matrix, an exhaustive minimum-size oracle, and JSON serialization.
 
 A Kakeya set is held as int64 tables: its points, and one witness line per
-projective direction, given by the line's least point; every constructor
-fills the tables directly and its output passes verify().
+projective direction, given by the line's least point.  KakeyaSet takes
+the tables as they are; every construction and the loader fill them
+whole, and each construction's output passes verify().
 """
 
 from __future__ import annotations
@@ -30,24 +31,17 @@ MINSEARCH_COMBO_GUARD = 20_000_000
 
 class KakeyaSet:
     """A point set over (Z/NZ)^n with a witness line per direction, held as
-    tables: `_points`, the (m, n) int64 points, unique and in natural
-    (lexicographic) order, and per direction in enumeration order `_has`,
-    whether it has a witness line, and `_bases`, that line's least point.
-    KakeyaSet(spec, points, witness) takes tuples and {Direction: Line},
-    keeping in `_strays` the directions of lines that point elsewhere; the
-    views `points` and `witness` give them back, built when first read."""
+    tables.  KakeyaSet(spec, points, bases, has=None) takes `points`, the
+    (m, n) int64 points, unique and in natural (lexicographic) order, and
+    per direction in enumeration order `bases`, the least point of its
+    witness line, and `has`, whether it has one (default: every direction).
+    The read-only views `points` and `witness` give them back as tuples and
+    {Direction: Line}, built when first read."""
 
-    def __init__(self, spec: RingSpec, points, witness):
-        dirs = spec.directions
-        rows = spec.dir_index[point_index(_int_rows((d.rep for d in witness), spec.n),
-                                          spec)].tolist()
-        lines = {i: line for i, line in zip(rows, witness.values()) if i >= 0}
-        self.spec, self._points = spec, _unique_rows(_int_rows(points, spec.n), spec)
-        self._has = np.isin(np.arange(len(dirs)), list(lines))
-        self._bases = np.zeros_like(spec.dir_reps)
-        self._bases[list(lines)] = _int_rows((line.base for line in lines.values()), spec.n)
-        self._strays = {i: line.direction for i, line in lines.items()
-                        if line.direction != dirs[i]}
+    def __init__(self, spec: RingSpec, points: np.ndarray, bases: np.ndarray,
+                 has: np.ndarray | None = None):
+        self.spec, self._points, self._bases = spec, points, bases
+        self._has = np.ones(len(bases), dtype=bool) if has is None else has
 
     @property
     def size(self) -> int:
@@ -60,20 +54,8 @@ class KakeyaSet:
     @cached_property
     def witness(self) -> MappingProxyType:
         dirs, rows = self.spec.directions, np.flatnonzero(self._has).tolist()
-        return MappingProxyType({
-            dirs[i]: Line(base=tuple(b), direction=self._strays.get(i, dirs[i]))
-            for i, b in zip(rows, self._bases[rows].tolist())})
-
-
-def _assemble(spec: RingSpec, points: np.ndarray, bases: np.ndarray,
-              has: np.ndarray | None = None) -> KakeyaSet:
-    """The set of points, (m, n) rows unique and in natural order, with a
-    witness line through its least point, the matching row of bases, in
-    each direction that the mask has marks (default: in every one)."""
-    S = KakeyaSet.__new__(KakeyaSet)
-    S.spec, S._points, S._bases, S._strays = spec, points, bases, {}
-    S._has = np.ones(len(bases), dtype=bool) if has is None else has
-    return S
+        return MappingProxyType({dirs[i]: Line(base=tuple(b), direction=dirs[i])
+                                 for i, b in zip(rows, self._bases[rows].tolist())})
 
 
 def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
@@ -87,20 +69,16 @@ def verify(S: KakeyaSet) -> tuple[bool, list[str]]:
 
 
 def _verify(S: KakeyaSet) -> tuple[list[str], np.ndarray]:
-    """verify's problems, and the `_witness_indices` of the directions whose
-    witness line points in them, in enumeration order: of every direction
-    when there is no problem."""
+    """verify's problems, and the `_witness_indices` of the directions with
+    a witness line, in enumeration order: of every direction when there is
+    no problem."""
     spec, reps = S.spec, S.spec.dir_reps
-    good = S._has.copy()
-    good[list(S._strays)] = False
-    keys = np.flatnonzero(good)
+    keys = np.flatnonzero(S._has)
     pts = _progression(S._bases[keys], reps[keys], spec.N)
     idx = point_index(pts, spec)
     inside = _indicator(S._points, spec)[idx]
     problems = {i: f"direction {_rep(reps, i)}: no witness line"
                 for i in np.flatnonzero(~S._has).tolist()}
-    problems.update({i: f"direction {_rep(reps, i)}: witness line points in {d.rep}"
-                     for i, d in S._strays.items()})
     for r in np.flatnonzero(~inside.all(axis=1)).tolist():
         problems[keys[r]] = (f"direction {_rep(reps, keys[r])}: line point "
                              f"{_rep(pts[r], inside[r].argmin())} not in the set")
@@ -110,10 +88,6 @@ def _verify(S: KakeyaSet) -> tuple[list[str], np.ndarray]:
 def _rep(rows: np.ndarray, i) -> tuple:
     """Row i as a tuple of Python ints."""
     return tuple(rows[i].tolist())
-
-
-def _int_rows(vectors, n: int) -> np.ndarray:
-    return np.array(list(vectors), dtype=np.int64).reshape(-1, n)
 
 
 def _unique_rows(rows: np.ndarray, spec: RingSpec) -> np.ndarray:
@@ -148,18 +122,20 @@ def _witness_indices(S: KakeyaSet) -> np.ndarray:
     return point_index(_progression(_witness_bases(S), spec.dir_reps, spec.N), spec)
 
 
-def _check_point_table(spec: RingSpec) -> None:
-    """Before any allocation: OverflowError where the N^n point indices wrap
-    int64, GuardExceeded where the N^n x n table passes DEFAULT_CELL_GUARD."""
-    _radix(spec.N, spec.n)
-    _check_guard(f"point table of (Z/{spec.N})^{spec.n}", spec.num_points,
-                 spec.n, DEFAULT_CELL_GUARD)
+def _check_point_table(N: int, n: int) -> None:
+    """Before N is factored or anything allocated: OverflowError where the
+    N^n point indices wrap int64, GuardExceeded where the N^n x n table
+    passes DEFAULT_CELL_GUARD.  N < 2 and n < 1 pass, for RingSpec.make to
+    name."""
+    if N >= 2 and n >= 1:
+        _radix(N, n)
+        _check_guard(f"point table of (Z/{N})^{n}", N**n, n, DEFAULT_CELL_GUARD)
 
 
 def full_set(spec: RingSpec) -> KakeyaSet:
     """All of R^n, witnessed by the line through the origin per direction:
     the origin is the least point of every line through it."""
-    return _assemble(spec, spec.points, np.zeros_like(spec.dir_reps))
+    return KakeyaSet(spec, spec.points, np.zeros_like(spec.dir_reps))
 
 
 def tangent_construction(p: int, n: int) -> KakeyaSet:
@@ -186,7 +162,7 @@ def tangent_construction(p: int, n: int) -> KakeyaSet:
     b = reps * _inverses(reps[np.arange(len(reps)), last], p)[:, None] % p
     bases = np.where(np.arange(n) < last[:, None],
                      -(b * b % p) * pow(4, -1, p) % p, 0)
-    return _assemble(spec, x[member], _least_bases(bases, reps, spec))
+    return KakeyaSet(spec, x[member], _least_bases(bases, reps, spec))
 
 
 def crt_product(sets, spec: RingSpec) -> KakeyaSet:
@@ -209,7 +185,7 @@ def crt_product(sets, spec: RingSpec) -> KakeyaSet:
     combos = np.unravel_index(np.arange(len(spec.dir_reps)),
                               [len(fs.dir_reps) for fs in fspecs])
     bases = crt_combine([_witness_bases(S)[js] for S, js in zip(sets, combos)], spec)
-    return _assemble(spec, spec.points[inside[spec.crt_order]],
+    return KakeyaSet(spec, spec.points[inside[spec.crt_order]],
                      _least_bases(bases, spec.dir_reps, spec))
 
 
@@ -229,8 +205,8 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
     if t == 1:
         return S
     spec, n = S.spec, S.spec.n
+    _check_point_table(spec.N, t * n)
     big = RingSpec.make(spec.N, t * n)
-    _check_point_table(big)
     pts = S._points
     points = pts[np.indices((len(pts),) * t).reshape(t, -1).T].reshape(-1, t * n)
     blocks = []
@@ -239,7 +215,7 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
         blocks.append(np.where(comps.any(axis=2, keepdims=True), comps, fs.dir_reps[0]))
     block_reps = _canonical(crt_combine(blocks, spec).reshape(-1, n), spec)
     bases = _witness_bases(S, spec.dir_index[point_index(block_reps, spec)])
-    return _assemble(big, points, _least_bases(bases.reshape(-1, t * n), big.dir_reps, big))
+    return KakeyaSet(big, points, _least_bases(bases.reshape(-1, t * n), big.dir_reps, big))
 
 
 def line_matrix(S: KakeyaSet) -> GFpMatrix:
@@ -308,7 +284,7 @@ def min_kakeya_search(
     built, _check_point_table, the line table's cell guard and the cap on
     combinations of N^(n-1) lines per direction may refuse, in that order.
     """
-    _check_point_table(spec)
+    _check_point_table(spec.N, spec.n)
     directions = prod((q**spec.n - (q // p)**spec.n) // (q - q // p)
                       for p, q in zip(spec.primes, spec.factor_moduli))
     _check_guard(f"line table of (Z/{spec.N})^{spec.n}", directions * spec.num_points,
@@ -337,7 +313,7 @@ def min_kakeya_search(
     dfs(0, 0, [])
     chosen = np.array([b[ci] for b, ci in zip(bases, best_choice)])
     idx = table[np.arange(len(masks)), chosen]
-    S = _assemble(spec, spec.points[np.unique(idx)], spec.points[chosen])
+    S = KakeyaSet(spec, spec.points[np.unique(idx)], spec.points[chosen])
     ok, problems = verify(S)
     if not ok:
         raise AssertionError(f"search produced an invalid set: {problems[:3]}")
@@ -371,13 +347,14 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
     integer, a coordinate list has the wrong length, a point coordinate
     lies outside [0, N), the ring is not supported, a direction is invalid
     or (with check) the set fails verification; the ring's point table
-    passes _check_point_table before any line is built.  Each list is
+    passes _check_point_table before N is factored.  Each list is
     checked whole, and only a refused one is walked entry by entry, to name
     its first bad entry.  A later witness of a direction replaces an
     earlier one.
     """
     with malformed_input("Kakeya set"):
         N, n = json_ints([data["N"], data["n"]], 2, "N and n")
+        _check_point_table(N, n)
         spec = RingSpec.make(N, n)
         rows = list(data["points"])
         if not _int_lists(rows, n):
@@ -398,14 +375,14 @@ def from_json_dict(data: dict, check: bool = True) -> KakeyaSet:
                 json_ints(entry["dir"], n, "direction")
                 json_ints(entry["base"], n, "base")
         reps = _canonical(vecs, spec)
-        _check_point_table(spec)
         # per direction, its last entry
         last = np.full(len(spec.dir_reps), -1)
         np.maximum.at(last, spec.dir_index[point_index(reps, spec)], np.arange(len(reps)))
         has, last = last >= 0, last[last >= 0]
         table = np.zeros_like(spec.dir_reps)
         table[has] = _least_bases(_residue_rows(bases, spec)[last], reps[last], spec)
-    S = _assemble(spec, _unique_rows(_int_rows(rows, n), spec), table, has)
+    S = KakeyaSet(spec, _unique_rows(np.array(rows, dtype=np.int64).reshape(-1, n), spec),
+                  table, has)
     if check:
         ok, problems = verify(S)
         if not ok:

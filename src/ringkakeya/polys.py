@@ -212,7 +212,10 @@ def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np
     _check_guard(what.format("output"), L * k_rows, p**n * width, DEFAULT_CELL_GUARD)
     _check_guard(what.format("elimination stack"), L * (p * width + k_rows),
                  dim_homog(n, k * p - 1) + p * width, DEFAULT_CELL_GUARD)
-    return _decoders(lines, spec, k, m, eval_matrix(p, n, spec.points, max(m, k), k * p - 1))
+    bases = np.array([line.base for line in lines], dtype=np.int64).reshape(-1, n)
+    reps = np.array([line.direction.rep for line in lines], dtype=np.int64).reshape(-1, n)
+    E = eval_matrix(p, n, spec.points, max(m, k), k * p - 1)
+    return _decoders(bases, reps, spec, k, m, E)
 
 
 def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
@@ -220,24 +223,23 @@ def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) ->
     return GFpMatrix(spec.N, decoding_matrices([line], spec, k, m)[0])
 
 
-def _decoders(lines, spec: RingSpec, k: int, m: int, E: GFpMatrix) -> np.ndarray:
-    """`decoding_matrices` on E, the `eval_matrix` table of order >= m, k at
-    every point of F_p^n: one `_row_factors` stack with a member per line,
-    from the order-< m rows of its points to the order-< k rows of its
+def _decoders(bases, reps, spec: RingSpec, k: int, m: int, E: GFpMatrix) -> np.ndarray:
+    """`decoding_matrices` of the lines base + t*rep, rows of the (L, n)
+    int64 tables bases and reps, on E, the `eval_matrix` table of order >=
+    m, k at every point of F_p^n: one `_row_factors` stack with a member per
+    line, from the order-< m rows of its points to the order-< k rows of its
     direction point."""
     p, n = spec.N, spec.n
     width, k_rows = dim_leq(n, m - 1), dim_leq(n, k - 1)
     E3 = E.a.reshape(p**n, -1, E.cols)
-    bases = np.array([line.base for line in lines], dtype=np.int64).reshape(-1, n)
-    reps = np.array([line.direction.rep for line in lines], dtype=np.int64).reshape(-1, n)
     idx = point_index(_progression(bases, reps, p), spec)
     try:
         C = _row_factors(E3[idx, :width].reshape(len(idx), p * width, E.cols),
                          E3[point_index(reps, spec), :k_rows], p)
     except RowFactorError as exc:
-        line = lines[exc.member]
-        raise RowFactorError(f"decoding matrix for line base={line.base} "
-                             f"direction={line.direction.rep} k={k} m={m}: {exc}") from exc
+        base, rep = (tuple(a[exc.member].tolist()) for a in (bases, reps))
+        raise RowFactorError(f"decoding matrix for line base={base} "
+                             f"direction={rep} k={k} m={m}: {exc}") from exc
     out = np.zeros((len(idx), k_rows, p**n, width), dtype=np.int64)
     out[np.arange(len(idx))[:, None], :, idx] = (
         C.reshape(len(idx), k_rows, p, width).transpose(0, 2, 1, 3))

@@ -4,18 +4,26 @@ import signal
 import numpy as np
 import pytest
 
-from ringkakeya import KakeyaSet, Line, RowFactorError, enumerate_directions, full_set, line_points
-from ringkakeya.kakeya import _lines_in_direction
+from ringkakeya import KakeyaSet, Line, RowFactorError, enumerate_directions, line_points
+from ringkakeya.kakeya import _lines_in_direction, from_json_dict
+
+
+def set_from_lines(spec, points, witness) -> KakeyaSet:
+    """The set of point tuples with witness lines {Direction: Line}, each
+    filed under its direction, loaded as its file and not verified."""
+    return from_json_dict({
+        "N": spec.N, "n": spec.n, "points": [list(pt) for pt in points],
+        "witness": [{"dir": list(d.rep), "base": list(line.base)}
+                    for d, line in witness.items()],
+    }, check=False)
 
 
 def random_full_witness(spec, seed: int) -> KakeyaSet:
     """The full point set with a randomly chosen witness line per direction."""
     rng = random.Random(seed)
-    S = full_set(spec)
-    witness = {}
-    for d in enumerate_directions(spec):
-        witness[d] = rng.choice(_lines_in_direction(d, spec))
-    return KakeyaSet(spec=spec, points=S.points, witness=witness)
+    witness = {d: rng.choice(_lines_in_direction(d, spec))
+               for d in enumerate_directions(spec)}
+    return set_from_lines(spec, map(tuple, spec.points.tolist()), witness)
 
 
 def random_witness_set(spec, rng: random.Random) -> KakeyaSet:
@@ -25,7 +33,7 @@ def random_witness_set(spec, rng: random.Random) -> KakeyaSet:
         base = tuple(rng.randrange(spec.N) for _ in range(spec.n))
         witness[d] = Line.through(base, d, spec)
         points.update(map(tuple, line_points(witness[d], spec).tolist()))
-    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
+    return set_from_lines(spec, points, witness)
 
 
 @pytest.fixture

@@ -496,6 +496,9 @@ MALFORMED_SETS = {
     "minus-one": ('{"N": 3, "n": 2, "points": [[0, 0], [2, -1], [1, -1]], '
                   '"witness": []}',
                   "malformed Kakeya set: point [1, -1] lies outside [0, 3)^2"),
+    # (-10^10)^2 passes 2^63, but the modulus is refused before the point table
+    "negative-modulus": ('{"N": -10000000000, "n": 2, "points": [], "witness": []}',
+                         "malformed Kakeya set: modulus must be >= 2, got -10000000000"),
 }
 MALFORMED_FAMILIES = {
     "empty": ("{}", "missing key 'p'"),

@@ -23,9 +23,7 @@ from ringkakeya import (
 )
 from ringkakeya.kakeya import (
     MINSEARCH_COMBO_GUARD,
-    _assemble,
     _index_masks,
-    _int_rows,
     _lines_in_direction,
     _orbit_cuts,
     from_json_dict,
@@ -40,7 +38,7 @@ from ringkakeya.selftest import (
     tangent_within_envelope,
 )
 
-from conftest import random_full_witness
+from conftest import random_full_witness, set_from_lines
 
 
 def test_full_set_sizes_and_validity():
@@ -57,20 +55,13 @@ def test_verify_reports_missing_direction():
     d = enumerate_directions(spec)[1]
     removed = S.witness[d]
     victim = tuple(line_points(removed, spec)[0].tolist())
-    broken = KakeyaSet(
-        spec=spec,
-        points=frozenset(S.points - {victim}),
-        witness=S.witness,
-    )
+    broken = set_from_lines(spec, S.points - {victim}, S.witness)
     ok, problems = verify(broken)
     assert not ok
     assert any(str(d.rep) in msg for msg in problems)
 
-    missing = KakeyaSet(
-        spec=spec,
-        points=S.points,
-        witness={k: v for k, v in S.witness.items() if k != d},
-    )
+    missing = set_from_lines(spec, S.points,
+                             {k: v for k, v in S.witness.items() if k != d})
     ok, problems = verify(missing)
     assert not ok
     assert any("no witness" in msg for msg in problems)
@@ -220,10 +211,11 @@ def reference_min_kakeya_search(spec, cap=MINSEARCH_COMBO_GUARD):
             dfs(idx + 1, union | mask, choice + [ci])
 
     dfs(1, masks[0][0], [0])
-    bases = _int_rows([cands[ci].base for cands, ci in zip(candidates, best_choice)], spec.n)
+    bases = np.array([cands[ci].base for cands, ci in zip(candidates, best_choice)],
+                     dtype=np.int64).reshape(-1, spec.n)
     idx = point_index([line_points(cands[ci], spec)
                        for cands, ci in zip(candidates, best_choice)], spec)
-    return best_size, _assemble(spec, spec.points[np.unique(idx)], bases)
+    return best_size, KakeyaSet(spec, spec.points[np.unique(idx)], bases)
 
 
 def _small_rings():
@@ -278,7 +270,7 @@ def test_min_search_cap_refuses_before_any_line(monkeypatch):
 
 
 def _cuts(spec):
-    return _orbit_cuts(spec, _int_rows((d.rep for d in enumerate_directions(spec)), spec.n))
+    return _orbit_cuts(spec, np.array([d.rep for d in enumerate_directions(spec)]))
 
 
 @pytest.mark.parametrize("N,n", _small_rings())

@@ -105,14 +105,13 @@ def ref_certify_two_primes(S):
         "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n),
         incidence_matrix(p, n).a,
     ).reshape(len(dirs), -1))
-    lines, ind_q = _split_witnesses(spec, 0, _witness_indices(S))
-    comps = np.array([rep for _, rep in lines], dtype=np.int64)
+    _, comps, ind_q = _split_witnesses(spec, 0, _witness_indices(S))
     hyper = comps @ spec_p.points.T % p != 0
     row_identity = np.array_equal(
         prod.a, (hyper[:, :, None] * ind_q[:, None, :]).reshape(len(dirs), -1)
     )
     q_lines = {}
-    for (_, rep), row in zip(lines, ind_q):
+    for rep, row in zip(map(tuple, comps.tolist()), ind_q):
         q_lines.setdefault(rep, []).append(row)
     certified, rank_MS = rank(prod), rank(MS)
     dim_V = rank(GFpMatrix(p, hyper[np.unique(comps, axis=0, return_index=True)[1]]))

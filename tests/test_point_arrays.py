@@ -13,6 +13,7 @@ point and direction by direction, and the loader's loop over witnesses.
 
 import functools
 import json
+import random
 import tracemalloc
 from itertools import product
 from math import gcd
@@ -22,7 +23,6 @@ import pytest
 
 from ringkakeya import (
     Direction,
-    KakeyaSet,
     Line,
     RingSpec,
     crt_combine,
@@ -36,14 +36,15 @@ from ringkakeya import (
     tangent_construction,
     verify,
 )
-from ringkakeya.bounds import _require_valid, _split_witnesses
+from ringkakeya import bounds
+from ringkakeya.bounds import _require_valid, _split_witnesses, certify_squarefree
 from ringkakeya.cli import main
 from ringkakeya.errors import VerificationError
 from ringkakeya.kakeya import (
     _lines_in_direction, _witness_indices, from_json_dict, to_json_dict,
 )
 
-from conftest import random_full_witness
+from conftest import random_full_witness, random_witness_set, set_from_lines
 
 RINGS = [
     (7, 2), (5, 3),                  # prime
@@ -167,7 +168,7 @@ def ref_tangent_construction(p, n):
         return pts, witness
 
     pts, witness = build(n)
-    return KakeyaSet(spec=spec, points=frozenset(pts), witness=witness)
+    return set_from_lines(spec, pts, witness)
 
 
 def ref_crt_product(sets, spec):
@@ -183,7 +184,7 @@ def ref_crt_product(sets, spec):
         base = tuple(ref_crt_combine([b[j] for b in bases], spec)
                      for j in range(spec.n))
         witness[d] = ref_line_through(base, d, spec)
-    return KakeyaSet(spec=spec, points=frozenset(points), witness=witness)
+    return set_from_lines(spec, points, witness)
 
 
 def ref_power_product(S, t):
@@ -204,7 +205,7 @@ def ref_power_product(S, t):
                         for j in range(n))
             bases.append(S.witness[ref_from_vector(vec, spec)].base)
         witness[D] = ref_line_through(sum(bases, ()), D, big)
-    return KakeyaSet(spec=big, points=frozenset(points), witness=witness)
+    return set_from_lines(big, points, witness)
 
 
 def ref_load_witness(data):
@@ -260,10 +261,6 @@ def ref_verify(S):
         if line is None:
             problems.append(f"direction {d.rep}: no witness line")
             continue
-        if line.direction != d:
-            problems.append(
-                f"direction {d.rep}: witness line points in {line.direction.rep}")
-            continue
         missing = [pt for pt in ref_line_points(line, S.spec) if pt not in S.points]
         if missing:
             problems.append(f"direction {d.rep}: line point {missing[0]} not in the set")
@@ -285,24 +282,17 @@ def _python_ints(lines):
 
 
 def _broken_sets(S):
-    """Missing witness, wrong-direction witness, missing point, and all
-    three at once (on different directions where there are several)."""
+    """Missing witness, missing point, and both at once (on different
+    directions where there are several)."""
     dirs = enumerate_directions(S.spec)
     no_witness = {d: w for d, w in S.witness.items() if d != dirs[-1]}
-    wrong = dict(S.witness)
-    if len(dirs) > 1:
-        wrong[dirs[0]] = S.witness[dirs[1]]
-    else:
-        zero = (0,) * S.spec.n
-        wrong[dirs[0]] = Line(S.witness[dirs[0]].base, Direction(zero, (zero,)))
     victim = ref_line_points(S.witness[dirs[-1]], S.spec)[-1]
     fewer = S.points - {victim}
-    all_three = {d: w for d, w in wrong.items() if d != dirs[len(dirs) // 2]}
+    both = {d: w for d, w in S.witness.items() if d != dirs[len(dirs) // 2]}
     return [
-        KakeyaSet(S.spec, S.points, no_witness),
-        KakeyaSet(S.spec, S.points, wrong),
-        KakeyaSet(S.spec, fewer, S.witness),
-        KakeyaSet(S.spec, fewer, all_three),
+        set_from_lines(S.spec, S.points, no_witness),
+        set_from_lines(S.spec, fewer, S.witness),
+        set_from_lines(S.spec, fewer, both),
     ]
 
 
@@ -349,12 +339,36 @@ def test_residual_rows_match_kron_of_indicators(N, n):
     for seed in (1, 2):
         S = random_full_witness(spec, seed)
         for pivot in range(spec.r):
-            got = list(zip(*_split_witnesses(spec, pivot, _witness_indices(S))))
+            bases, reps, rows = _split_witnesses(spec, pivot, _witness_indices(S))
             want = ref_split_witnesses(S, pivot)
-            assert [L for L, _ in got] == [(L.base, L.direction.rep) for L, _ in want]
-            assert all(map(_is_int_tuple, (v for L, _ in got for v in L)))
-            for (_, row), (_, ref_row) in zip(got, want):
+            assert bases.tolist() == [list(L.base) for L, _ in want]
+            assert reps.tolist() == [list(L.direction.rep) for L, _ in want]
+            assert len(rows) == len(want)
+            for row, (_, ref_row) in zip(rows, want):
                 assert np.array_equal(row, ref_row)
+
+
+def test_one_decoder_per_distinct_pivot_line(monkeypatch):
+    # the square-free certificate solves one decoder per distinct (base,
+    # rep) pivot line, and the family ranks that CI checks stay as they were
+    real_decoders, counts = bounds._decoders, []
+
+    def recording_decoders(bases, reps, *args):
+        counts.append(len(bases))
+        return real_decoders(bases, reps, *args)
+
+    monkeypatch.setattr(bounds, "_decoders", recording_decoders)
+    spec = RingSpec.make(15, 2)
+    cases = [(random_witness_set(spec, random.Random(seed)), None) for seed in (1, 2, 3)]
+    cases += [(_tangent_product(15, 2), 72), (_tangent_product(10, 3), 609)]
+    for S, crank_family in cases:
+        counts.clear()
+        report = certify_squarefree(S)
+        lines = {(L.base, L.direction.rep) for L, _ in ref_split_witnesses(S, 0)}
+        assert counts == [len(lines)] and len(lines) < len(S.spec.dir_reps)
+        assert report.passed
+        if crank_family is not None:
+            assert report.quantities["crank_family"] == crank_family
 
 
 @pytest.mark.parametrize("N,n", RINGS, ids=map(_ring_id, RINGS))
@@ -395,10 +409,9 @@ def test_constructed_and_loaded_lines_hold_python_ints():
 
 
 def test_entry_paths_agree():
-    # a set comes in from a constructor, from objects or from a file
+    # a set comes in from a constructor or from a file
     for S in _entry_sets():
-        paths = [S, KakeyaSet(S.spec, S.points, S.witness),
-                 from_json_dict(to_json_dict(S))]
+        paths = [S, from_json_dict(to_json_dict(S))]
         idx = _witness_indices(S)
         for T in paths:
             assert np.array_equal(_require_valid(T), idx)
@@ -581,9 +594,25 @@ def test_crt_arithmetic_refuses_rings_that_could_wrap_int64(tmp_path, capsys):
         Direction.from_vector((1,), spec)
     with pytest.raises(OverflowError):
         crt_combine((1, 1), spec)
+    # every such ring has over 2^31 points, so a file of one is refused by
+    # its point table, before N is factored or its CRT is taken
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"N": spec.N, "n": 1, "points": [],
                                 "witness": [{"dir": [1], "base": [0]}]}))
     assert main(["kakeya", "verify", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "wrap int64" in err
+    assert err.count("\n") == 1 and f"point table of (Z/{spec.N})^1" in err
+
+
+@pytest.mark.parametrize("argv", [["kakeya", "verify"], ["certify", "--pipeline", "prime"],
+                                  ["kakeya", "power"]],
+                         ids=["verify", "certify", "power"])
+def test_large_prime_ring_is_refused_before_factoring(tmp_path, capsys, deadline, argv):
+    # trial division would take minutes to find 2^61 - 1 prime
+    N = 2**61 - 1
+    path = tmp_path / "mersenne.json"
+    path.write_text(json.dumps({"N": N, "n": 1, "points": [], "witness": []}))
+    assert main(argv + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"point table of (Z/{N})^1: {N} x 1 = {N} cells exceeds the guard" in err

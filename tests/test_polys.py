@@ -193,7 +193,7 @@ def test_decoding_matrix_small_m_fails_loudly():
     spec = RingSpec.make(2, 2)
     d = enumerate_directions(spec)[0]
     line = Line.through((0, 0), d, spec)
-    with pytest.raises(RowFactorError):
+    with pytest.raises(RowFactorError, match=r"line base=\(0, 0\) direction=\(0, 1\) k=2 m=1"):
         decoding_matrix(line, spec, 2, m=1)
 
 
