@@ -115,8 +115,7 @@ def _pivot_product(S: KakeyaSet, guard: int):
     idx = _require_valid(S)
     spec = S.spec
     p, n, D = spec.primes[0], spec.n, len(idx)
-    _check_guard(f"line matrix of (Z/{spec.N})^{n}", D, spec.num_points, guard)
-    MS = _line_matrix(spec, idx)
+    MS = _line_matrix(spec, idx, guard)
     spec_p = spec.factor_specs()[0]
     ys = spec_p.dir_reps
     _check_float_product(p**n)
@@ -183,6 +182,15 @@ def certify_two_primes(
     checks that rank against the tensor-span bound dim V · min rank B: V
     spans the complement-hyperplane rows of the distinct pivot directions,
     and B is the residual rows of the directions sharing one of them.
+
+    dim V is C(p+n-2, n-1) whatever S is.  Over F_p, H_c(y) = <c, y>^{p-1} =
+    Σ_{|α|=p-1} (p-1 choose α)·c^α·y^α, each coefficient a unit as p-1 < p.
+    The forms y^α are independent on F_p^n (exponents below p), zero at 0
+    and unchanged by y ↦ λ·y, so independent on the direction reps.  So H
+    over the D_p directions is A·B, A[c, α] = (p-1 choose α)·c^α and B[α, y]
+    = y^α, each of full rank C(p+n-2, n-1), and every pivot direction
+    occurs.  Each product row lies in V ⊗ F_p^{m^n}, so `certified` is at
+    most min(#directions, C(p+n-2, n-1)·m^n).
     """
     spec = S.spec
     if spec.kind != "square-free":
@@ -404,16 +412,17 @@ def certify_prime_power(
     """Prime-power certificate via the character-table (Fourier) product,
     q = p^k, with one row per unit orbit of (Z/q)^n.
 
-    Each non-zero x is u·p^j·b for a unit u, a direction b and some j < k,
-    and the vectors p^j·b (j = 0..k) are equal exactly when they share an
-    orbit.  Row p^j·b is the sub-progression {a + p^j·t·b} of b's witness
-    line a + t·b, so it lies in S.  Its product with the character table
-    must be p^{k-j}·γ^{<a, y>} where <p^j·b, y> = 0, and 0 elsewhere;
-    AssertionError otherwise.  Every γ^e is non-zero, so the product's zero
-    pattern is then W on one row per orbit, whose F_p rank is rank W.  The
-    chain |S| >= rank_Q(M') = rank_Q(γ)(M'·F) >= rank_cyclo >= rank_Fp(W),
-    M' the sub-progression rows and F the table, is re-verified with one
-    F_ℓ image of the rows divided by p^{k-j} that reaches rank W.
+    Each orbit holds one point x = p^j·b of `RingSpec.unit_orbits`, b a
+    direction and j its valuation; the least such b is x/p^j, and the
+    origin (j = k) takes the first direction.  Row x is the sub-progression
+    {a + p^j·t·b} of b's witness line a + t·b, so it lies in S.  Its
+    product with the character table must be p^{k-j}·γ^{<a, y>} where
+    <x, y> = 0, and 0 elsewhere; AssertionError otherwise.  Every γ^e is
+    non-zero, so the product's zero pattern is then W on one row per orbit,
+    whose F_p rank is rank W.  The chain |S| >= rank_Q(M') = rank_Q(γ)(M'·F)
+    >= rank_cyclo >= rank_Fp(W), M' the sub-progression rows and F the
+    table, is re-verified with one F_ℓ image of the rows divided by p^{k-j}
+    that reaches rank W.
     """
     spec = S.spec
     if not spec.is_prime_power:
@@ -421,10 +430,10 @@ def certify_prime_power(
     witness = _require_valid(S)
     p, kk = spec.factors[0]
     q, n, pts = spec.N, spec.n, spec.points
-    reps = spec.dir_reps
-    x, first = np.unique(np.concatenate([p**j * reps % q for j in range(kk + 1)]),
-                         axis=0, return_index=True)
-    js, d = np.divmod(first, len(reps))
+    orbits, js = spec.unit_orbits
+    x = pts[orbits]
+    d = spec.dir_index[point_index(x // p ** js[:, None], spec)]
+    d[js == kk] = 0
     # dft_product's exponent histogram (q points per row) is the largest
     # array: W's orbit rows have q^n cells each, q times fewer
     _check_guard(f"DFT exponent histogram of (Z/{q})^{n}", len(x) * q,

@@ -37,18 +37,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RowFactorError
+from .rings import factorize
 
 
 @functools.cache
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether m is prime, by `factorize` and its GuardExceeded."""
+    return m >= 2 and factorize(m) == ((m, 1),)
 
 
 class GFpMatrix:

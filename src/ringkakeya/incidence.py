@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DEFAULT_CELL_GUARD, _check_guard, json_ints, malformed_input
 from .gfp import GFpMatrix, _bitmasks, is_prime
-from .rings import RingSpec, point_index
+from .rings import RingSpec
 
 
 def incidence_matrix(p: int, n: int, guard: int = DEFAULT_CELL_GUARD) -> GFpMatrix:
@@ -61,11 +61,10 @@ def incidence_quotient(
     """W_{p^k,n} on one point per unit orbit, with the F_p rank of W.
 
     For a unit u of Z/qZ, <u·x, y> = 0 exactly when <x, y> = 0, so x and u·x
-    have equal rows and columns (selftest `unit_scaling_fixes_rows`).  A
-    point's orbit id is the least mixed-radix index of u·x over the units u;
-    the rows are the points at the distinct ids, in increasing order.  The
-    guard counts the q^n × n point table first, then the quotient;
-    OverflowError if an id or an inner product could wrap int64.
+    have equal rows and columns (selftest `unit_scaling_fixes_rows`).  The
+    rows are the orbit points p^j·b of `RingSpec.unit_orbits`, in natural
+    order.  The guard counts the q^n × n point table first, then the
+    quotient; OverflowError if an index or an inner product could wrap int64.
     """
     _check_ring(p, k, n)
     q = p**k
@@ -73,12 +72,7 @@ def incidence_quotient(
     if max(q**n, n * (q - 1) ** 2) >= 2**63:
         raise OverflowError(f"int64 arithmetic over (Z/{q})^{n} can wrap")
     spec = RingSpec.make(q, n)
-    pts = spec.points
-    ids = point_index(pts, spec)
-    for u in range(2, q):
-        if u % p:
-            np.minimum(ids, point_index(u * pts % q, spec), out=ids)
-    reps = pts[np.unique(ids)]
+    reps = spec.points[spec.unit_orbits[0]]
     _check_guard(f"unit-orbit quotient of W_{{{q},{n}}}", len(reps), len(reps),
                  guard)
     return GFpMatrix(p, reps @ reps.T % q == 0)

@@ -5,9 +5,10 @@ builds, once, the read-only table `points` of all N^n points, the
 read-only permutation `crt_order` and the direction table: `dir_reps`,
 one canonical representative per row in enumeration order, its per-factor
 `dir_components`, and `dir_index`, the row of each canonical rep by its
-point index.  `directions` is the same table as small frozen dataclasses
-whose fields are tuples of Python ints; `Direction` and `Line` objects are
-for callers that want one vector or line at a time.
+point index; for N = p^k, `unit_orbits` holds one point per unit orbit.
+`directions` is the direction table as small frozen dataclasses of Python
+ints; `Direction` and `Line` objects are for callers that want one vector
+or line at a time.
 
 Three array rules, one row per vector or line, serve every caller:
 `_canonical` (behind `Direction.from_vector`) scales a vector, modulo each
@@ -40,21 +41,28 @@ from math import prod
 
 import numpy as np
 
+from .errors import GuardExceeded
+
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
-    """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing."""
+    """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing, by
+    trial division below 2^22: every N below 2^44 factors, and GuardExceeded
+    names N where a cofactor of 2^44 or more is left unsettled."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     factors = []
     m, d = N, 2
-    while d * d <= m:
+    while d * d <= m and d < 2**22:
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             factors.append((d, e))
-        d += 1
+        d += 2 if d > 2 else 1  # 2, then odd divisors
+    if d * d <= m:
+        raise GuardExceeded(f"factoring {N}: trial division stops at 2^22 "
+                            f"with the cofactor {m} unsettled")
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)
@@ -153,12 +161,8 @@ class RingSpec:
         enumeration order: for a single factor, lexicographic; for several,
         the Cartesian product of the factor lists, first factor most
         significant."""
-        if self.is_prime_power:
-            # canonical: the first unit coordinate is 1; where there is no
-            # unit coordinate argmax picks coordinate 0, a non-unit
-            unit = self.points % self.primes[0] != 0
-            lead = self.points[np.arange(self.num_points), unit.argmax(axis=1)]
-            return (_read_only(self.points[lead == 1]),)
+        if self.is_prime_power:  # canonical: the first unit coordinate is 1
+            return (_read_only(self.points[_leads(self.points, self.primes[0]) == 1]),)
         tables = [fs.dir_reps for fs in self.factor_specs()]
         combos = np.indices([len(t) for t in tables]).reshape(self.r, -1)
         return tuple(_read_only(t[js]) for t, js in zip(tables, combos))
@@ -176,6 +180,18 @@ class RingSpec:
         lookup = np.full(self.num_points, -1, dtype=np.int64)
         lookup[point_index(self.dir_reps, self)] = np.arange(len(self.dir_reps))
         return _read_only(lookup)
+
+    @cached_property
+    def unit_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """For N = p^k, one point x = p^j·b per orbit of x ↦ u·x (u a unit,
+        b canonical, j = k at the origin): the natural indices, increasing,
+        and the valuations j.  x's first coordinate of valuation j is p^j."""
+        p, k = self.factors[0]
+        g = np.gcd(np.gcd.reduce(self.points, axis=1), self.N)  # p^j
+        keep = _leads(self.points // g[:, None], p) == 1
+        keep[0] = True  # the origin, whose x/p^k is 0
+        idx = _read_only(np.flatnonzero(keep))
+        return idx, _read_only(np.searchsorted(p ** np.arange(k + 1), g[idx]))
 
     @cached_property
     def directions(self) -> tuple["Direction", ...]:
@@ -206,6 +222,11 @@ def _radix(N: int, n: int) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _leads(rows: np.ndarray, p: int) -> np.ndarray:
+    """Each row's first entry prime to p, or its entry 0 where it has none."""
+    return rows[np.arange(len(rows)), (rows % p != 0).argmax(axis=1)]
 
 
 def crt_combine(residues, spec: RingSpec):
@@ -266,9 +287,8 @@ def _canonical(vectors, spec: RingSpec) -> np.ndarray:
     spec._idempotents  # OverflowError before any arithmetic
     v = _residue_rows(vectors, spec)
     residues = [v % q for q in spec.factor_moduli]
-    # argmax picks coordinate 0, a non-unit, where a row has no unit
-    leads = np.array([r[np.arange(len(v)), (r % p != 0).argmax(axis=1)]
-                      for r, p in zip(residues, spec.primes)]).reshape(spec.r, -1)
+    leads = np.array([_leads(r, p) for r, p in zip(residues, spec.primes)]
+                     ).reshape(spec.r, -1)
     invalid = leads % np.array(spec.primes)[:, None] == 0
     if invalid.any():
         i = int(invalid.any(axis=0).argmax())

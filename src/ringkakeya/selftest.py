@@ -1,7 +1,7 @@
 """Named property suites over every module, runnable from the CLI.
 
 Each property has one implementation here.  `ringkakeya selftest` and
-pytest run the same 78 checks (ring 17, gfp 6, cyclotomic 20, polyspace 5,
+pytest run the same 79 checks (ring 17, gfp 7, cyclotomic 20, polyspace 5,
 incidence 10, kakeya 13, bounds 7): `tests/test_cli.py::test_selftest_suite`
 runs every suite, and the module tests and acceptance criteria call single
 checks at their own seeds or inputs.  A check that draws random instances

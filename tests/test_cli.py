@@ -305,6 +305,26 @@ def test_mv_search_guard_refuses_before_listing_vectors(tmp_path, capsys):
     assert code == 3 and out == "" and len(err.splitlines()) == 1
 
 
+M61 = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--N", M61, "--n", "1"], ["mv", "search", "--p", M61, "--n", "1"],
+], ids=["bound", "mv-search"])
+def test_trial_division_refuses_a_large_prime(capsys, deadline, argv):
+    # trial division to sqrt(2^61 - 1) would take about 1.5 * 10^9 steps
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"factoring {M61}: trial division stops at 2^22 with the "
+                   f"cofactor {M61} unsettled\n")
+
+
+def test_wrank_refuses_a_large_prime_in_its_row(capsys, deadline):
+    code, out, err = run(capsys, "wrank", "--p", M61, "--n", "1")
+    assert (code, err) == (3, "")
+    assert [row["refused"] for row in json.loads(out)] == [True]
+
+
 def test_construct_refusal_names_the_point_table(capsys):
     code, out, err = run(capsys, "kakeya", "construct", "--N", "6", "--n", "12")
     assert code == 3 and out == ""
@@ -496,6 +516,18 @@ MALFORMED_SETS = {
     "minus-one": ('{"N": 3, "n": 2, "points": [[0, 0], [2, -1], [1, -1]], '
                   '"witness": []}',
                   "malformed Kakeya set: point [1, -1] lies outside [0, 3)^2"),
+    # a refused witness list is walked entry by entry, to name its first bad
+    # entry
+    "no-dir": ('{"N": 3, "n": 2, "points": [], "witness": [{"base": [0, 0]}]}',
+               "malformed Kakeya set: missing key 'dir'"),
+    "list-entry": ('{"N": 3, "n": 2, "points": [], "witness": [[0, 1]]}',
+                   "malformed Kakeya set: list indices must be integers or slices, not str"),
+    "short-dir": ('{"N": 3, "n": 2, "points": [], "witness": '
+                  '[{"dir": [0], "base": [0, 0]}]}',
+                  "malformed Kakeya set: direction [0] is not a list of 2 integers"),
+    "bool-base": ('{"N": 3, "n": 2, "points": [], "witness": '
+                  '[{"dir": [1, 0], "base": [0, true]}]}',
+                  "malformed Kakeya set: base [0, True] is not a list of 2 integers"),
     # (-10^10)^2 passes 2^63, but the modulus is refused before the point table
     "negative-modulus": ('{"N": -10000000000, "n": 2, "points": [], "witness": []}',
                          "malformed Kakeya set: modulus must be >= 2, got -10000000000"),

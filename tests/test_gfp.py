@@ -65,6 +65,18 @@ def span_size_rank(M):
     return r
 
 
+def test_is_prime_matches_a_trial_division_loop():
+    def trial(m):
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                return False
+            d += 1
+        return m >= 2
+
+    assert [is_prime(m) for m in range(10**4)] == [trial(m) for m in range(10**4)]
+
+
 def test_rank_examples():
     assert rank(GFpMatrix.identity(5, 3)) == 3
     assert rank(GFpMatrix(7, np.zeros((3, 4)))) == 0

@@ -1,5 +1,6 @@
 """Kakeya set constructions, the line matrix, and the minimum-size oracle."""
 
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -131,6 +132,20 @@ def test_line_matrix_row_support_and_rank_size():
     M = line_matrix(T)
     assert all(row.sum() == 3 for row in M.a)
     assert rank(M) <= T.size
+
+
+def test_line_matrix_refuses_past_the_guard():
+    # 2821 x 27000 int64 cells would take about 609 MB
+    S = full_set(RingSpec.make(30, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=r"^line matrix of \(Z/30\)\^3: "
+                                                r"2821 x 27000 = 76167000 cells"):
+            line_matrix(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
 
 
 def brute_min_kakeya(spec):

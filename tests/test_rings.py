@@ -5,6 +5,7 @@ import pytest
 
 from ringkakeya import (
     Direction,
+    GuardExceeded,
     Line,
     RingSpec,
     crt_combine,
@@ -13,6 +14,7 @@ from ringkakeya import (
     line_split,
     point_index,
 )
+from ringkakeya.rings import factorize
 from ringkakeya.selftest import direction_classes, line_crt_product, point_index_bijection
 
 
@@ -196,3 +198,39 @@ def test_line_indicator_is_tensor_of_components():
 
 def test_crt_product_of_line_points():
     assert line_crt_product(6) and line_crt_product(15)
+
+
+def test_factorize_stops_trial_division_at_2_22(deadline):
+    big = 2**22 - 3  # the largest prime below 2^22
+    assert factorize(big * big) == ((big, 2),)  # below 2^44: settled
+    assert factorize(2**61) == ((2, 61),)
+    N = 6 * (2**61 - 1)
+    with pytest.raises(GuardExceeded, match=f"^factoring {N}: .* cofactor "
+                                            f"{2**61 - 1} unsettled$"):
+        factorize(N)
+
+
+ORBIT_RINGS = [(p, k, n) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 7)
+               for n in range(1, 5) if (p**k) ** n <= 200_000]
+
+
+def orbits_by_direction(spec):
+    """Per unit orbit, in natural order of its point: the point p^j·b, j and
+    the least direction row b, by listing p^j·b over every direction b and
+    j = 0..k and keeping first occurrences."""
+    (p, k), reps = spec.factors[0], spec.dir_reps
+    x, first = np.unique(np.concatenate([p**j * reps % spec.N for j in range(k + 1)]),
+                         axis=0, return_index=True)
+    return (x, *np.divmod(first, len(reps)))
+
+
+@pytest.mark.parametrize("p,k,n", ORBIT_RINGS)
+def test_unit_orbits_match_the_direction_listing(p, k, n):
+    spec = RingSpec.make(p**k, n)
+    orbits, js = spec.unit_orbits
+    x, want_j, want_d = orbits_by_direction(spec)
+    assert np.array_equal(spec.points[orbits], x) and np.array_equal(js, want_j)
+    # the least b of p^j·b = x is x/p^j; the origin's is the first direction
+    d = spec.dir_index[point_index(x // p ** js[:, None], spec)]
+    assert np.array_equal(np.where(js == k, 0, d), want_d)
+    assert not orbits.flags.writeable and not js.flags.writeable
