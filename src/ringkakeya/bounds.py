@@ -9,9 +9,12 @@ each inequality is an assertion between computed numbers.
 
 `prime` and `two-primes` share one product, `_pivot_product`: over F_p,
 p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p}
-on W_p's distinct non-zero columns, one per direction of (Z/p)^n, with
-one row identity and one guard; `prime` is the case N = p, with rank W
-the closed form `rank_formula`.  `square-free` reads its decoders and point
+on W_p's distinct non-zero columns, one per direction of (Z/p)^n.  By the
+CRT split each row is (pivot line · W_p) ⊗ residual line, so the rows are
+built from these two factors, the pivot one checked witness by witness,
+and ranked as packed rows; no dense line matrix is multiplied, and one
+guard counts its cells.  `prime` is the case N = p, with rank W the
+closed form `rank_formula`.  `square-free` reads its decoders and point
 evaluations off one evaluation table of the pivot field.
 `prime-power` multiplies sub-progressions of the witness lines, one per
 unit orbit of (Z/p^k)^n, by the character table, and certifies rank W
@@ -20,7 +23,9 @@ with one F_p rank and one F_ℓ image that reaches it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,11 +33,9 @@ import numpy as np
 
 from .cyclo import dft_product, rank_cyclo, reduction_matrix
 from .errors import DEFAULT_CELL_GUARD, VerificationError, _check_guard, _json_value
-from .gfp import (
-    GFpMatrix, PackedRows, _check_float_product, _check_product, _pack_rows, _packs, rank,
-)
+from .gfp import GFpMatrix, PackedRows, _check_product, _pack_rows, _packs, rank
 from .incidence import rank_formula
-from .kakeya import KakeyaSet, _line_matrix, _verify
+from .kakeya import KakeyaSet, _verify
 from .polys import _decoders, dim_homog, dim_leq, eval_matrix
 from .rings import RingSpec, _least_bases, point_index
 
@@ -98,40 +101,52 @@ def _require_valid(S: KakeyaSet) -> np.ndarray:
 
 
 def _pivot_product(S: KakeyaSet, guard: int):
-    """M_S·(W_p ⊗ I_m) over F_p on W_p's distinct columns, p the least
-    prime of square-free N and m = N/p, with its row identity checked.
+    """The F_p ranks of M_S and of M_S·(W_p ⊗ I_m), p the least prime of
+    square-free N and m = N/p, the product on W_p's distinct columns.
 
     Column u·y of W_p equals column y (u a unit), and column 0 maps a row
     to p times its residual row, so the direction reps ys of (Z/p)^n keep
-    the rank.  The p^n × |ys| table [<x, y> = 0] acts on the pivot index of
-    M_S's CRT-major columns: one batched product, (directions, |ys|, m^n),
-    in float64, exact since its entries are 0/1 and its sums at most p^n.
-    Row i must be H_i, the complement-hyperplane row over ys of the pivot
-    component c_i of direction i, ⊗ its witness line's `_residual_rows`
-    row; AssertionError otherwise.  GuardExceeded first when the line
-    matrix, the largest array, would exceed guard cells.  Returns the ranks
-    of M_S and the product, the indices of the c_i in (Z/p)^n, H and rows.
+    the rank.  CRT split: for a line L = {a + t·d}, t ↦ (t mod p, t mod m)
+    is a bijection Z/N → Z/p × Z/m, so ind(L) = ind(L mod p) ⊗ ind(L mod m)
+    in CRT-major order, and ind(L)·(W_p ⊗ I_m) = (ind(L mod p)·W_p) ⊗
+    ind(L mod m).  Points t = 0..p-1 of witness line i, reduced mod p, are
+    its pivot line; their rows of the p^n × |ys| table [<x, y> = 0] must
+    sum mod p to H_i, the complement-hyperplane row over ys of its pivot
+    component c_i (AssertionError otherwise), and its residual factor is
+    its `_residual_rows` row.  The product rows H_i ⊗ rows_i are one bool
+    table; M_S is taken from the point indices in natural column order, a
+    column permutation.  GuardExceeded first, before anything is built,
+    past guard line-matrix cells.  Returns the ranks of M_S and the
+    product, the indices of the c_i in (Z/p)^n, H and the residual rows.
     """
     idx = _require_valid(S)
     spec = S.spec
-    p, n, D = spec.primes[0], spec.n, len(idx)
-    MS = _line_matrix(spec, idx, guard)
+    p, D = spec.primes[0], len(idx)
+    _check_guard(f"line matrix of (Z/{spec.N})^{spec.n}", D, spec.num_points, guard)
     spec_p = spec.factor_specs()[0]
     ys = spec_p.dir_reps
-    _check_float_product(p**n)
-    table = (spec_p.points @ ys.T % p == 0).astype(np.float64)
-    prod = (table.T @ MS.a.reshape(D, p**n, -1).astype(np.float64)
-            ).astype(np.min_scalar_type(p**n)) % p
     comps = spec.dir_components[0]
     H = comps @ ys.T % p != 0
-    if spec.r == 1:  # no rest: row i is H_i alone
-        rows = np.ones((D, 1), dtype=np.int64)
-    else:
-        rows = _residual_rows(spec, 0, spec.points[idx])
-    if not np.array_equal(prod, H[:, :, None] * rows[:, None, :]):
+    table = spec_p.points @ ys.T % p == 0
+    pts = spec.points[idx]
+    if not np.array_equal(table[point_index(pts[:, :p] % p, spec_p)].sum(axis=1) % p, H):
         raise AssertionError("pivot row identity failed (internal bug)")
-    return (rank(MS), rank(GFpMatrix(p, prod.reshape(D, -1))),
-            point_index(comps, spec_p), H, rows)
+    if spec.r == 1:  # no rest: row i is H_i alone
+        rows = np.ones((D, 1), dtype=bool)
+    else:
+        rows = _residual_rows(spec, 0, pts)
+    MS = np.zeros((D, spec.num_points), dtype=bool)
+    MS[np.arange(D)[:, None], idx] = True
+    prod = (H[:, :, None] & rows[:, None, :]).reshape(D, -1)
+    return (_rank_01(p, MS), _rank_01(p, prod), point_index(comps, spec_p), H, rows)
+
+
+def _rank_01(p: int, a: np.ndarray) -> int:
+    """F_p rank of the bool table a, packed once where `rank` packs rows,
+    without an int64 copy; as a GFpMatrix for p >= 13."""
+    if _packs(p):
+        return rank(PackedRows(p, a.shape[1], _pack_rows(a, p)))
+    return rank(GFpMatrix(p, a))
 
 
 def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
@@ -332,21 +347,28 @@ def certify_squarefree(
 def _group_rank_sizes(p: int, pivots, rows: np.ndarray, modulus: int):
     """Over the groups of 0/1 residual rows of equal pivot (one hashable
     key per row): the least F_p rank, the least union size, and whether
-    every group's rank is at least ⌈its union / modulus⌉."""
+    every group's rank is at least ⌈its union / modulus⌉.
+
+    The rows are packed once.  A 0/1 row packs to one set bit per entry,
+    bit j at p = 2 and byte j at odd p (for p >= 13 only the unions use
+    them; the ranks take a GFpMatrix), so a group's union is the bit count
+    of the OR of its ints."""
     groups: dict = {}
     for i, pivot in enumerate(pivots):
         groups.setdefault(pivot, []).append(i)
+    ints = _pack_rows(rows, p)
     ranks, unions = [], []
     for group in groups.values():
-        block = rows[group]
-        ranks.append(rank(GFpMatrix(p, block)))
-        unions.append(int(np.count_nonzero(block.any(axis=0))))
+        block = [ints[i] for i in group]
+        ranks.append(rank(PackedRows(p, rows.shape[1], block) if _packs(p)
+                          else GFpMatrix(p, rows[group])))
+        unions.append(functools.reduce(operator.or_, block).bit_count())
     ok = all(r >= math.ceil(u / modulus) for r, u in zip(ranks, unions))
     return min(ranks), min(unions), ok
 
 
 def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
-    """(lines, (N/p)^n) rows, p the factor-`pivot` prime and pts the
+    """(lines, (N/p)^n) bool rows, p the factor-`pivot` prime and pts the
     (lines, N, n) points of lines over (Z/N)^n with at least two primes.
 
     Reduced mod N0 = N/p, a line is the CRT product of its components other
@@ -354,9 +376,9 @@ def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
     Kronecker product of their indicators."""
     N0 = spec.N // spec.primes[pivot]
     spec0 = RingSpec.make(N0, spec.n)
-    rows = np.zeros((len(pts), spec0.num_points), dtype=np.int64)
+    rows = np.zeros((len(pts), spec0.num_points), dtype=bool)
     cols = spec0.crt_order[point_index(pts % N0, spec0)]
-    rows[np.arange(len(pts))[:, None], cols] = 1
+    rows[np.arange(len(pts))[:, None], cols] = True
     return rows
 
 

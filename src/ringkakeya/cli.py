@@ -69,7 +69,8 @@ def cmd_wrank(args) -> int:
                 t0 = time.monotonic()
                 try:
                     W = incidence_quotient(p, k, n, guard=args.guard)
-                except GuardExceeded:
+                except GuardExceeded as exc:
+                    print(str(exc), file=sys.stderr)
                     row["refused"] = True
                     refused = True
                     rows.append(row)

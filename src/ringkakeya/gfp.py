@@ -37,13 +37,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RowFactorError
-from .rings import factorize
+from .rings import _trial_division
 
 
 @functools.cache
 def is_prime(m: int) -> bool:
-    """Whether m is prime, by `factorize` and its GuardExceeded."""
-    return m >= 2 and factorize(m) == ((m, 1),)
+    """Whether m is prime: whether `rings._trial_division` yields m first.
+    A composite is rejected at its first factor below 2^22, so only an m
+    the division cannot settle raises its GuardExceeded."""
+    return m >= 2 and next(_trial_division(m)) == (m, 1)
 
 
 class GFpMatrix:
@@ -106,15 +108,6 @@ def _check_product(inner: int, p: int):
     if inner * (p - 1) ** 2 >= 2**63:
         raise OverflowError(
             f"a product with inner dimension {inner} over F_{p} can wrap int64"
-        )
-
-
-def _check_float_product(inner: int):
-    """OverflowError where a float64 product of 0/1 matrices with this inner
-    dimension could round: each sum is at most inner, exact below 2^53."""
-    if inner >= 2**53:
-        raise OverflowError(
-            f"a 0/1 product with inner dimension {inner} can round in float64"
         )
 
 
@@ -216,8 +209,9 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
 
 
 def _pack_rows(a: np.ndarray, p: int) -> list[int]:
-    """Each row of a, entries in [0, p) with p = 2 or 3 <= p <= 11, as one
-    Python int: entry j in bit j for p = 2 (`_bitmasks`), in byte j else."""
+    """Each row of a, entries in [0, p) and below 256, as one Python int:
+    entry j in bit j for p = 2 (`_bitmasks`), in byte j else.  `rank`
+    takes such rows at p = 2 and 3 <= p <= 11."""
     if p == 2:
         return _bitmasks(a)
     width = a.shape[1]

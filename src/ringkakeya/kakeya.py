@@ -221,15 +221,11 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
 def line_matrix(S: KakeyaSet) -> GFpMatrix:
     """0/1 matrix over F_p, p the least prime of N, with one row per
     direction (enumeration order), the row being the witness-line indicator
-    in CRT-major point column order; GuardExceeded past DEFAULT_CELL_GUARD
-    cells."""
-    return _line_matrix(S.spec, _witness_indices(S), DEFAULT_CELL_GUARD)
-
-
-def _line_matrix(spec: RingSpec, idx: np.ndarray, guard: int) -> GFpMatrix:
-    """line_matrix of the lines whose (lines, N) natural point indices are
-    idx; GuardExceeded, before it is built, past guard cells."""
-    _check_guard(f"line matrix of (Z/{spec.N})^{spec.n}", len(idx), spec.num_points, guard)
+    in CRT-major point column order; GuardExceeded, before it is built,
+    past DEFAULT_CELL_GUARD cells."""
+    spec, idx = S.spec, _witness_indices(S)
+    _check_guard(f"line matrix of (Z/{spec.N})^{spec.n}", len(idx), spec.num_points,
+                 DEFAULT_CELL_GUARD)
     M = np.zeros((len(idx), spec.num_points), dtype=np.int64)
     M[np.arange(len(idx))[:, None], spec.crt_order[idx]] = 1
     return GFpMatrix(spec.primes[0], M)

@@ -46,11 +46,17 @@ from .errors import GuardExceeded
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
     """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing, by
-    trial division below 2^22: every N below 2^44 factors, and GuardExceeded
-    names N where a cofactor of 2^44 or more is left unsettled."""
+    `_trial_division`: every N below 2^44 factors, and GuardExceeded names
+    N where a cofactor of 2^44 or more is left unsettled."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    factors = []
+    return tuple(_trial_division(N))
+
+
+def _trial_division(N: int):
+    """Yield the (prime, exponent) pairs of N ≥ 2, primes increasing, by
+    trial division below 2^22, each as soon as it is found; GuardExceeded
+    names N once a cofactor of 2^44 or more is left unsettled."""
     m, d = N, 2
     while d * d <= m and d < 2**22:
         if m % d == 0:
@@ -58,14 +64,13 @@ def factorize(N: int) -> tuple[tuple[int, int], ...]:
             while m % d == 0:
                 m //= d
                 e += 1
-            factors.append((d, e))
+            yield d, e
         d += 2 if d > 2 else 1  # 2, then odd divisors
     if d * d <= m:
         raise GuardExceeded(f"factoring {N}: trial division stops at 2^22 "
                             f"with the cofactor {m} unsettled")
     if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+        yield m, 1
 
 
 @dataclass(frozen=True)

@@ -321,8 +321,44 @@ def test_trial_division_refuses_a_large_prime(capsys, deadline, argv):
 
 def test_wrank_refuses_a_large_prime_in_its_row(capsys, deadline):
     code, out, err = run(capsys, "wrank", "--p", M61, "--n", "1")
-    assert (code, err) == (3, "")
+    assert code == 3
+    assert err == (f"factoring {M61}: trial division stops at 2^22 with the "
+                   f"cofactor {M61} unsettled\n")
     assert [row["refused"] for row in json.loads(out)] == [True]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "7", "--n", "2", "--guard", "10"],
+     "point table of (Z/7)^2: 49 x 2 = 98 cells exceeds the guard of 10\n"),
+    (["--p", "2", "--k", "3", "--n", "2", "--guard", "200"],
+     "unit-orbit quotient of W_{8,2}: 22 x 22 = 484 cells exceeds the guard of 200\n"),
+], ids=["point-table", "quotient"])
+def test_wrank_names_each_refusal_on_stderr(capsys, argv, message):
+    code, out, err = run(capsys, "wrank", *argv)
+    assert (code, err) == (3, message)
+    assert [row["refused"] for row in json.loads(out)] == [True]
+
+
+def test_wrank_writes_one_stderr_line_per_refused_row(capsys):
+    code, out, err = run(capsys, "wrank", "--p", "3,7", "--n", "1,2", "--guard", "20")
+    assert code == 3
+    assert [row["refused"] for row in json.loads(out)] == [False, True, False, True]
+    assert err.splitlines() == [
+        "unit-orbit quotient of W_{3,2}: 5 x 5 = 25 cells exceeds the guard of 20",
+        "point table of (Z/7)^2: 49 x 2 = 98 cells exceeds the guard of 20",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wrank", "--p", str(2 * (2**61 - 1)), "--n", "1"],
+    ["mv", "search", "--p", str(2 * (2**61 - 1)), "--n", "1"],
+], ids=["wrank", "mv-search"])
+def test_a_composite_with_a_large_cofactor_is_not_prime(capsys, deadline, argv):
+    # the trial division finds the 2 and stops there, leaving 2^61 - 1,
+    # which it cannot settle, alone
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"characteristic {2 * (2**61 - 1)} is not prime\n"
 
 
 def test_construct_refusal_names_the_point_table(capsys):

@@ -77,6 +77,15 @@ def test_is_prime_matches_a_trial_division_loop():
     assert [is_prime(m) for m in range(10**4)] == [trial(m) for m in range(10**4)]
 
 
+def test_is_prime_rejects_a_composite_whose_cofactor_it_cannot_settle(deadline):
+    from ringkakeya import GuardExceeded
+
+    m61 = 2**61 - 1
+    assert not is_prime(2 * m61) and not is_prime(3 * m61)
+    with pytest.raises(GuardExceeded, match=f"^factoring {m61}: "):
+        is_prime(m61)
+
+
 def test_rank_examples():
     assert rank(GFpMatrix.identity(5, 3)) == 3
     assert rank(GFpMatrix(7, np.zeros((3, 4)))) == 0

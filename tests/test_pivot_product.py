@@ -12,6 +12,7 @@ checked against M_S·(W_p ⊗ I_m) built with `kron`.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from ringkakeya.rings import enumerate_directions
 
 from conftest import random_full_witness
 
-PRIME_RINGS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]
+# (13, 2) and (17, 2) take the GFpMatrix branch: no packed rank above p = 11
+PRIME_RINGS = [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3),
+               (13, 2), (17, 2)]
 TWO_PRIME_RINGS = [(6, 1), (15, 1), (6, 2), (10, 2), (15, 2), (21, 2), (10, 3)]
 
 
@@ -156,11 +159,40 @@ def test_two_primes_report_matches_einsum_product(N, n):
 
 def test_group_rank_sizes_groups_by_pivot_index():
     # pivot 0: rows 0 and 2, rank 2, union 4; pivot 5: rows 1 and 3, rank 1,
-    # union 2
-    rows = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0]])
+    # union 2; the unions come from packed bits (p = 2) or bytes (p = 3, and
+    # p = 13, where the ranks take a GFpMatrix)
+    rows = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=bool)
     pivots = [0, 5, 0, 5]
-    assert _group_rank_sizes(2, pivots, rows, 2) == (1, 2, True)
-    assert _group_rank_sizes(2, pivots, rows, 1) == (1, 2, False)
+    for p in (2, 3, 13):
+        assert _group_rank_sizes(p, pivots, rows, 2) == (1, 2, True)
+        assert _group_rank_sizes(p, pivots, rows, 1) == (1, 2, False)
+
+
+def test_a_corrupted_pivot_table_fails_the_row_identity(monkeypatch):
+    # over (Z/6)^2 the points of F_2^2 serve only the pivot table [<x, y> = 0]:
+    # swapping two of its rows gives some pivot line a wrong row sum
+    spec = RingSpec.make(6, 2)
+    S = full_set(spec)
+    assert certify_two_primes(S).passed
+    spec_p = spec.factor_specs()[0]
+    swapped = spec_p.points[[0, 2, 1, 3]]
+    monkeypatch.setitem(spec_p.__dict__, "points", swapped)
+    with pytest.raises(AssertionError, match="^pivot row identity failed"):
+        certify_two_primes(S)
+
+
+def test_two_primes_builds_no_dense_line_matrix():
+    # one int64 copy of the 217 x 1000 line matrix of (Z/10)^3 is 1,736,000
+    # bytes; the product is built from its pivot and residual factors
+    S = full_set(RingSpec.make(10, 3))
+    certify_two_primes(S)  # the ring's cached tables
+    tracemalloc.start()
+    try:
+        assert certify_two_primes(S).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 217 * 1000 * 8
 
 
 @pytest.mark.parametrize("N,n,want", [(30, 2, 48), (42, 2, 64)])
