@@ -15,7 +15,10 @@ built from these two factors, the pivot one checked witness by witness,
 and ranked as packed rows; no dense line matrix is multiplied, and one
 guard counts its cells.  `prime` is the case N = p, with rank W the
 closed form `rank_formula`.  `square-free` reads its decoders and point
-evaluations off one evaluation table of the pivot field.
+evaluations off one evaluation table of the pivot field, built once per
+process (`_pivot_eval_matrix`, the last 4 kept), as each `RingSpec` is (the
+last 64 rings); the decoders are solved on every call, nothing derived from
+a Kakeya set is kept and every rank is taken again.
 `prime-power` multiplies sub-progressions of the witness lines, one per
 unit orbit of (Z/p^k)^n, by the character table, and certifies rank W
 with one F_p rank and one F_ℓ image that reaches it.
@@ -37,7 +40,7 @@ from .gfp import GFpMatrix, PackedRows, _check_product, _pack_rows, _packs, rank
 from .incidence import rank_formula
 from .kakeya import KakeyaSet, _verify
 from .polys import _decoders, dim_homog, dim_leq, eval_matrix
-from .rings import RingSpec, _least_bases, point_index
+from .rings import RingSpec, _least_bases, _read_only, point_index
 
 
 @dataclass
@@ -240,6 +243,19 @@ def certify_two_primes(
     )
 
 
+EVAL_CACHE_SIZE = 4  # a certify-squarefree pass uses 2 pivot fields
+
+
+@functools.lru_cache(maxsize=EVAL_CACHE_SIZE)
+def _pivot_eval_matrix(p: int, n: int, m: int, degree: int, guard: int) -> GFpMatrix:
+    """The read-only `eval_matrix` of order m and degree `degree` at every
+    point of F_p^n, counted against guard and built once per process for
+    each argument tuple; a refusal raises and is not kept."""
+    E = eval_matrix(p, n, RingSpec.make(p, n).points, m, degree, guard)
+    _read_only(E.a)
+    return E
+
+
 def certify_squarefree(
     S: KakeyaSet,
     k: int | None = None,
@@ -291,7 +307,7 @@ def certify_squarefree(
                  len(spec.dir_reps) * dim_leq(n, k - 1), p1**n * Delta * N0**n, guard)
 
     # point x owns table rows x·Delta onward, order-< k first: D[x] is D_x
-    E = eval_matrix(p1, n, spec1.points, m, d_hom)
+    E = _pivot_eval_matrix(p1, n, m, d_hom, guard)
     D = E.a.reshape(p1**n, Delta, -1)[:, :dim_leq(n, k - 1)]
     bases, reps, rows0 = _split_witnesses(spec, pividx, idx)
     dir_idx = point_index(reps, spec1)

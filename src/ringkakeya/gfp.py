@@ -36,16 +36,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RowFactorError
-from .rings import _trial_division
+from .errors import DEFAULT_CELL_GUARD, RowFactorError, _check_guard
+from .rings import _prime_powers
 
 
 @functools.cache
 def is_prime(m: int) -> bool:
-    """Whether m is prime: whether `rings._trial_division` yields m first.
+    """Whether m is prime: whether `rings._prime_powers` yields m first.
     A composite is rejected at its first factor below 2^22, so only an m
-    the division cannot settle raises its GuardExceeded."""
-    return m >= 2 and next(_trial_division(m)) == (m, 1)
+    the division cannot settle raises its GuardExceeded, which later calls
+    replay without dividing again."""
+    return m >= 2 and next(_prime_powers(m)) == (m, 1)
 
 
 class GFpMatrix:
@@ -321,9 +322,12 @@ def rank(M: GFpMatrix | PackedRows) -> int:
 
 
 def kron(A: GFpMatrix, B: GFpMatrix) -> GFpMatrix:
-    """Kronecker product; pair (r1, r2) flattens to r1 * rows(B) + r2."""
+    """Kronecker product; pair (r1, r2) flattens to r1 * rows(B) + r2.
+    GuardExceeded before anything is built past the default cell guard."""
     if A.p != B.p:
         raise ValueError("characteristic mismatch")
+    _check_guard(f"Kronecker product over F_{A.p}", A.rows * B.rows,
+                 A.cols * B.cols, DEFAULT_CELL_GUARD)
     return GFpMatrix(A.p, np.kron(A.a, B.a) % A.p)
 
 

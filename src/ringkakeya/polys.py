@@ -165,17 +165,22 @@ def sz_mult_check(f: GFpPoly, U) -> tuple[int, int, bool]:
     return total, bound, total <= bound
 
 
-def eval_matrix(p: int, n: int, points, m: int, degree: int) -> GFpMatrix:
+def eval_matrix(p: int, n: int, points, m: int, degree: int,
+                guard: int = DEFAULT_CELL_GUARD) -> GFpMatrix:
     """Evaluations of the Hasse derivatives of weight < m of the homogeneous
     degree-`degree` monomials at `points`.
 
     Row point_index * dim_leq(n, m-1) + derivative index, column monomial
     index.  The entry at (x, j, a) is prod_i C(a_i, j_i) x_i^(a_i - j_i)
     mod p, read off a Lucas binomial table and a power table.
+    GuardExceeded before any monomial is listed past guard cells; a
+    certificate passes its own guard.
     """
+    X = np.array(points, dtype=np.int64).reshape(-1, n) % p
+    _check_guard(f"evaluation table over F_{p}^{n} at order {m}, degree {degree}",
+                 len(X) * dim_leq(n, m - 1), dim_homog(n, degree), guard)
     A = np.array(monomials_homog(n, degree), dtype=np.int64).reshape(-1, n)
     J = np.array(deriv_indices(n, m), dtype=np.int64).reshape(-1, n)
-    X = np.array(points, dtype=np.int64).reshape(-1, n) % p
     binom = np.array([[binom_mod(a, j, p) for j in range(m)]
                       for a in range(degree + 1)], dtype=np.int64)
     power = np.array([[pow(x, e, p) for e in range(degree + 1)]

@@ -35,8 +35,9 @@ factor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -46,11 +47,33 @@ from .errors import GuardExceeded
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
     """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing, by
-    `_trial_division`: every N below 2^44 factors, and GuardExceeded names
+    `_prime_powers`: every N below 2^44 factors, and GuardExceeded names
     N where a cofactor of 2^44 or more is left unsettled."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    return tuple(_trial_division(N))
+    return tuple(_prime_powers(N))
+
+
+# N -> (the pairs found before the refusal, its message), once per process
+_UNSETTLED: dict[int, tuple[tuple[tuple[int, int], ...], str]] = {}
+
+
+def _prime_powers(N: int):
+    """`_trial_division` of N, its refusal remembered: an N it could not
+    settle yields the same pairs and raises the same GuardExceeded again
+    without a second division."""
+    if N in _UNSETTLED:
+        found, message = _UNSETTLED[N]
+        yield from found
+        raise GuardExceeded(message)
+    found = []
+    try:
+        for pair in _trial_division(N):
+            found.append(pair)
+            yield pair
+    except GuardExceeded as exc:
+        _UNSETTLED[N] = (tuple(found), str(exc))
+        raise
 
 
 def _trial_division(N: int):
@@ -80,6 +103,11 @@ class RingSpec:
     Supported kinds: "prime" (N = p), "prime-power" (N = p^k, k >= 2) and
     "square-free" (N a product of >= 2 distinct primes).  Mixed composite
     moduli such as 12 = 2^2 * 3 are rejected.
+
+    `make` returns one spec per (N, n) per process, the last
+    `SPEC_CACHE_SIZE` (64) kept, so each cached table is built once per
+    ring and is read-only; a refusal is not kept.  A spec holds tables of
+    the ring alone, nothing derived from a Kakeya set.
     """
 
     N: int
@@ -89,19 +117,8 @@ class RingSpec:
 
     @classmethod
     def make(cls, N: int, n: int) -> "RingSpec":
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        factors = factorize(N)
-        if len(factors) == 1:
-            p, e = factors[0]
-            kind = "prime" if e == 1 else "prime-power"
-        elif all(e == 1 for _, e in factors):
-            kind = "square-free"
-        else:
-            raise ValueError(
-                f"unsupported modulus {N}: composite with a repeated prime factor"
-            )
-        return cls(N=N, n=n, factors=factors, kind=kind)
+        """The spec of (Z/N)^n, N and n taken as Python ints first."""
+        return _make(operator.index(N), operator.index(n))
 
     def __post_init__(self):
         if prod(p**e for p, e in self.factors) != self.N:
@@ -213,6 +230,25 @@ class RingSpec:
             raise OverflowError(f"CRT arithmetic over Z/{self.N} can wrap int64")
         return tuple(self.N // q * pow(self.N // q, -1, q) % self.N
                      for q in self.factor_moduli)
+
+
+SPEC_CACHE_SIZE = 64  # above the 17 rings a rank-tables pass cycles through
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _make(N: int, n: int) -> RingSpec:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    factors = factorize(N)
+    if len(factors) == 1:
+        kind = "prime" if factors[0][1] == 1 else "prime-power"
+    elif all(e == 1 for _, e in factors):
+        kind = "square-free"
+    else:
+        raise ValueError(
+            f"unsupported modulus {N}: composite with a repeated prime factor"
+        )
+    return RingSpec(N=N, n=n, factors=factors, kind=kind)
 
 
 @cache

@@ -1,6 +1,7 @@
 """Exact linear algebra over F_p."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ringkakeya import (
     tangent_construction,
 )
 from ringkakeya import bounds, gfp
+from ringkakeya.errors import GuardExceeded
 from ringkakeya.gfp import PackedRows, _echelon, _pack_rows, is_prime
 from ringkakeya.selftest import (
     crank_multiplication_bound,
@@ -264,6 +266,20 @@ def test_kron_examples():
         GFpMatrix.identity(3, 6)
     with pytest.raises(ValueError):
         kron(GFpMatrix.identity(3, 2), GFpMatrix.identity(5, 2))
+
+
+def test_kron_refused_before_anything_is_built():
+    # 64 x 64 by 64 x 64 would be 16,777,216 int64 cells, 128 MiB
+    A = GFpMatrix.identity(3, 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=r"^Kronecker product over F_3: 4096 x "
+                           r"4096 = 16777216 cells exceeds the guard of 16000000$"):
+            kron(A, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_kron_mixed_product_identity():

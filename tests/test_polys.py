@@ -248,6 +248,23 @@ def test_decoding_matrices_small_m_raises_like_reference(p, n, k, m):
         decoding_matrices([line], spec, k, m)
 
 
+def test_eval_matrix_refused_before_anything_is_built():
+    # every point of F_5^3 at order 4, degree 30: 125·20 rows by the 496
+    # degree-30 monomials, 1,240,000 int64 cells
+    pts = RingSpec.make(5, 3).points
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=r"^evaluation table over F_5\^3 at order 4, "
+                           r"degree 30: 2500 x 496 = 1240000 cells exceeds the guard of "
+                           r"1239999$"):
+            eval_matrix(5, 3, pts, 4, 30, guard=1_239_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert eval_matrix(5, 3, pts, 4, 30, guard=1_240_000).rows == 2500
+
+
 def test_decoding_matrices_refused_before_anything_is_built():
     # over F_2^3 at k = 16 one line's output is 816 x 20800 cells; over F_2^2
     # at k = 40 the output, 820 x 7320, fits, and the elimination stack,
