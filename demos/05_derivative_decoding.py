@@ -16,7 +16,6 @@ from ringkakeya import (
     RingSpec,
     certify_squarefree,
     decoding_matrix,
-    enumerate_directions,
     full_set,
     hasse_derivative,
     multiplicity,
@@ -37,7 +36,7 @@ print(f"\nmultiplicity count for xy over F_3^2: {total} <= {bound} "
 
 print("\ndecoding matrix for a line in F_2^2 (k=2, so order cutoff m=3):")
 spec2 = RingSpec.make(2, 2)
-d = enumerate_directions(spec2)[2]
+d = spec2.directions[2]
 line = Line.through((0, 0), d, spec2)
 dm = decoding_matrix(line, spec2, 2)
 print(f"  direction {d.rep}, extents {dm.a.shape}; zero outside the "

@@ -19,6 +19,7 @@ import json
 import numpy as np
 
 from ringkakeya import (
+    GFpMatrix,
     RingSpec,
     certify_prime_power,
     dft_product,
@@ -27,7 +28,6 @@ from ringkakeya import (
     rank,
     rank_cyclo,
     reduction_matrix,
-    zero_pattern,
 )
 
 print("γ^e in the basis 1, γ, ..., γ^{φ-1}, for e = 0, ..., p^k - 1")
@@ -37,7 +37,7 @@ for p, k in [(2, 2), (3, 1), (2, 3), (3, 2)]:
 print("\nrank transfer on a hand-sized example over Q(i):")
 R = reduction_matrix(2, 2)  # 1, i, -1, -i
 M = np.array([[R[0], R[1]], [R[1], R[2]]])
-rank_q, rank_p = rank_cyclo(M, 2, 2), rank(zero_pattern(M, 2))
+rank_q, rank_p = rank_cyclo(M, 2, 2), rank(GFpMatrix(2, M.any(-1)))
 print(f"  [[1, i], [i, -1]]: rank over Q(i) = {rank_q}, "
       f"pattern rank over F_2 = {rank_p}, transfer holds: {rank_q >= rank_p}")
 

@@ -4,8 +4,9 @@ ranks, and machine-checkable lower-bound certificates.
 
 The names below are what the certificates, the CLI and the selftest run,
 plus the reference machinery the tests compare against (`GFpPoly`,
-`hasse_derivative`, `multiplicity`, `sz_mult_check`).  `rank` is the one
-rank over F_p; a family of matrices is ranked stacked."""
+`hasse_derivative`, `multiplicity`, `sz_mult_check`).  Each job has one
+name: `rank` is the one rank over F_p (a family is ranked stacked),
+`incidence_matrix_pk` the one dense W and `decoding_matrix` the one decoder."""
 
 from .bounds import (
     BoundReport,
@@ -21,7 +22,6 @@ from .cyclo import (
     rank_cyclo,
     rank_rational,
     reduction_matrix,
-    zero_pattern,
 )
 from .errors import GuardExceeded, RowFactorError
 from .gfp import (
@@ -32,7 +32,6 @@ from .gfp import (
 )
 from .incidence import (
     MVFamily,
-    incidence_matrix,
     incidence_matrix_pk,
     incidence_quotient,
     mv_search,
@@ -64,7 +63,6 @@ from .rings import (
     Line,
     RingSpec,
     crt_combine,
-    enumerate_directions,
     line_points,
     line_split,
     point_index,

@@ -126,7 +126,7 @@ def _pivot_product(S: KakeyaSet, guard: int):
     spec = S.spec
     p, D = spec.primes[0], len(idx)
     _check_guard(f"line matrix of (Z/{spec.N})^{spec.n}", D, spec.num_points, guard)
-    spec_p = spec.factor_specs()[0]
+    spec_p = spec.factor_specs[0]
     ys = spec_p.dir_reps
     comps = spec.dir_components[0]
     H = comps @ ys.T % p != 0
@@ -296,7 +296,7 @@ def certify_squarefree(
     pividx = spec.primes.index(p1)
     m = 2 * k - k // p1
     N0 = spec.N // p1
-    spec1 = spec.factor_specs()[pividx]
+    spec1 = spec.factor_specs[pividx]
 
     d_hom = k * p1 - 1
     delta_homog = dim_homog(n, d_hom)
@@ -404,7 +404,7 @@ def _split_witnesses(spec: RingSpec, pivot: int, idx: np.ndarray):
     order, idx their `_witness_indices`: a witness line reduced mod the
     pivot prime is its pivot component line, based at its point of least
     index."""
-    spec_p = spec.factor_specs()[pivot]
+    spec_p = spec.factor_specs[pivot]
     comps = spec.dir_components[pivot]
     pts = spec.points[idx]
     return (_least_bases(pts[:, 0] % spec_p.N, comps, spec_p), comps,

@@ -1,7 +1,7 @@
-"""Matrices over Z[γ], γ a primitive p^k-th root of unity: their exact
-rank, and the zero pattern over F_p that the rank transfer compares it
-with (rank over Q(γ) >= F_p rank of the pattern when every entry is zero
-or a power of γ).
+"""Matrices over Z[γ], γ a primitive p^k-th root of unity, and their exact
+rank.  The rank transfer compares it with the F_p rank of the zero
+pattern, `GFpMatrix(p, coeffs.any(-1))`: the rank over Q(γ) is at least
+that when every entry is zero or a power of γ.
 
 An element of Z[γ] is an integer coefficient vector of length φ = φ(p^k)
 in the basis 1, γ, ..., γ^{φ-1} of Q(γ); a matrix over Z[γ] is an int64
@@ -142,11 +142,6 @@ def rank_cyclo(coeffs: np.ndarray, p: int, k: int, target: int | None = None) ->
 def rank_rational(data) -> int:
     """Exact rank over Q of an integer matrix: Q(γ) at p^k = 2, γ = -1."""
     return rank_cyclo(np.atleast_2d(data)[..., None], 2, 1)
-
-
-def zero_pattern(coeffs: np.ndarray, p: int) -> GFpMatrix:
-    """0/1 matrix over F_p marking the non-zero entries of coeffs."""
-    return GFpMatrix(p, coeffs.any(-1))
 
 
 def dft_product(A, spec) -> np.ndarray:

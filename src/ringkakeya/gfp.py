@@ -27,26 +27,25 @@ ranks and factors are reproducible bit for bit, and both work in the
 narrowest signed integer type that holds (p - 1)^2: int8 for p <= 11,
 int16 for p <= 181, int32 for p <= 46337, int64 above.  Products or
 eliminations whose int64 arithmetic could wrap raise OverflowError.
+`is_prime` tests a characteristic by `rings._least_factor`, the package's
+one trial division.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DEFAULT_CELL_GUARD, RowFactorError, _check_guard
-from .rings import _prime_powers
+from .rings import _least_factor, factorize
 
 
-@functools.cache
 def is_prime(m: int) -> bool:
-    """Whether m is prime: whether `rings._prime_powers` yields m first.
-    A composite is rejected at its first factor below 2^22, so only an m
-    the division cannot settle raises its GuardExceeded, which later calls
-    replay without dividing again."""
-    return m >= 2 and next(_prime_powers(m)) == (m, 1)
+    """Whether m is prime: whether m is its own least factor.  A composite
+    is rejected at its first factor below 2^22; only an m trial division
+    cannot settle raises, `factorize`'s GuardExceeded."""
+    return m >= 2 and (_least_factor(m) or factorize(m)) == m
 
 
 class GFpMatrix:

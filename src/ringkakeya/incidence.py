@@ -2,10 +2,10 @@
 rows of the line-action identity, the rank formula for the prime case, and
 matching-vector families as rank lower bounds.
 
-The incidence matrix keeps its repeated rows and columns (one per ring
-element, not per projective class), so row-set comparisons against
-Fourier-derived matrices are literal; ranks are taken on
-`incidence_quotient`, one row and column per unit orbit.
+The dense `incidence_matrix_pk`, a test reference, keeps its repeated rows
+and columns (one per ring element, not per projective class), so row-set
+comparisons against Fourier-derived matrices are literal; ranks are taken
+on `incidence_quotient`, one row and column per unit orbit.
 
 `mv_search` scans on bitmasks: one Python int per orthogonality-table row,
 two masks per search frame for the u's and v's still allowed, and a jump
@@ -26,15 +26,6 @@ from .gfp import GFpMatrix, _bitmasks, is_prime
 from .rings import RingSpec
 
 
-def incidence_matrix(p: int, n: int, guard: int = DEFAULT_CELL_GUARD) -> GFpMatrix:
-    """The p^n x p^n matrix with entry (x, b) = 1 iff <x, b> = 0 mod p.
-
-    Rows are points, columns are hyperplane indicators, both in natural
-    mixed-radix order.  The matrix is symmetric.
-    """
-    return incidence_matrix_pk(p, 1, n, guard=guard)
-
-
 def _check_ring(p: int, k: int, n: int):
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -45,7 +36,8 @@ def _check_ring(p: int, k: int, n: int):
 def incidence_matrix_pk(
     p: int, k: int, n: int, guard: int = DEFAULT_CELL_GUARD
 ) -> GFpMatrix:
-    """0/1 matrix over F_p with entry (x, y) = 1 iff <x, y> = 0 mod p^k."""
+    """0/1 matrix over F_p with entry (x, y) = 1 iff <x, y> = 0 mod p^k,
+    rows and columns the points in natural order; symmetric."""
     _check_ring(p, k, n)
     q = p**k
     size = q**n

@@ -173,7 +173,7 @@ def crt_product(sets, spec: RingSpec) -> KakeyaSet:
     sets = list(sets)
     if not spec.is_square_free:
         raise ValueError("crt_product requires a square-free modulus")
-    fspecs = spec.factor_specs()
+    fspecs = spec.factor_specs
     if len(sets) != len(fspecs):
         raise ValueError("one component set per prime factor is required")
     for S, fs in zip(sets, fspecs):
@@ -210,7 +210,7 @@ def power_product(S: KakeyaSet, t: int) -> KakeyaSet:
     pts = S._points
     points = pts[np.indices((len(pts),) * t).reshape(t, -1).T].reshape(-1, t * n)
     blocks = []
-    for comps, fs in zip(big.dir_components, spec.factor_specs()):
+    for comps, fs in zip(big.dir_components, spec.factor_specs):
         comps = comps.reshape(-1, t, n)
         blocks.append(np.where(comps.any(axis=2, keepdims=True), comps, fs.dir_reps[0]))
     block_reps = _canonical(crt_combine(blocks, spec).reshape(-1, n), spec)

@@ -1,6 +1,7 @@
 """Multivariate polynomials over F_p: Hasse derivatives, vanishing
 multiplicities, the multiplicity Schwartz-Zippel check, evaluation-map
-matrices, and line decoding matrices batched over one evaluation table.
+matrices, and line decoding matrices: `decoding_matrix` for one line,
+`_decoders` for a batch of lines on one evaluation table.
 
 Monomials are exponent tuples ordered by weight then lexicographically;
 the same order is used for derivative indices, which fixes every matrix
@@ -193,13 +194,13 @@ def eval_matrix(p: int, n: int, points, m: int, degree: int,
     return GFpMatrix(p, vals.reshape(len(X) * len(J), len(A)))
 
 
-def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np.ndarray:
-    """The decoding matrices of lines in F_p^n, for homogeneous degree kp-1.
+def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
+    """The decoding matrix of a line in F_p^n, for homogeneous degree kp-1.
 
-    Each maps evaluations of order < m at every point of F_p^n to
-    evaluations of order < k at its line's direction point: the result has
-    extents (lines, dim_leq(n, k-1), p^n * dim_leq(n, m-1)), and a line's
-    only non-zero columns sit at tuples (x, j) with x on the line.
+    It maps evaluations of order < m at every point of F_p^n to evaluations
+    of order < k at the line's direction point: dim_leq(n, k-1) rows,
+    p^n * dim_leq(n, m-1) columns, the non-zero ones at tuples (x, j) with
+    x on the line.
 
     Requires p | k; m defaults to 2k - k/p, the smallest order for which the
     underlying kernel containment is guaranteed.  With a smaller caller-
@@ -212,26 +213,21 @@ def decoding_matrices(lines, spec: RingSpec, k: int, m: int | None = None) -> np
     if k % p:
         raise ValueError(f"k = {k} must be divisible by p = {p}")
     m = 2 * k - k // p if m is None else m
-    L, width, k_rows = len(lines), dim_leq(n, m - 1), dim_leq(n, k - 1)
-    what = f"decoding_matrices {{}} of {L} lines over F_{p}^{n} at k = {k}"
-    _check_guard(what.format("output"), L * k_rows, p**n * width, DEFAULT_CELL_GUARD)
-    _check_guard(what.format("elimination stack"), L * (p * width + k_rows),
+    width, k_rows = dim_leq(n, m - 1), dim_leq(n, k - 1)
+    what = f"decoding matrix {{}} over F_{p}^{n} at k = {k}"
+    _check_guard(what.format("output"), k_rows, p**n * width, DEFAULT_CELL_GUARD)
+    _check_guard(what.format("elimination stack"), p * width + k_rows,
                  dim_homog(n, k * p - 1) + p * width, DEFAULT_CELL_GUARD)
-    bases = np.array([line.base for line in lines], dtype=np.int64).reshape(-1, n)
-    reps = np.array([line.direction.rep for line in lines], dtype=np.int64).reshape(-1, n)
     E = eval_matrix(p, n, spec.points, max(m, k), k * p - 1)
-    return _decoders(bases, reps, spec, k, m, E)
-
-
-def decoding_matrix(line: Line, spec: RingSpec, k: int, m: int | None = None) -> GFpMatrix:
-    """`decoding_matrices` of one line, as a matrix."""
-    return GFpMatrix(spec.N, decoding_matrices([line], spec, k, m)[0])
+    bases, reps = (np.array([v], dtype=np.int64) for v in (line.base, line.direction.rep))
+    return GFpMatrix(p, _decoders(bases, reps, spec, k, m, E)[0])
 
 
 def _decoders(bases, reps, spec: RingSpec, k: int, m: int, E: GFpMatrix) -> np.ndarray:
-    """`decoding_matrices` of the lines base + t*rep, rows of the (L, n)
-    int64 tables bases and reps, on E, the `eval_matrix` table of order >=
-    m, k at every point of F_p^n: one `_row_factors` stack with a member per
+    """The `decoding_matrix` of each line base + t*rep, rows of the (L, n)
+    int64 tables bases and reps, as an (L, dim_leq(n, k-1), p^n *
+    dim_leq(n, m-1)) array, on E, the `eval_matrix` table of order >= m, k
+    at every point of F_p^n: one `_row_factors` stack with a member per
     line, from the order-< m rows of its points to the order-< k rows of its
     direction point."""
     p, n = spec.N, spec.n

@@ -8,7 +8,9 @@ one canonical representative per row in enumeration order, its per-factor
 point index; for N = p^k, `unit_orbits` holds one point per unit orbit.
 `directions` is the direction table as small frozen dataclasses of Python
 ints; `Direction` and `Line` objects are for callers that want one vector
-or line at a time.
+or line at a time.  `factorize` divides out one `_least_factor` at a
+time, each kept per process, so a cofactor that trial division cannot
+settle is divided once, whichever N it came from.
 
 Three array rules, one row per vector or line, serve every caller:
 `_canonical` (behind `Direction.from_vector`) scales a vector, modulo each
@@ -46,54 +48,32 @@ from .errors import GuardExceeded
 
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
-    """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing, by
-    `_prime_powers`: every N below 2^44 factors, and GuardExceeded names
-    N where a cofactor of 2^44 or more is left unsettled."""
+    """Factor N ≥ 2 into (prime, exponent) pairs with primes increasing, one
+    `_least_factor` at a time: every N below 2^44 factors, and GuardExceeded
+    names N where a cofactor of 2^44 or more is left unsettled."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    return tuple(_prime_powers(N))
+    pairs, m = {}, N
+    while m > 1:
+        d = _least_factor(m)
+        if not d:
+            raise GuardExceeded(f"factoring {N}: trial division stops at 2^22 "
+                                f"with the cofactor {m} unsettled")
+        pairs[d] = pairs.get(d, 0) + 1
+        m //= d
+    return tuple(pairs.items())
 
 
-# N -> (the pairs found before the refusal, its message), once per process
-_UNSETTLED: dict[int, tuple[tuple[tuple[int, int], ...], str]] = {}
-
-
-def _prime_powers(N: int):
-    """`_trial_division` of N, its refusal remembered: an N it could not
-    settle yields the same pairs and raises the same GuardExceeded again
-    without a second division."""
-    if N in _UNSETTLED:
-        found, message = _UNSETTLED[N]
-        yield from found
-        raise GuardExceeded(message)
-    found = []
-    try:
-        for pair in _trial_division(N):
-            found.append(pair)
-            yield pair
-    except GuardExceeded as exc:
-        _UNSETTLED[N] = (tuple(found), str(exc))
-        raise
-
-
-def _trial_division(N: int):
-    """Yield the (prime, exponent) pairs of N ≥ 2, primes increasing, by
-    trial division below 2^22, each as soon as it is found; GuardExceeded
-    names N once a cofactor of 2^44 or more is left unsettled."""
-    m, d = N, 2
+@cache  # once per m per process: an unsettled cofactor is divided once
+def _least_factor(m: int) -> int:
+    """The least prime factor of m ≥ 2 by trial division below 2^22, or 0
+    where m is 2^44 or more and has no factor there (unsettled)."""
+    d = 2
     while d * d <= m and d < 2**22:
         if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            yield d, e
+            return d
         d += 2 if d > 2 else 1  # 2, then odd divisors
-    if d * d <= m:
-        raise GuardExceeded(f"factoring {N}: trial division stops at 2^22 "
-                            f"with the cofactor {m} unsettled")
-    if m > 1:
-        yield m, 1
+    return m if d * d > m else 0
 
 
 @dataclass(frozen=True)
@@ -153,11 +133,9 @@ class RingSpec:
     def num_points(self) -> int:
         return self.N**self.n
 
-    def factor_specs(self) -> tuple["RingSpec", ...]:
-        return self._factor_specs
-
     @cached_property  # once per spec; line_split asks once per direction
-    def _factor_specs(self) -> tuple["RingSpec", ...]:
+    def factor_specs(self) -> tuple["RingSpec", ...]:
+        """One spec per factor modulus; (self,) when N is a prime power."""
         if self.r == 1:  # share this spec's cached tables
             return (self,)
         return tuple(RingSpec.make(q, self.n) for q in self.factor_moduli)
@@ -185,7 +163,7 @@ class RingSpec:
         significant."""
         if self.is_prime_power:  # canonical: the first unit coordinate is 1
             return (_read_only(self.points[_leads(self.points, self.primes[0]) == 1]),)
-        tables = [fs.dir_reps for fs in self.factor_specs()]
+        tables = [fs.dir_reps for fs in self.factor_specs]
         combos = np.indices([len(t) for t in tables]).reshape(self.r, -1)
         return tuple(_read_only(t[js]) for t, js in zip(tables, combos))
 
@@ -217,7 +195,7 @@ class RingSpec:
 
     @cached_property
     def directions(self) -> tuple["Direction", ...]:
-        """All projective directions, in the order of enumerate_directions."""
+        """All projective directions as `Direction`s, in `dir_reps` order."""
         comps = [map(tuple, c.tolist()) for c in self.dir_components]
         return tuple(Direction(rep=tuple(rep), components=cs)
                      for rep, cs in zip(self.dir_reps.tolist(), zip(*comps)))
@@ -374,12 +352,6 @@ class Line:
         return cls(base=tuple(base[0].tolist()), direction=direction)
 
 
-def enumerate_directions(spec: RingSpec) -> tuple[Direction, ...]:
-    """All projective directions of R^n in the order of `spec.dir_reps`;
-    built once per spec (`spec.directions`)."""
-    return spec.directions
-
-
 def line_points(line: Line, spec: RingSpec) -> np.ndarray:
     """The (N, n) array of the points base + t*dir, t = 0..N-1."""
     return _progression(line.base, line.direction.rep, spec.N)
@@ -390,4 +362,4 @@ def line_split(line: Line, spec: RingSpec) -> list[Line]:
     if not spec.is_square_free:
         raise ValueError("line_split requires a square-free modulus")
     return [Line.through(line.base, Direction(rep=comp, components=(comp,)), fs)
-            for fs, comp in zip(spec.factor_specs(), line.direction.components)]
+            for fs, comp in zip(spec.factor_specs, line.direction.components)]

@@ -24,11 +24,11 @@ from .bounds import (
     fq_bound, squarefree_bound,
 )
 from .cyclo import (
-    dft_product, rank_cyclo, rank_rational, reduction_matrix, zero_pattern,
+    dft_product, rank_cyclo, rank_rational, reduction_matrix,
 )
 from .gfp import GFpMatrix, _echelon, _row_factors, kron, rank
 from .incidence import (
-    complement_indicator, incidence_matrix, incidence_matrix_pk, incidence_quotient,
+    complement_indicator, incidence_matrix_pk, incidence_quotient,
 )
 from .kakeya import (
     crt_product, full_set, line_matrix, min_kakeya_search, power_product,
@@ -39,8 +39,7 @@ from .polys import (
     eval_matrix, hasse_derivative, monomials_homog, monomials_leq, sz_mult_check,
 )
 from .rings import (
-    Direction, Line, RingSpec, crt_combine, enumerate_directions, line_points,
-    line_split, point_index,
+    Direction, Line, RingSpec, crt_combine, line_points, line_split, point_index,
 )
 
 
@@ -68,7 +67,7 @@ def direction_classes(N: int, n: int) -> bool:
     """Each class of Direction.from_vector is listed once, and the classes
     are the orbits of the valid vectors under the units."""
     spec = RingSpec.make(N, n)
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
 
     def orbit(vec):
         return frozenset(tuple(u * c % N for c in vec) for u in _units(N))
@@ -89,11 +88,11 @@ def line_crt_product(N: int) -> bool:
     line of Z/N, and the line through (1, 2) in each direction of (Z/N)^2."""
     for n, bases in [(1, [(a,) for a in range(N)]), (2, [(1, 2)])]:
         spec = RingSpec.make(N, n)
-        for d in enumerate_directions(spec):
+        for d in spec.directions:
             for base in bases:
                 line = Line.through(base, d, spec)
                 parts = [line_points(pl, fs) for pl, fs
-                         in zip(line_split(line, spec), spec.factor_specs())]
+                         in zip(line_split(line, spec), spec.factor_specs)]
                 combos = np.indices([len(part) for part in parts]).reshape(len(parts), -1)
                 crt = crt_combine([part[c] for part, c in zip(parts, combos)], spec)
                 if set(_tuples(line_points(line, spec))) != set(_tuples(crt)):
@@ -244,7 +243,7 @@ def rank_transfer_random(rng: random.Random) -> bool:
              for _ in range(cols)]
             for _ in range(rows)
         ])
-        if rank_cyclo(coeffs, p, k) < rank(zero_pattern(coeffs, p)):
+        if rank_cyclo(coeffs, p, k) < rank(GFpMatrix(p, coeffs.any(-1))):
             return False
     return True
 
@@ -258,7 +257,7 @@ def dft_line_row_formula(q: int, n: int) -> bool:
     zero = np.zeros_like(R[0])
     pts = _tuples(spec.points)
     lines = [Line.through(base, d, spec)
-             for d in enumerate_directions(spec) for base in pts]
+             for d in spec.directions for base in pts]
     A = np.zeros((len(lines), len(pts)), dtype=np.int64)
     for i, line in enumerate(lines):
         A[i, point_index(line_points(line, spec), spec)] = 1
@@ -331,7 +330,7 @@ def line_kernel_containment() -> bool:
     vanishing order-2 evaluations at the line's direction: ker A ⊆ ker B,
     that is, B's rows lie in A's row space, rank [A; B] = rank A."""
     spec = RingSpec.make(2, 2)
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         B = eval_matrix(2, 2, (d.rep,), 2, 3)
         for base in _tuples(spec.points):
             A = eval_matrix(2, 2, line_points(Line.through(base, d, spec), spec), 3, 3)
@@ -360,7 +359,7 @@ def decode_then_evaluate() -> bool:
     spec = RingSpec.make(2, 2)
     pts = _tuples(spec.points)
     E = eval_matrix(2, 2, pts, 3, 3)
-    D = {d: eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)}
+    D = {d: eval_matrix(2, 2, (d.rep,), 2, 3) for d in spec.directions}
     lines = {Line.through(base, d, spec) for d in D for base in pts}
     return (len(lines) == 6
             and all(decoding_matrix(line, spec, 2) @ E == D[line.direction]
@@ -395,7 +394,7 @@ def complement_rows_p3():
     """Over F_3^2 the rows of J - M_S·W are the complement-hyperplane rows:
     with the all-ones row, which they lack, they are the row set of W, so
     the product rank drops by at most one."""
-    W = incidence_matrix(3, 2)
+    W = incidence_matrix_pk(3, 1, 2)
     A = (line_matrix(full_set(RingSpec.make(3, 2))) @ W).a
     rows_JA = {tuple(r) for r in (1 - A) % 3}
     allones = (1,) * 9
@@ -416,8 +415,8 @@ def line_action(p: int, n: int) -> bool:
     times W equal to the complement-hyperplane indicator of its direction,
     which has p^n - p^{n-1} ones."""
     spec = RingSpec.make(p, n)
-    W = incidence_matrix(p, n)
-    lines = {Line.through(base, d, spec) for d in enumerate_directions(spec)
+    W = incidence_matrix_pk(p, 1, n)
+    lines = {Line.through(base, d, spec) for d in spec.directions
              for base in _tuples(spec.points)}
     for line in lines:
         ind = np.zeros(p**n, dtype=np.int64)

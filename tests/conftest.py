@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from ringkakeya import KakeyaSet, Line, RowFactorError, enumerate_directions, line_points
+from ringkakeya import KakeyaSet, Line, RowFactorError, line_points
 from ringkakeya.kakeya import _lines_in_direction, from_json_dict
 
 
@@ -22,14 +22,14 @@ def random_full_witness(spec, seed: int) -> KakeyaSet:
     """The full point set with a randomly chosen witness line per direction."""
     rng = random.Random(seed)
     witness = {d: rng.choice(_lines_in_direction(d, spec))
-               for d in enumerate_directions(spec)}
+               for d in spec.directions}
     return set_from_lines(spec, map(tuple, spec.points.tolist()), witness)
 
 
 def random_witness_set(spec, rng: random.Random) -> KakeyaSet:
     """The union of one line per direction, each through a random point."""
     witness, points = {}, set()
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         base = tuple(rng.randrange(spec.N) for _ in range(spec.n))
         witness[d] = Line.through(base, d, spec)
         points.update(map(tuple, line_points(witness[d], spec).tolist()))

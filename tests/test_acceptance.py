@@ -19,9 +19,7 @@ from ringkakeya import (
     certify_prime_power,
     certify_two_primes,
     crt_product,
-    enumerate_directions,
     full_set,
-    incidence_matrix,
     incidence_matrix_pk,
     kron,
     line_matrix,
@@ -61,7 +59,7 @@ def test_criterion_01_rank_formula():
     results = {}
     for p in (2, 3, 5, 7):
         for n in (2, 3):
-            W = incidence_matrix(p, n)
+            W = incidence_matrix_pk(p, 1, n)
             expected = math.comb(p + n - 2, n - 1) + 1
             got = rank(W)
             assert got == expected, (p, n, got, expected)
@@ -137,8 +135,8 @@ def test_criterion_05_squarefree_bound_instance():
 def test_criterion_06_two_prime_row_identity():
     t0 = time.monotonic()
     spec = RingSpec.make(6, 2)
-    spec2, spec3 = spec.factor_specs()
-    W2 = incidence_matrix(2, 2)
+    spec2, spec3 = spec.factor_specs
+    W2 = incidence_matrix_pk(2, 1, 2)
     K = kron(W2, GFpMatrix.identity(2, 9))
     sets = [full_set(spec)] + [random_full_witness(spec, seed)
                                for seed in range(20)]
@@ -146,7 +144,7 @@ def test_criterion_06_two_prime_row_identity():
         assert verify(S)[0]
         MS = line_matrix(S)
         prod = MS @ K
-        for i, d in enumerate(enumerate_directions(spec)):
+        for i, d in enumerate(spec.directions):
             Lp, Lq = line_split(S.witness[d], spec)
             ind_q = np.zeros(spec3.num_points, dtype=np.int64)
             ind_q[spec3.crt_order[point_index(line_points(Lq, spec3), spec3)]] = 1

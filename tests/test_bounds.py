@@ -15,7 +15,6 @@ from ringkakeya import (
     certify_squarefree,
     certify_two_primes,
     crt_product,
-    enumerate_directions,
     fq_bound,
     full_set,
     kron,
@@ -98,9 +97,9 @@ def test_certify_two_primes_constructions():
     assert r.passed and r.certified <= S.size
     assert r.closed_form == 25
     # V: the complement-hyperplane indicators of the p-side directions
-    spec_p = spec.factor_specs()[0]
+    spec_p = spec.factor_specs[0]
     V = GFpMatrix(3, [complement_indicator(c.rep, spec_p)
-                      for c in enumerate_directions(spec_p)])
+                      for c in spec_p.directions])
     assert r.quantities["dim_V"] == rank(V)
 
 

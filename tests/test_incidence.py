@@ -9,7 +9,6 @@ from ringkakeya import (
     GuardExceeded,
     MVFamily,
     RingSpec,
-    incidence_matrix,
     incidence_matrix_pk,
     incidence_quotient,
     mv_search,
@@ -35,7 +34,7 @@ def brute_incidence(q, n):
 
 
 def test_incidence_p2_n2_rows():
-    W = incidence_matrix(2, 2)
+    W = incidence_matrix_pk(2, 1, 2)
     assert W.a.tolist() == [
         [1, 1, 1, 1],
         [1, 0, 1, 0],
@@ -55,10 +54,6 @@ def test_incidence_matches_brute_force(q, n):
     assert W.a[:, 0].all()
 
 
-def test_incidence_pk_reduces_to_prime_case():
-    assert incidence_matrix_pk(3, 1, 2) == incidence_matrix(3, 2)
-
-
 def test_incidence_4_1_rows_and_rank():
     W = incidence_matrix_pk(2, 2, 1)
     assert W.a.tolist() == [
@@ -73,7 +68,7 @@ def test_incidence_4_1_rows_and_rank():
 def test_guard_refusal():
     with pytest.raises(GuardExceeded,
                        match=r"^incidence matrix W_\{7,3\}: 343 x 343 "):
-        incidence_matrix(7, 3, guard=1000)
+        incidence_matrix_pk(7, 1, 3, guard=1000)
 
 
 def test_incidence_quotient_4_1_rows():
@@ -103,7 +98,7 @@ def test_line_action_example_p3():
     # the line {(0, 0), (1, 0), (2, 0)} (points 0, 3, 6) times W is the
     # complement of the hyperplane x_1 = 0, the points with x_1 != 0
     spec = RingSpec.make(3, 2)
-    got = np.array([1, 0, 0, 1, 0, 0, 1, 0, 0]) @ incidence_matrix(3, 2).a % 3
+    got = np.array([1, 0, 0, 1, 0, 0, 1, 0, 0]) @ incidence_matrix_pk(3, 1, 2).a % 3
     assert got.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1]
     assert np.array_equal(got, complement_indicator((1, 0), spec))
 

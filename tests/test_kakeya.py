@@ -12,7 +12,6 @@ from ringkakeya import (
     KakeyaSet,
     RingSpec,
     crt_product,
-    enumerate_directions,
     full_set,
     line_matrix,
     line_points,
@@ -53,7 +52,7 @@ def test_full_set_sizes_and_validity():
 def test_verify_reports_missing_direction():
     spec = RingSpec.make(3, 2)
     S = full_set(spec)
-    d = enumerate_directions(spec)[1]
+    d = spec.directions[1]
     removed = S.witness[d]
     victim = tuple(line_points(removed, spec)[0].tolist())
     broken = set_from_lines(spec, S.points - {victim}, S.witness)
@@ -151,7 +150,7 @@ def test_line_matrix_refuses_past_the_guard():
 def brute_min_kakeya(spec):
     """(size, choice) of the first optimum in lexicographic order of the
     candidate-line indices, by trying every combination."""
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
     cands = [
         [frozenset(map(tuple, line_points(l, spec).tolist()))
          for l in _lines_in_direction(d, spec)]
@@ -180,7 +179,7 @@ def test_min_search_witness_is_first_brute_force_optimum(N, n):
     spec = RingSpec.make(N, n)
     opt, S = min_kakeya_search(spec)
     size, choice = brute_min_kakeya(spec)
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
     assert opt == size == S.size
     assert [S.witness[d] for d in dirs] == [
         _lines_in_direction(d, spec)[ci] for d, ci in zip(dirs, choice)
@@ -202,7 +201,7 @@ def reference_min_kakeya_search(spec, cap=MINSEARCH_COMBO_GUARD):
     is entered and returns at once when its union is as large as the best
     found, and a full assignment is recorded one level below the last
     direction."""
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
     candidates = [_lines_in_direction(d, spec) for d in dirs]
     combos = 1
     for c in candidates:
@@ -285,15 +284,15 @@ def test_min_search_cap_refuses_before_any_line(monkeypatch):
 
 
 def _cuts(spec):
-    return _orbit_cuts(spec, np.array([d.rep for d in enumerate_directions(spec)]))
+    return _orbit_cuts(spec, np.array([d.rep for d in spec.directions]))
 
 
 @pytest.mark.parametrize("N,n", _small_rings())
 def test_line_table_matches_lines_in_direction(N, n):
     spec = RingSpec.make(N, n)
     table = _cuts(spec)[0]
-    assert table.shape == (len(enumerate_directions(spec)), N**n, N)
-    for d, rows in zip(enumerate_directions(spec), table):
+    assert table.shape == (len(spec.directions), N**n, N)
+    for d, rows in zip(spec.directions, table):
         lines = _lines_in_direction(d, spec)
         bases = np.flatnonzero(rows.min(axis=1) == np.arange(N**n))
         assert bases.tolist() == [int(point_index(l.base, spec)) for l in lines]
@@ -322,7 +321,7 @@ def brute_orbit_cuts(spec):
         return frozenset(tuple((u * c + w) % N for c, w in zip(pt, v)) for pt in line)
 
     kept = []
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         lines = [frozenset(map(tuple, line_points(l, spec).tolist()))
                  for l in _lines_in_direction(d, spec)]
         if kept and len(kept[-1]) > 1:

@@ -25,7 +25,7 @@ from ringkakeya import (
     certify_two_primes,
     crt_product,
     full_set,
-    incidence_matrix,
+    incidence_matrix_pk,
     incidence_quotient,
     kron,
     line_matrix,
@@ -37,7 +37,6 @@ from ringkakeya.bounds import (
 )
 from ringkakeya.cli import main
 from ringkakeya.kakeya import _witness_indices
-from ringkakeya.rings import enumerate_directions
 
 from conftest import random_full_witness
 
@@ -53,7 +52,7 @@ def _ring_id(ring):
 
 def crt_tangent(spec):
     return crt_product([tangent_construction(fs.N, spec.n)
-                        for fs in spec.factor_specs()], spec)
+                        for fs in spec.factor_specs], spec)
 
 
 # ---------------------------------------------------------------- reference
@@ -62,8 +61,8 @@ def ref_certify_prime(S):
     spec = S.spec
     _require_valid(S)
     p, n = spec.N, spec.n
-    dirs = enumerate_directions(spec)
-    A = line_matrix(S) @ incidence_matrix(p, n)
+    dirs = spec.directions
+    A = line_matrix(S) @ incidence_matrix_pk(p, 1, n)
     reps = np.array([d.rep for d in dirs], dtype=np.int64)
     row_identity = np.array_equal(A.a, reps @ spec.points.T % p != 0)
     rank_A, rank_MS = rank(A), rank(line_matrix(S))
@@ -101,12 +100,12 @@ def ref_certify_two_primes(S):
     _require_valid(S)
     p, q = spec.primes
     n = spec.n
-    spec_p = spec.factor_specs()[0]
-    dirs = enumerate_directions(spec)
+    spec_p = spec.factor_specs[0]
+    dirs = spec.directions
     MS = line_matrix(S)
     prod = GFpMatrix(p, np.einsum(
         "ibj,ba->iaj", MS.a.reshape(len(dirs), p**n, q**n),
-        incidence_matrix(p, n).a,
+        incidence_matrix_pk(p, 1, n).a,
     ).reshape(len(dirs), -1))
     _, comps, ind_q = _split_witnesses(spec, 0, _witness_indices(S))
     hyper = comps @ spec_p.points.T % p != 0
@@ -174,7 +173,7 @@ def test_a_corrupted_pivot_table_fails_the_row_identity(monkeypatch):
     spec = RingSpec.make(6, 2)
     S = full_set(spec)
     assert certify_two_primes(S).passed
-    spec_p = spec.factor_specs()[0]
+    spec_p = spec.factor_specs[0]
     swapped = spec_p.points[[0, 2, 1, 3]]
     monkeypatch.setitem(spec_p.__dict__, "points", swapped)
     with pytest.raises(AssertionError, match="^pivot row identity failed"):
@@ -206,7 +205,7 @@ def test_two_primes_takes_three_primes(N, n, want):
         assert r.passed and r.certified <= S.size
         if spec.num_points <= 900:
             # the batched product against M_S·(W_p ⊗ I_m) built densely
-            dense = line_matrix(S) @ kron(incidence_matrix(p, n),
+            dense = line_matrix(S) @ kron(incidence_matrix_pk(p, 1, n),
                                           GFpMatrix.identity(p, m**n))
             assert r.quantities["rank_product"] == rank(dense)
 

@@ -27,7 +27,6 @@ from ringkakeya import (
     RingSpec,
     crt_combine,
     crt_product,
-    enumerate_directions,
     full_set,
     line_matrix,
     min_kakeya_search,
@@ -98,7 +97,7 @@ def ref_directions(spec):
             if units and units[0] == 1:
                 out.append(Direction(rep=vec, components=(vec,)))
         return out
-    factor_dirs = [[d.rep for d in ref_directions(fs)] for fs in spec.factor_specs()]
+    factor_dirs = [[d.rep for d in ref_directions(fs)] for fs in spec.factor_specs]
     return [
         Direction(rep=tuple(ref_crt_combine([c[j] for c in comps], spec)
                             for j in range(spec.n)),
@@ -154,7 +153,7 @@ def ref_tangent_construction(p, n):
             for ys in product(admissible[t], repeat=dim - 1):
                 pts.add(ys + (t,))
         witness = {}
-        for d in enumerate_directions(sub):
+        for d in sub.directions:
             rep = d.rep
             if rep[-1] != 0:
                 scale = pow(rep[-1], -1, p)
@@ -177,9 +176,9 @@ def ref_crt_product(sets, spec):
         points.add(tuple(ref_crt_combine([pt[j] for pt in combo], spec)
                          for j in range(spec.n)))
     witness = {}
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         bases = []
-        for S, fs, comp in zip(sets, spec.factor_specs(), d.components):
+        for S, fs, comp in zip(sets, spec.factor_specs, d.components):
             bases.append(S.witness[ref_from_vector(comp, fs)].base)
         base = tuple(ref_crt_combine([b[j] for b in bases], spec)
                      for j in range(spec.n))
@@ -191,10 +190,10 @@ def ref_power_product(S, t):
     spec, n = S.spec, S.spec.n
     big = RingSpec.make(spec.N, t * n)
     points = {sum(combo, ()) for combo in product(*([sorted(S.points)] * t))}
-    fspecs = spec.factor_specs()
-    default_comps = [enumerate_directions(fs)[0].rep for fs in fspecs]
+    fspecs = spec.factor_specs
+    default_comps = [fs.directions[0].rep for fs in fspecs]
     witness = {}
-    for D in enumerate_directions(big):
+    for D in big.directions:
         bases = []
         for blk in range(t):
             block_comps = []
@@ -220,7 +219,7 @@ def ref_load_witness(data):
 
 def ref_line_matrix(S):
     spec = S.spec
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
     M = np.zeros((len(dirs), spec.num_points), dtype=np.int64)
     for i, d in enumerate(dirs):
         for pt in ref_line_points(S.witness[d], spec):
@@ -231,13 +230,13 @@ def ref_line_matrix(S):
 def ref_split_witnesses(S, pivot):
     spec = S.spec
     out = []
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         base = S.witness[d].base
         lines = [ref_line_through(tuple(c % fs.N for c in base),
                                   Direction(rep=comp, components=(comp,)), fs)
-                 for fs, comp in zip(spec.factor_specs(), d.components)]
+                 for fs, comp in zip(spec.factor_specs, d.components)]
         rows = [np.array(ref_indicator_vector(ref_line_points(L, fs), fs))
-                for i, (L, fs) in enumerate(zip(lines, spec.factor_specs()))
+                for i, (L, fs) in enumerate(zip(lines, spec.factor_specs))
                 if i != pivot]
         out.append((lines[pivot], functools.reduce(np.kron, rows)))
     return out
@@ -256,7 +255,7 @@ def ref_lines_in_direction(d, spec):
 
 def ref_verify(S):
     problems = []
-    for d in enumerate_directions(S.spec):
+    for d in S.spec.directions:
         line = S.witness.get(d)
         if line is None:
             problems.append(f"direction {d.rep}: no witness line")
@@ -284,7 +283,7 @@ def _python_ints(lines):
 def _broken_sets(S):
     """Missing witness, missing point, and both at once (on different
     directions where there are several)."""
-    dirs = enumerate_directions(S.spec)
+    dirs = S.spec.directions
     no_witness = {d: w for d, w in S.witness.items() if d != dirs[-1]}
     victim = ref_line_points(S.witness[dirs[-1]], S.spec)[-1]
     fewer = S.points - {victim}
@@ -314,7 +313,7 @@ def test_point_table_and_crt_order_match_per_point_loop(N, n):
 @pytest.mark.parametrize("N,n", RINGS, ids=map(_ring_id, RINGS))
 def test_directions_and_lines_match_tuple_enumeration(N, n):
     spec = RingSpec.make(N, n)
-    dirs = enumerate_directions(spec)
+    dirs = spec.directions
     assert list(dirs) == ref_directions(spec)
     assert all(_is_int_tuple(d.rep) and all(map(_is_int_tuple, d.components))
                for d in dirs)
@@ -462,7 +461,7 @@ def test_tangent_construction_matches_recursion(p, n):
 def test_crt_product_matches_per_point_product(N, n):
     spec = RingSpec.make(N, n)
     tangents = [tangent_construction(p, n) for p in spec.primes]
-    randoms = [random_full_witness(fs, 3) for fs in spec.factor_specs()]
+    randoms = [random_full_witness(fs, 3) for fs in spec.factor_specs]
     for parts in (tangents, randoms, [tangents[0]] + randoms[1:]):
         assert to_json_dict(crt_product(parts, spec)) == to_json_dict(
             ref_crt_product(parts, spec))

@@ -17,7 +17,6 @@ from ringkakeya import (
     decoding_matrix,
     dim_homog,
     dim_leq,
-    enumerate_directions,
     eval_matrix,
     hasse_derivative,
     line_points,
@@ -27,7 +26,7 @@ from ringkakeya import (
     sz_mult_check,
 )
 from ringkakeya.errors import DEFAULT_CELL_GUARD, GuardExceeded
-from ringkakeya.polys import binom_mod, decoding_matrices, deriv_indices, monomials_homog
+from ringkakeya.polys import _decoders, binom_mod, deriv_indices, monomials_homog
 from ringkakeya.selftest import (
     decode_then_evaluate,
     dimension_counts,
@@ -135,14 +134,14 @@ def test_stacked_point_evaluations_injective():
     # rank of the stacked per-direction evaluation maps equals dim of the
     # homogeneous cubics over F_2 in two variables
     spec = RingSpec.make(2, 2)
-    mats = [eval_matrix(2, 2, (d.rep,), 2, 3) for d in enumerate_directions(spec)]
+    mats = [eval_matrix(2, 2, (d.rep,), 2, 3) for d in spec.directions]
     stacked = GFpMatrix(2, np.vstack([M.a for M in mats]))
     assert rank(stacked) == dim_homog(2, 3) == 4
 
 
 def test_decoding_matrix_extents_and_zero_columns():
     spec = RingSpec.make(2, 2)
-    d = enumerate_directions(spec)[0]
+    d = spec.directions[0]
     line = Line.through((0, 0), d, spec)
     dm = decoding_matrix(line, spec, 2)
     assert dm.a.shape == (3, 24)
@@ -167,7 +166,7 @@ def test_decoding_identity_other_orders(p, k):
     m = 2 * k - k // p
     E = eval_matrix(p, 2, spec.points, m, d_hom)
     seen = set()
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         D = eval_matrix(p, 2, (d.rep,), k, d_hom)
         for base in spec.points.tolist():
             line = Line.through(base, d, spec)
@@ -181,7 +180,7 @@ def test_decoding_identity_other_orders(p, k):
 
 def test_decoding_matrix_requires_p_divides_k():
     spec = RingSpec.make(3, 2)
-    d = enumerate_directions(spec)[0]
+    d = spec.directions[0]
     line = Line.through((0, 0), d, spec)
     with pytest.raises(ValueError):
         decoding_matrix(line, spec, 2)
@@ -191,7 +190,7 @@ def test_decoding_matrix_small_m_fails_loudly():
     # m = 1 keeps too little line information; the factorization must fail
     # with an error naming the line rather than silently succeeding
     spec = RingSpec.make(2, 2)
-    d = enumerate_directions(spec)[0]
+    d = spec.directions[0]
     line = Line.through((0, 0), d, spec)
     with pytest.raises(RowFactorError, match=r"line base=\(0, 0\) direction=\(0, 1\) k=2 m=1"):
         decoding_matrix(line, spec, 2, m=1)
@@ -202,8 +201,8 @@ def test_line_kernel_containment():
 
 
 def ref_decoding_matrix(line, spec, k, m=None):
-    """The per-line decoding matrix that `decoding_matrices` replaced: the
-    loop oracle's row factorization of the line's and the direction's own
+    """The per-line decoding matrix that `_decoders` batches: the loop
+    oracle's row factorization of the line's and the direction's own
     `eval_matrix` calls, placed at the line's point columns."""
     p, n = spec.N, spec.n
     if m is None:
@@ -219,7 +218,7 @@ def ref_decoding_matrix(line, spec, k, m=None):
 
 def all_lines(spec):
     return list(dict.fromkeys(Line.through(base, d, spec)
-                              for d in enumerate_directions(spec)
+                              for d in spec.directions
                               for base in spec.points.tolist()))
 
 
@@ -227,14 +226,17 @@ def all_lines(spec):
 def test_decoding_matrices_match_per_line_reference(p, n, k):
     spec = RingSpec.make(p, n)
     lines = all_lines(spec)
-    assert len(lines) == len(enumerate_directions(spec)) * p ** (n - 1)
-    got = decoding_matrices(lines, spec, k)
+    assert len(lines) == len(spec.directions) * p ** (n - 1)
     m = 2 * k - k // p
+    E = eval_matrix(p, n, spec.points, m, k * p - 1)
+    bases, reps = (np.array(rows, dtype=np.int64).reshape(-1, n) for rows in
+                   zip(*[(line.base, line.direction.rep) for line in lines]))
+    got = _decoders(bases, reps, spec, k, m, E)
     assert got.shape == (len(lines), dim_leq(n, k - 1), p**n * dim_leq(n, m - 1))
     for line, C in zip(lines, got):
         assert np.array_equal(C, ref_decoding_matrix(line, spec, k))
     assert np.array_equal(decoding_matrix(lines[-1], spec, k).a, got[-1])
-    none = decoding_matrices([], spec, k)
+    none = _decoders(bases[:0], reps[:0], spec, k, m, E)
     assert none.shape == (0,) + got.shape[1:] and none.dtype == np.int64
 
 
@@ -245,7 +247,7 @@ def test_decoding_matrices_small_m_raises_like_reference(p, n, k, m):
     with pytest.raises(RowFactorError):
         ref_decoding_matrix(line, spec, k, m)
     with pytest.raises(RowFactorError, match=re.escape(f"line base={line.base} ")):
-        decoding_matrices([line], spec, k, m)
+        decoding_matrix(line, spec, k, m)
 
 
 def test_eval_matrix_refused_before_anything_is_built():
@@ -274,10 +276,10 @@ def test_decoding_matrices_refused_before_anything_is_built():
         for n, k, what in [(3, 16, "output"), (2, 40, "elimination stack")]:
             spec = RingSpec.make(2, n)
             line = all_lines(spec)[0]
-            with pytest.raises(GuardExceeded, match=f"decoding_matrices {what} of 1 lines "
+            with pytest.raises(GuardExceeded, match=f"decoding matrix {what} "
                                f"over F_2\\^{n} at k = {k}: .* exceeds the guard of "
                                f"{DEFAULT_CELL_GUARD}"):
-                decoding_matrices([line], spec, k)
+                decoding_matrix(line, spec, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,10 @@
 """Tables kept for the life of a process: one `RingSpec` per (N, n), one
-evaluation table per pivot field, and the refusal of an N that trial
-division cannot settle.  They are read-only, they hold nothing derived from
-a Kakeya set, and a sequence of commands in one process writes what fresh
-processes write."""
+evaluation table per pivot field, and the least factor of each number
+trial division meets, 0 where it cannot settle it.  They are read-only,
+they hold nothing derived from a Kakeya set, and a sequence of commands in
+one process writes what fresh processes write."""
 
+import functools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ringkakeya
-from ringkakeya import GuardExceeded, RingSpec, bounds, rings
+from ringkakeya import GuardExceeded, RingSpec, bounds, gfp, rings
 from ringkakeya.bounds import _pivot_eval_matrix, certify_squarefree
 from ringkakeya.cli import main
 from ringkakeya.errors import DEFAULT_CELL_GUARD
@@ -30,7 +31,7 @@ M61 = 2**61 - 1  # prime, beyond trial division below 2^22
 
 def test_one_spec_per_ring():
     assert RingSpec.make(15, 2) is RingSpec.make(15, 2)
-    assert RingSpec.make(15, 2).factor_specs()[1] is RingSpec.make(5, 2)
+    assert RingSpec.make(15, 2).factor_specs[1] is RingSpec.make(5, 2)
 
 
 def test_a_numpy_modulus_gives_the_python_int_spec():
@@ -108,16 +109,19 @@ def test_the_evaluation_table_is_counted_against_the_certificate_guard(monkeypat
 
 def test_an_unsettled_modulus_is_divided_once(monkeypatch, capsys):
     # each wrank row still names the refusal on stderr; only the first
-    # divides, and a later factorization of the same N replays it too
+    # divides, and a later factorization of the same N replays it too.
+    # A fresh memo of least factors records each division it runs as
+    # (m, least factor or 0).
     divisions = []
-    real = rings._trial_division
+    real = rings._least_factor.__wrapped__
 
-    def counting(N):
-        divisions.append(N)
-        return real(N)
+    @functools.cache
+    def counting(m):
+        divisions.append((m, real(m)))
+        return divisions[-1][1]
 
-    monkeypatch.setattr(rings, "_trial_division", counting)
-    monkeypatch.setattr(rings, "_UNSETTLED", {})
+    monkeypatch.setattr(rings, "_least_factor", counting)
+    monkeypatch.setattr(gfp, "_least_factor", counting)
     code = main(["wrank", "--p", str(M61), "--n", "1,2,3"])
     out, err = capsys.readouterr()
     assert code == 3
@@ -126,16 +130,17 @@ def test_an_unsettled_modulus_is_divided_once(monkeypatch, capsys):
     assert len(lines) == 3 and len(set(lines)) == 1
     assert lines[0].startswith(f"factoring {M61}: trial division stops at 2^22")
     assert main(["bound", "--N", str(M61), "--n", "1"]) == 3
-    assert divisions == [M61]
-    # a composite refused after its first factor: factorize replays the
-    # factor and then the refusal, and is_prime still answers at the factor
-    for _ in range(2):
-        found = rings._prime_powers(2 * M61)
-        assert next(found) == (2, 1)
-        with pytest.raises(GuardExceeded, match=f"cofactor {M61} unsettled"):
-            next(found)
-    assert divisions == [M61, 2 * M61]
+    assert divisions == [(M61, 0)]
+    # its multiples split off their least factor and refuse the cofactor
+    # without dividing it again, and is_prime answers at the factor
+    capsys.readouterr()
+    for c in (2, 3, 2):
+        assert main(["bound", "--N", str(c * M61), "--n", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"factoring {c * M61}: trial division stops at 2^22 with the "
+            f"cofactor {M61} unsettled\n")
     assert main(["wrank", "--p", str(2 * M61), "--n", "1"]) == 2
+    assert divisions == [(M61, 0), (2 * M61, 2), (3 * M61, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ringkakeya import (
     Line,
     RingSpec,
     crt_combine,
-    enumerate_directions,
     line_points,
     line_split,
     point_index,
@@ -31,10 +30,10 @@ def test_spec_kinds():
 
 def test_factor_specs_computed_once_per_spec():
     spec = RingSpec.make(15, 2)
-    assert spec.factor_specs() is spec.factor_specs()
+    assert spec.factor_specs is spec.factor_specs
     assert spec.factor_moduli is spec.factor_moduli == (3, 5)
-    assert [fs.N for fs in spec.factor_specs()] == [3, 5]
-    assert enumerate_directions(spec) is enumerate_directions(spec)
+    assert [fs.N for fs in spec.factor_specs] == [3, 5]
+    assert spec.directions is spec.directions
     assert spec.points is spec.points and spec.crt_order is spec.crt_order
     assert not spec.points.flags.writeable and not spec.crt_order.flags.writeable
     # the cached values are not fields: equality and hashing are unchanged
@@ -72,21 +71,21 @@ def test_point_index_bijection(N, n):
 
 def test_directions_f3_squared():
     spec = RingSpec.make(3, 2)
-    got = [d.rep for d in enumerate_directions(spec)]
+    got = [d.rep for d in spec.directions]
     assert got == [(0, 1), (1, 0), (1, 1), (1, 2)]
     # the classes are the scaling orbits of F_3^2 \ {0}
     assert direction_classes(3, 2)
 
 
 def test_direction_counts():
-    assert len(enumerate_directions(RingSpec.make(15, 2))) == 4 * 6
-    assert len(enumerate_directions(RingSpec.make(4, 2))) == 6
+    assert len(RingSpec.make(15, 2).directions) == 4 * 6
+    assert len(RingSpec.make(4, 2).directions) == 6
     for p, n in [(2, 2), (3, 3), (5, 2), (7, 2)]:
-        dirs = enumerate_directions(RingSpec.make(p, n))
+        dirs = RingSpec.make(p, n).directions
         assert len(dirs) == (p**n - 1) // (p - 1)
     # prime powers: vectors with a unit coordinate, divided by the units
     for q, p, n in [(4, 2, 2), (8, 2, 1), (9, 3, 2), (8, 2, 2)]:
-        dirs = enumerate_directions(RingSpec.make(q, n))
+        dirs = RingSpec.make(q, n).directions
         units = q - q // p
         assert len(dirs) == (q**n - (q // p) ** n) // units
 
@@ -98,7 +97,7 @@ def test_squarefree_directions_cover_each_class_once(N, n):
 
 def test_prime_power_direction_invariants():
     spec = RingSpec.make(4, 2)
-    for d in enumerate_directions(spec):
+    for d in spec.directions:
         units = [c for c in d.rep if c % 2 == 1]
         assert units and units[0] == 1
     with pytest.raises(ValueError):
@@ -150,7 +149,7 @@ def test_line_split_basic():
     d = Direction.from_vector((1,), spec)
     line = Line.through((0,), d, spec)
     parts = line_split(line, spec)
-    s2, s3 = spec.factor_specs()
+    s2, s3 = spec.factor_specs
     assert _point_set(parts[0], s2) == {(0,), (1,)}
     assert _point_set(parts[1], s3) == {(0,), (1,), (2,)}
     spec4 = RingSpec.make(4, 1)
@@ -167,7 +166,7 @@ def test_line_split_componentwise_reduction():
         spec,
     )
     line = Line.through((1, 2), d, spec)
-    s3, s5 = spec.factor_specs()
+    s3, s5 = spec.factor_specs
     p3, p5 = line_split(line, spec)
     assert (1 % 3, 2 % 3) in _point_set(p3, s3)
     assert (1 % 5, 2 % 5) in _point_set(p5, s5)
@@ -182,7 +181,7 @@ def _crt_indicator(line, spec):
 def test_line_indicator_is_tensor_of_components():
     # exhaustive over all lines of Z/15 in dimension 1
     spec = RingSpec.make(15, 1)
-    s3, s5 = spec.factor_specs()
+    s3, s5 = spec.factor_specs
     for b in range(15):
         try:
             d = Direction.from_vector((b,), spec)
