@@ -5,7 +5,9 @@ matrix (incidence, Kronecker, evaluation, or Fourier), re-derives the
 row/rank identities the bound rests on, and reports every intermediate
 quantity with a pass/fail flag per checked identity.  The pipelines
 compute actual ranks rather than only the closed-form lower bounds, so
-each inequality is an assertion between computed numbers.
+each inequality is an assertion between computed numbers.  Every report
+is built by `_report`, which reads N, n and |S| off the set and adds the
+one check all certificates end in, soundness: certified <= |S|.
 
 `prime` and `two-primes` share one product, `_pivot_product`: over F_p,
 p the least prime of square-free N, the line matrix times W_p ⊗ I_{N/p}
@@ -13,15 +15,17 @@ on W_p's distinct non-zero columns, one per direction of (Z/p)^n.  By the
 CRT split each row is (pivot line · W_p) ⊗ residual line, so the rows are
 built from these two factors, the pivot one checked witness by witness,
 and ranked as packed rows; no dense line matrix is multiplied, and one
-guard counts its cells.  `prime` is the case N = p, with rank W the
-closed form `rank_formula`.  `square-free` reads its decoders and point
-evaluations off one evaluation table of the pivot field, built once per
-process (`_pivot_eval_matrix`, the last 4 kept), as each `RingSpec` is (the
-last 64 rings); the decoders are solved on every call, nothing derived from
-a Kakeya set is kept and every rank is taken again.
+guard counts its cells.  `prime` is the case N = p, whose residual factor
+is one all-ones column, with rank W the closed form `rank_formula`.
+`square-free` reads its decoders and point evaluations off one evaluation
+table of the pivot field, built once per process (`_pivot_eval_matrix`,
+the last 4 kept), as each `RingSpec` is (the last 64 rings); the decoders
+are solved on every call, nothing derived from a Kakeya set is kept and
+every rank is taken again.
 `prime-power` multiplies sub-progressions of the witness lines, one per
-unit orbit of (Z/p^k)^n, by the character table, and certifies rank W
-with one F_p rank and one F_ℓ image that reaches it.
+unit orbit of (Z/p^k)^n, by the character table (`dft_product`, given the
+certificate's guard), and certifies rank W with one F_p rank and one F_ℓ
+image that reaches it.
 """
 
 from __future__ import annotations
@@ -61,17 +65,16 @@ class BoundReport:
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return _json_value({
-            "pipeline": self.pipeline,
-            "N": self.N,
-            "n": self.n,
-            "set_size": self.set_size,
-            "certified": self.certified,
-            "closed_form": self.closed_form,
-            "quantities": self.quantities,
-            "checks": self.checks,
-            "passed": self.passed,
-        })
+        return _json_value({**vars(self), "passed": self.passed})
+
+
+def _report(S: KakeyaSet, pipeline: str, certified: int, closed_form,
+            quantities: dict, checks: dict) -> BoundReport:
+    """The report of one certificate on S: the ring and |S| read off S, and
+    the soundness check certified <= |S| after the certificate's own."""
+    spec = S.spec
+    return BoundReport(pipeline, spec.N, spec.n, S.size, certified, closed_form,
+                       quantities, {**checks, "soundness": certified <= S.size})
 
 
 def fq_bound(q: int, n: int) -> Fraction:
@@ -82,14 +85,12 @@ def fq_bound(q: int, n: int) -> Fraction:
 
 
 def squarefree_bound(N: int, n: int) -> Fraction:
-    """N^n / prod_i (2 - 1/p_i)^n over the prime factors of square-free N."""
+    """N^n / prod_i (2 - 1/p_i)^n over the prime factors p_i of square-free
+    N: the product of their `fq_bound`s, as N^n = prod_i p_i^n."""
     spec = RingSpec.make(N, n)
     if not spec.is_square_free:
         raise ValueError(f"{N} is not square-free")
-    denom = Fraction(1)
-    for p in spec.primes:
-        denom *= (Fraction(2) - Fraction(1, p)) ** n
-    return Fraction(N**n) / denom
+    return math.prod(fq_bound(p, n) for p in spec.primes)
 
 
 def _require_valid(S: KakeyaSet) -> np.ndarray:
@@ -134,10 +135,7 @@ def _pivot_product(S: KakeyaSet, guard: int):
     pts = spec.points[idx]
     if not np.array_equal(table[point_index(pts[:, :p] % p, spec_p)].sum(axis=1) % p, H):
         raise AssertionError("pivot row identity failed (internal bug)")
-    if spec.r == 1:  # no rest: row i is H_i alone
-        rows = np.ones((D, 1), dtype=bool)
-    else:
-        rows = _residual_rows(spec, 0, pts)
+    rows = _residual_rows(spec, 0, pts)
     MS = np.zeros((D, spec.num_points), dtype=bool)
     MS[np.arange(D)[:, None], idx] = True
     prod = (H[:, :, None] & rows[:, None, :]).reshape(D, -1)
@@ -166,26 +164,16 @@ def certify_prime(S: KakeyaSet, guard: int = DEFAULT_CELL_GUARD) -> BoundReport:
     rank_MS, rank_A, _, _, _ = _pivot_product(S, guard)
     p, n = spec.N, spec.n
     binom = math.comb(p + n - 2, n - 1)
-    return BoundReport(
-        pipeline="prime",
-        N=spec.N,
-        n=n,
-        set_size=S.size,
-        certified=rank_A,
-        closed_form=fq_bound(p, n),
-        quantities={
-            "rank_MS": rank_MS,
-            "rank_MS_W": rank_A,
-            "rank_W": rank_formula(p, n),
-            "binom_p_plus_n_minus_2": binom,
-        },
-        checks={
-            "row_identity": True,
-            "rank_chain": rank_MS >= rank_A,
-            "rank_formula_lower_bound": rank_A >= binom,
-            "soundness": rank_A <= S.size,
-        },
-    )
+    return _report(S, "prime", rank_A, fq_bound(p, n), {
+        "rank_MS": rank_MS,
+        "rank_MS_W": rank_A,
+        "rank_W": rank_formula(p, n),
+        "binom_p_plus_n_minus_2": binom,
+    }, {
+        "row_identity": True,
+        "rank_chain": rank_MS >= rank_A,
+        "rank_formula_lower_bound": rank_A >= binom,
+    })
 
 
 def certify_two_primes(
@@ -219,28 +207,18 @@ def certify_two_primes(
     dim_V = rank(GFpMatrix(p, H[np.unique(pivots, return_index=True)[1]]))
     min_rank_B, _, rank_size_per_c = _group_rank_sizes(p, pivots.tolist(),
                                                        rows, spec.N // p)
-    return BoundReport(
-        pipeline="two-primes",
-        N=spec.N,
-        n=n,
-        set_size=S.size,
-        certified=certified,
-        closed_form=squarefree_bound(spec.N, n),
-        quantities={
-            "rank_MS": rank_MS,
-            "rank_product": certified,
-            "dim_V": dim_V,
-            "min_rank_B": min_rank_B,
-            "tensor_lower_bound": dim_V * min_rank_B,
-        },
-        checks={
-            "row_identity": True,
-            "tensor_span_bound": certified >= dim_V * min_rank_B,
-            "rank_size_per_direction": rank_size_per_c,
-            "rank_chain": rank_MS >= certified,
-            "soundness": certified <= S.size,
-        },
-    )
+    return _report(S, "two-primes", certified, squarefree_bound(spec.N, n), {
+        "rank_MS": rank_MS,
+        "rank_product": certified,
+        "dim_V": dim_V,
+        "min_rank_B": min_rank_B,
+        "tensor_lower_bound": dim_V * min_rank_B,
+    }, {
+        "row_identity": True,
+        "tensor_span_bound": certified >= dim_V * min_rank_B,
+        "rank_size_per_direction": rank_size_per_c,
+        "rank_chain": rank_MS >= certified,
+    })
 
 
 EVAL_CACHE_SIZE = 4  # a certify-squarefree pass uses 2 pivot fields
@@ -327,37 +305,27 @@ def certify_squarefree(
     union_bound_ok = Fraction(min_union) >= bound0
     final_rhs = delta_homog * bound0 / N0
 
-    return BoundReport(
-        pipeline="square-free",
-        N=spec.N,
-        n=n,
-        set_size=S.size,
-        certified=certified,
-        closed_form=squarefree_bound(spec.N, n),
-        quantities={
-            "k": k,
-            "m": m,
-            "pivot_prime": p1,
-            "crank_family": crank_family,
-            "Delta_n_m_minus_1": Delta,
-            "delta_n_kp1_minus_1": delta_homog,
-            "crank_D": crank_D,
-            "crank_D_tensor_L0": crank_DL0,
-            "min_crank_L0": min_crank_L0,
-            "final_rhs": final_rhs,
-        },
-        checks={
-            "decode_then_eval": decode_chain,
-            "crank_size": crank_family <= S.size * Delta,
-            "crank_multiplication": crank_family >= crank_DL0,
-            "crank_tensor": crank_DL0 >= delta_homog * min_crank_L0,
-            "stacked_point_eval_rank": crank_D >= delta_homog,
-            "rank_size_factor": rank_size_factor,
-            "union_is_kakeya_bound": union_bound_ok,
-            "final_inequality": Fraction(S.size * Delta) >= final_rhs,
-            "soundness": certified <= S.size,
-        },
-    )
+    return _report(S, "square-free", certified, squarefree_bound(spec.N, n), {
+        "k": k,
+        "m": m,
+        "pivot_prime": p1,
+        "crank_family": crank_family,
+        "Delta_n_m_minus_1": Delta,
+        "delta_n_kp1_minus_1": delta_homog,
+        "crank_D": crank_D,
+        "crank_D_tensor_L0": crank_DL0,
+        "min_crank_L0": min_crank_L0,
+        "final_rhs": final_rhs,
+    }, {
+        "decode_then_eval": decode_chain,
+        "crank_size": crank_family <= S.size * Delta,
+        "crank_multiplication": crank_family >= crank_DL0,
+        "crank_tensor": crank_DL0 >= delta_homog * min_crank_L0,
+        "stacked_point_eval_rank": crank_D >= delta_homog,
+        "rank_size_factor": rank_size_factor,
+        "union_is_kakeya_bound": union_bound_ok,
+        "final_inequality": Fraction(S.size * Delta) >= final_rhs,
+    })
 
 
 def _group_rank_sizes(p: int, pivots, rows: np.ndarray, modulus: int):
@@ -385,12 +353,15 @@ def _group_rank_sizes(p: int, pivots, rows: np.ndarray, modulus: int):
 
 def _residual_rows(spec: RingSpec, pivot: int, pts: np.ndarray) -> np.ndarray:
     """(lines, (N/p)^n) bool rows, p the factor-`pivot` prime and pts the
-    (lines, N, n) points of lines over (Z/N)^n with at least two primes.
+    (lines, N, n) points of lines over (Z/N)^n.
 
     Reduced mod N0 = N/p, a line is the CRT product of its components other
     than the pivot, so its CRT-major 0/1 indicator over (Z/N0)^n is the
-    Kronecker product of their indicators."""
+    Kronecker product of their indicators; for N0 = 1 it is the one
+    all-ones column."""
     N0 = spec.N // spec.primes[pivot]
+    if N0 == 1:
+        return np.ones((len(pts), 1), dtype=bool)
     spec0 = RingSpec.make(N0, spec.n)
     rows = np.zeros((len(pts), spec0.num_points), dtype=bool)
     cols = spec0.crt_order[point_index(pts % N0, spec0)]
@@ -484,21 +455,10 @@ def certify_prime_power(
     # the product row over p^{k-j}: γ^{<a, y>} on row p^j·b of W, else 0
     w_rows = x @ pts.T % q == 0
     powers = reduction_matrix(p, kk)[pts[idx[:, 0]] @ pts.T % q] * w_rows[..., None]
-    if not np.array_equal(dft_product(M, spec), p ** (kk - js)[:, None, None] * powers):
+    if not np.array_equal(dft_product(M, spec, guard), p ** (kk - js)[:, None, None] * powers):
         raise AssertionError("Fourier row identity failed (internal bug)")
     rank_W = rank(GFpMatrix(p, w_rows))
     rank_c = rank_cyclo(powers, p, kk, target=rank_W)
-    return BoundReport(
-        pipeline="prime-power",
-        N=q,
-        n=n,
-        set_size=S.size,
-        certified=rank_W,
-        closed_form=None,
-        quantities={"rank_W_pk_n": rank_W, "rank_cyclo": rank_c},
-        checks={
-            "dft_row_formula": True,
-            "rank_transfer": rank_c >= rank_W,
-            "soundness": rank_W <= S.size,
-        },
-    )
+    return _report(S, "prime-power", rank_W, None,
+                   {"rank_W_pk_n": rank_W, "rank_cyclo": rank_c},
+                   {"dft_row_formula": True, "rank_transfer": rank_c >= rank_W})

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DEFAULT_CELL_GUARD, _check_guard
 from .gfp import GFpMatrix, is_prime, rank as gfp_rank
 
 # modular images use primes above this floor; a product of t distinct such
@@ -144,7 +145,7 @@ def rank_rational(data) -> int:
     return rank_cyclo(np.atleast_2d(data)[..., None], 2, 1)
 
 
-def dft_product(A, spec) -> np.ndarray:
+def dft_product(A, spec, guard: int = DEFAULT_CELL_GUARD) -> np.ndarray:
     """A times the character table of (Z/p^k Z)^n, computed in integers.
 
     A is a 0/1 matrix whose columns are the points in natural order; the
@@ -153,17 +154,18 @@ def dft_product(A, spec) -> np.ndarray:
     the points t of row i: a histogram of exponents, times
     `reduction_matrix`.  Returns the Z[γ] coefficient array of shape
     (rows, p^{kn}, φ); no coefficient exceeds the largest row weight of A
-    in absolute value.
+    in absolute value.  GuardExceeded, before anything is built, when the
+    histogram's rows·q x q^n cells pass guard.
     """
     if not spec.is_prime_power:
         raise ValueError("dft_product requires a prime-power modulus")
     A = np.asarray(A)
+    p, k = spec.factors[0]
+    q, size = spec.N, spec.num_points
+    _check_guard(f"DFT exponent histogram of (Z/{q})^{spec.n}", len(A) * q, size, guard)
     if not np.isin(A, (0, 1)).all():
         raise ValueError("dft_product expects a 0/1 matrix")
-    p, k = spec.factors[0]
-    q = spec.N
     pts = spec.points
-    size = len(pts)
     row, point = np.nonzero(A)
     keys = (row[:, None] * size + np.arange(size)) * q + pts[point] @ pts.T % q
     H = np.bincount(keys.ravel(), minlength=len(A) * size * q)

@@ -306,6 +306,33 @@ def test_certify_squarefree_pinned_reports(ring):
     }
 
 
+# q, n, witness seed (None: the full set) -> set_size, certified = rank W,
+# rank_cyclo (the first F_ℓ image rank that reaches rank W)
+PINNED_PRIME_POWER = {
+    (4, 2, None): (16, 7, 10),
+    (8, 2, None): (64, 15, 22),
+    (9, 2, None): (81, 13, 17),
+    (16, 2, None): (256, 31, 46),
+    (9, 2, 1): (61, 13, 17),
+}
+
+
+@pytest.mark.parametrize("ring", PINNED_PRIME_POWER,
+                         ids=lambda r: f"{r[0]}^{r[1]}-{'full' if r[2] is None else r[2]}")
+def test_certify_prime_power_pinned_reports(ring):
+    q, n, seed = ring
+    spec = RingSpec.make(q, n)
+    S = full_set(spec) if seed is None else random_witness_set(spec, random.Random(seed))
+    size, certified, rank_c = PINNED_PRIME_POWER[ring]
+    assert certify_prime_power(S).to_json_dict() == {
+        "pipeline": "prime-power", "N": q, "n": n, "set_size": size,
+        "certified": certified, "closed_form": None,
+        "quantities": {"rank_W_pk_n": certified, "rank_cyclo": rank_c},
+        "checks": {"dft_row_formula": True, "rank_transfer": True, "soundness": True},
+        "passed": True,
+    }
+
+
 def test_certify_prime_power_n1():
     S = full_set(RingSpec.make(4, 1))
     r = certify_prime_power(S)

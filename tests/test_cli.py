@@ -101,6 +101,17 @@ def test_kakeya_construct_deterministic_bytes(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("N,n", [(7, 2), (5, 3), (2, 3), (13, 2)])
+def test_tangent_product_on_a_prime_is_the_tangent_set(tmp_path, capsys, N, n):
+    # crt_product of the one factor's tangent set is that set
+    paths = {m: tmp_path / f"{m}.json" for m in ("tangent", "tangent-product")}
+    for method, path in paths.items():
+        code, _, _ = run(capsys, "kakeya", "construct", "--N", str(N), "--n", str(n),
+                         "--method", method, "--out", str(path))
+        assert code == 0
+    assert paths["tangent"].read_bytes() == paths["tangent-product"].read_bytes()
+
+
 def test_kakeya_verify_tampered(tmp_path, capsys):
     path = tmp_path / "s.json"
     run(capsys, "kakeya", "construct", "--N", "3", "--n", "2",
@@ -206,10 +217,10 @@ def test_certify_row_factor_error_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s.json"
     run(capsys, "kakeya", "construct", "--N", "5", "--n", "2", "--out", str(path))
 
-    def failing(S, args):
+    def failing(S, guard):
         raise RowFactorError("row 0 of the target is not in the row space")
 
-    monkeypatch.setitem(cli.PIPELINES, "prime", failing)
+    monkeypatch.setattr(cli, "certify_prime", failing)
     code, _, err = run(capsys, "certify", str(path), "--pipeline", "prime")
     assert code == 1
     assert "row space" in err
@@ -249,6 +260,22 @@ def test_certify_square_free_rejects_bad_k_on_prime_n(tmp_path, capsys, k):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and f"k = {k} " in lines[0]
+
+
+@pytest.mark.parametrize("N,pipeline", [
+    (15, "two-primes"), (7, "prime"), (4, "prime-power")])
+def test_certify_k_only_with_square_free(tmp_path, capsys, N, pipeline):
+    # --k is the square-free derivative order; no other pipeline reads it
+    path = tmp_path / "s.json"
+    run(capsys, "kakeya", "construct", "--N", str(N), "--n", "2", "--out", str(path))
+    code, out, err = run(capsys, "certify", str(path), "--pipeline", pipeline,
+                         "--k", "5")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "--k" in lines[0] and pipeline in lines[0]
+    code, _, _ = run(capsys, "certify", str(path), "--pipeline", pipeline)
+    assert code == 0
 
 
 @pytest.mark.parametrize("N,n,method,pipeline", [

@@ -1,12 +1,14 @@
 """Z[γ] coefficient arrays, cyclotomic rank and rank transfer."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ringkakeya import (
     GFpMatrix,
+    GuardExceeded,
     RingSpec,
     dft_product,
     rank,
@@ -151,6 +153,24 @@ def test_dft_whole_line_row_product():
 def test_dft_product_requires_prime_power():
     with pytest.raises(ValueError, match="prime-power modulus"):
         dft_product(np.eye(6, dtype=np.int64), RingSpec.make(6, 1))
+
+
+def test_dft_product_refused_before_anything_is_built():
+    # 300 rows over (Z/16)^3: a 300·16 x 4096 exponent histogram of
+    # 19,660,800 int64 cells, 150 MiB
+    A = np.zeros((300, 4096), dtype=np.int64)
+    spec = RingSpec.make(16, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=r"^DFT exponent histogram of \(Z/16\)\^3: "
+                           r"4800 x 4096 = 19660800 cells exceeds the guard of 16000000$"):
+            dft_product(A, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # one row fits a guard of exactly its 16 x 4096 cells
+    assert dft_product(A[:1], spec, guard=16 * 4096).shape == (1, 4096, 8)
 
 
 @pytest.mark.parametrize("q,n", [(4, 2), (3, 2), (8, 1)])
