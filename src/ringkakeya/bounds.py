@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -47,18 +46,16 @@ from .polys import _decoders, dim_homog, dim_leq, eval_matrix
 from .rings import RingSpec, _least_bases, _read_only, point_index
 
 
-@dataclass
 class BoundReport:
     """Outcome of one certificate pipeline on one Kakeya set."""
 
-    pipeline: str
-    N: int
-    n: int
-    set_size: int
-    certified: int
-    closed_form: Fraction | None
-    quantities: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    def __init__(self, pipeline: str, N: int, n: int, set_size: int,
+                 certified: int, closed_form: Fraction | None,
+                 quantities: dict | None = None, checks: dict | None = None):
+        self.pipeline, self.N, self.n = pipeline, N, n
+        self.set_size, self.certified, self.closed_form = set_size, certified, closed_form
+        self.quantities = {} if quantities is None else quantities
+        self.checks = {} if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -66,14 +66,31 @@ def _json_value(v):
     return v
 
 
-def write_json(data, path=None) -> None:
-    """_json_value(data) as JSON, indented by one space with sorted keys and
-    a final newline, written to path, or to stdout when path is None.  Data
-    is converted whole only where its first dump, Fractions converted on the
-    way, shows 16 digits in a row: an integer that may have 53 bits."""
-    text = json.dumps(data, indent=1, sort_keys=True, default=_json_value)
+def _dumps(v) -> str:
+    """_json_value(v) as one line of JSON with sorted keys, by CPython's C
+    encoder (no indent).  v is converted whole only where its first dump,
+    Fractions converted on the way, shows 16 digits in a row: an integer
+    that may have 53 bits."""
+    text = json.dumps(v, sort_keys=True, default=_json_value)
     if b"0" * 16 in text.encode().translate(_ZERO_DIGITS):  # |v| >= 2^53
-        text = json.dumps(_json_value(data), indent=1, sort_keys=True)
+        text = json.dumps(_json_value(v), sort_keys=True)
+    return text
+
+
+def write_json(data, path=None) -> None:
+    """_json_value(data) as JSON with sorted keys and a final newline,
+    written to path, or to stdout when path is None.  A non-empty top-level
+    object or list is written one entry per line, each indented by one space
+    and dumped whole by `_dumps`, between lines holding its brackets; any
+    other value is one `_dumps` line."""
+    if isinstance(data, dict) and data:
+        # each entry as json writes it inside an object, its key converted
+        body = ",\n ".join(_dumps({k: data[k]})[1:-1] for k in sorted(data))
+        text = "{\n " + body + "\n}"
+    elif isinstance(data, (list, tuple)) and data:
+        text = "[\n " + ",\n ".join(map(_dumps, data)) + "\n]"
+    else:
+        text = _dumps(data)
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
 

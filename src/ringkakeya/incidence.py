@@ -8,22 +8,26 @@ comparisons against Fourier-derived matrices are literal; ranks are taken
 on `incidence_quotient`, one row and column per unit orbit.
 
 `mv_search` scans on bitmasks: one Python int per orthogonality-table row,
-two masks per search frame for the u's and v's still allowed, and a jump
-to the next admissible pair that books each skipped pair as one node.
+built from the int64 Gram in row blocks of about `MV_BLOCK_CELLS` cells, two
+masks per search frame for the u's and v's still allowed, and a jump to the
+next admissible pair that books each skipped pair as one node.
 Every builder checks a cell guard first and names itself when it refuses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DEFAULT_CELL_GUARD, _check_guard, json_ints, malformed_input
 from .gfp import GFpMatrix, _bitmasks, is_prime
 from .rings import RingSpec
+
+
+MV_BLOCK_CELLS = 1 << 20  # 8 MiB of int64 Gram per mv_search row block
 
 
 def _check_ring(p: int, k: int, n: int):
@@ -81,8 +85,7 @@ def rank_formula(p: int, n: int) -> int:
     return math.comb(p + n - 2, n - 1) + 1
 
 
-@dataclass(frozen=True)
-class MVFamily:
+class MVFamily(NamedTuple):
     """A matching-vector family over (Z/qZ)^n, q = p^k.
 
     U and V have equal length and <u_i, v_j> = 0 mod q exactly when i = j.
@@ -175,7 +178,10 @@ def mv_search(
         vectors = [v for v in vectors if any(v)]
     m = len(vectors)
     X = np.array(vectors, dtype=np.int64).reshape(m, n)
-    orth = _bitmasks(X @ X.T % q == 0)
+    orth = []
+    block = max(1, MV_BLOCK_CELLS // m)
+    for start in range(0, m, block):  # one int64 Gram block at a time
+        orth += _bitmasks(X[start:start + block] @ X.T % q == 0)
     end = m * m
     nodes = 0
     path: list[tuple[int, int]] = []

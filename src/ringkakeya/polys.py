@@ -12,7 +12,6 @@ of one degree; their rows run point-major, then by derivative index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -78,21 +77,16 @@ def binom_mod(a: int, b: int, p: int) -> int:
     return r
 
 
-@dataclass
 class GFpPoly:
     """Polynomial over F_p in n variables, stored as exponent -> coefficient."""
 
-    p: int
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for exp, c in self.coeffs.items():
-            c %= self.p
+    def __init__(self, p: int, n: int, coeffs: dict | None = None):
+        self.p, self.n = p, n
+        self.coeffs = {}
+        for exp, c in (coeffs or {}).items():
+            c %= p
             if c:
-                clean[tuple(exp)] = c
-        self.coeffs = clean
+                self.coeffs[tuple(exp)] = c
 
     @property
     def degree(self) -> int:

@@ -6,7 +6,7 @@ read-only permutation `crt_order` and the direction table: `dir_reps`,
 one canonical representative per row in enumeration order, its per-factor
 `dir_components`, and `dir_index`, the row of each canonical rep by its
 point index; for N = p^k, `unit_orbits` holds one point per unit orbit.
-`directions` is the direction table as small frozen dataclasses of Python
+`directions` is the direction table as `Direction` named tuples of Python
 ints; `Direction` and `Line` objects are for callers that want one vector
 or line at a time.  `factorize` divides out one `_least_factor` at a
 time, each kept per process, so a cofactor that trial division cannot
@@ -38,9 +38,9 @@ factor.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ def _least_factor(m: int) -> int:
     return m if d * d > m else 0
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """The ring (Z/NZ)^n together with its factorization.
 
@@ -90,19 +89,28 @@ class RingSpec:
     the ring alone, nothing derived from a Kakeya set.
     """
 
-    N: int
-    n: int
-    factors: tuple[tuple[int, int], ...]
-    kind: str
+    def __init__(self, N: int, n: int, factors: tuple[tuple[int, int], ...],
+                 kind: str):
+        if prod(p**e for p, e in factors) != N:
+            raise ValueError("factors do not multiply to N")
+        self.N, self.n, self.factors, self.kind = N, n, factors, kind
 
     @classmethod
     def make(cls, N: int, n: int) -> "RingSpec":
         """The spec of (Z/N)^n, N and n taken as Python ints first."""
         return _make(operator.index(N), operator.index(n))
 
-    def __post_init__(self):
-        if prod(p**e for p, e in self.factors) != self.N:
-            raise ValueError("factors do not multiply to N")
+    def __eq__(self, other):  # factors and kind follow from N
+        if not isinstance(other, RingSpec):
+            return NotImplemented
+        return (self.N, self.n) == (other.N, other.n)
+
+    def __hash__(self):
+        return hash((self.N, self.n))
+
+    def __repr__(self):
+        return (f"RingSpec(N={self.N!r}, n={self.n!r}, factors={self.factors!r}, "
+                f"kind={self.kind!r})")
 
     @property
     def r(self) -> int:
@@ -319,8 +327,7 @@ def _canonical(vectors, spec: RingSpec) -> np.ndarray:
                         for r, lead, q in zip(residues, leads, spec.factor_moduli)], spec)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(NamedTuple):
     """A canonical projective direction of R^n.
 
     rep is the canonical representative vector over Z/NZ (the unique vector
@@ -338,8 +345,7 @@ class Direction:
             tuple(c % q for c in rep) for q in spec.factor_moduli))
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """The line {base + t*dir : t in R}; base is its point of least index,
     which is its lexicographically least point."""
 

@@ -1,5 +1,6 @@
 """Incidence matrices, the line-action identity, and MV families."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from ringkakeya import (
     GuardExceeded,
     MVFamily,
     RingSpec,
+    incidence,
     incidence_matrix_pk,
     incidence_quotient,
     mv_search,
@@ -303,3 +305,28 @@ def test_mv_search_guard():
     with pytest.raises(GuardExceeded, match=r"^orthogonality table of \(Z/3\)\^4"):
         mv_search(3, 1, 4, 6, guard=80 * 80)
     assert mv_search(3, 1, 4, 6, guard=81 * 81)[1] == 200_000
+
+
+def test_mv_search_builds_its_masks_in_row_blocks():
+    # the whole 3,720 x 3,720 int64 Gram of (Z/61)^2 and its % q copy peaked
+    # at 211 MiB; the bitmask rows themselves take about 1.7 MB
+    tracemalloc.start()
+    try:
+        fam, nodes = mv_search(61, 1, 2, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert (fam, nodes) == (MVFamily(p=61, k=1, n=2, U=((0, 1),), V=((1, 0),)),
+                            200_000)
+
+
+@pytest.mark.parametrize("cells", [1, 80, 1000])
+def test_mv_search_block_size_does_not_change_the_search(monkeypatch, cells):
+    # tables of 63, 26, 24 and 4 rows in blocks of one row, of a few rows
+    # (the last block short or not) and of the whole table
+    want = [mv_search(*args) for args in
+            [(2, 2, 3, 6, 5000), (3, 1, 3, 4), (5, 1, 2, 3), (2, 1, 2, 1)]]
+    monkeypatch.setattr(incidence, "MV_BLOCK_CELLS", cells)
+    assert [mv_search(*args) for args in
+            [(2, 2, 3, 6, 5000), (3, 1, 3, 4), (5, 1, 2, 3), (2, 1, 2, 1)]] == want
